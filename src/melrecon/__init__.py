@@ -52,7 +52,6 @@ from .train import (
     TrainConfig,
     adam_step,
     cg_sense,
-    l1_loss,
     load_checkpoint,
     psnr,
     save_checkpoint,

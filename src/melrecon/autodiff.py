@@ -5,10 +5,12 @@ tensors each vector-Jacobian product will need (registered with the memory
 ledger), and can be disposed independently, which is what lets the
 memory-efficient engine build and discard one unroll's graph at a time.
 
-The op set is closed on purpose: conv, relu, add, scale, complex/channel
-casts, centered FFTs, mask/sensitivity multiplies, real inner product,
-per-pixel l1 loss, and an implicit linear-solve node registered by the
-unrolled-network module. Each VJP is individually unit-testable.
+The op set is closed on purpose and is exactly what the unrolled network
+and its loss record: conv, relu, add, scale, complex/channel casts,
+per-pixel l1 loss, and the implicit data-consistency solve node
+(``dc_solve``) registered by the unrolled-network module. The encoding
+operator is never taped; it appears only inside ``dc_solve``. Each VJP is
+individually unit-testable.
 
 Complex leaves follow the real-pair convention for real-valued losses:
 grad = dL/d(re) + i * dL/d(im).
@@ -32,8 +34,6 @@ from .tensor import (
     conv_input_grad,
     conv_nd,
     conv_weight_grad,
-    fft_centered,
-    ifft_centered,
     relu,
     scale,
 )
@@ -70,9 +70,6 @@ class NodeRecord:
     input_ids: tuple[int, ...]
     saved: dict[str, Tensor]
     attrs: dict[str, Any]
-    out_shape: tuple[int, ...]
-    out_complex: bool
-    out_alloc: int
 
 
 class Tape:
@@ -85,7 +82,6 @@ class Tape:
 
     def __init__(self, ledger: MemoryLedger | None = None, scope_id: str = ""):
         self.nodes: list[NodeRecord] = []
-        self.retained_bytes = 0
         self.scope_id = scope_id
         self.ledger = ledger
         self._node_of: dict[int, int] = {}
@@ -97,9 +93,7 @@ class Tape:
 
     def _add_node(self, kind, input_ids, saved, attrs, out: Tensor) -> int:
         idx = len(self.nodes)
-        self.nodes.append(
-            NodeRecord(kind, tuple(input_ids), saved, attrs, out.shape, isinstance(out, ComplexTensor), out.alloc_id)
-        )
+        self.nodes.append(NodeRecord(kind, tuple(input_ids), saved, attrs))
         self._node_of[out.alloc_id] = idx
         return idx
 
@@ -114,7 +108,6 @@ class Tape:
             return
         self._retained_set.add(t.alloc_id)
         self._retained.append(t.alloc_id)
-        self.retained_bytes += t.nbytes
         if self.ledger is not None:
             self.ledger.retain(t, label)
 
@@ -199,7 +192,6 @@ class Tape:
         self._node_of.clear()
         self._retained.clear()
         self._retained_set.clear()
-        self.retained_bytes = 0
         self._disposed = True
 
 
@@ -239,70 +231,14 @@ register_op(
 
 register_op(
     "c2ch",
-    lambda x: complex_to_channels(x),
+    complex_to_channels,
     lambda saved, attrs, g: (g[0] + 1j * g[1],),
 )
 
 register_op(
     "ch2c",
-    lambda x: channels_to_complex(x),
+    channels_to_complex,
     lambda saved, attrs, g: (np.stack([g.real, g.imag]),),
-)
-
-register_op(
-    "fft",
-    lambda x, dims=None: fft_centered(x, dims),
-    lambda saved, attrs, g: (ifft_centered(ComplexTensor(g), attrs.get("dims")).data,),
-)
-
-register_op(
-    "ifft",
-    lambda x, dims=None: ifft_centered(x, dims),
-    lambda saved, attrs, g: (fft_centered(ComplexTensor(g), attrs.get("dims")).data,),
-)
-
-
-def _mask_mul(x: ComplexTensor, mask: np.ndarray) -> ComplexTensor:
-    return ComplexTensor(x.data * mask)
-
-
-register_op(
-    "mask_mul",
-    _mask_mul,
-    lambda saved, attrs, g: (g * attrs["mask"],),
-)
-
-
-def _sens_mul(x: ComplexTensor, maps: np.ndarray) -> ComplexTensor:
-    """Per-coil multiply: out[c] = maps[c] (broadcast) * x."""
-    return ComplexTensor(maps.reshape(maps.shape[:1] + (1,) * (x.data.ndim - maps.ndim + 1) + maps.shape[1:]) * x.data)
-
-
-def _vjp_sens_mul(saved, attrs, g):
-    maps = attrs["maps"]
-    m = maps.reshape(maps.shape[:1] + (1,) * (g.ndim - maps.ndim) + maps.shape[1:])
-    return ((np.conj(m) * g).sum(axis=0),)
-
-
-register_op("sens_mul", _sens_mul, _vjp_sens_mul)
-
-
-def _dot_real(x: Tensor, y: Tensor) -> RealTensor:
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch in dot: {x.shape} vs {y.shape}")
-    return RealTensor(np.vdot(x.data, y.data).real)
-
-
-def _vjp_dot_real(saved, attrs, g):
-    s = float(g)
-    return s * saved["y"].data, s * saved["x"].data
-
-
-register_op(
-    "dot",
-    _dot_real,
-    _vjp_dot_real,
-    saves=lambda inputs, out, attrs: {"x": inputs[0], "y": inputs[1]},
 )
 
 

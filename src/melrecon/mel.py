@@ -6,14 +6,16 @@ once, so tape-retained activation bytes grow linearly with the unroll count.
 ``backprop_mel`` never records the forward pass. It runs it plain, seeds the
 loss gradient at the output, then walks the unrolls in reverse: algebraically
 invert the DC layer to recover z, fixed-point-invert the residual
-regularizer to recover the unroll's input, rebuild just that unroll's graph,
-backpropagate the incoming image gradient through it, and dispose the tape.
-Peak retained bytes stay at one unroll's worth regardless of depth, at the
-price of the recompute work.
+regularizer to recover the unroll's input, rebuild just that unroll's
+regularizer graph, backpropagate the gradient at z through it, and dispose
+the tape. Peak retained bytes stay at one unroll's worth regardless of depth,
+at the price of the recompute work.
 
-Both engines use the same implicit VJP for the DC layer, so their gradients
-agree up to fixed-point/CG tolerances rather than differing by CG-trace
-effects.
+The DC layer is never rebuilt: its taped node saves nothing and its VJP is
+closed form (:func:`dc_vjp`), so mel applies that VJP to the incoming image
+gradient directly. Both engines therefore use the same implicit DC VJP, and
+their gradients agree up to fixed-point/CG tolerances rather than differing
+by CG-trace effects.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .tensor import ComplexTensor, MemoryLedger, RealTensor
 from .unrolled import (
     FixedPointDivergence,
     UnrolledNetParams,
-    dc_forward,
     dc_invert,
+    dc_vjp,
     modl_forward,
     regularizer_forward,
     regularizer_invert,
@@ -118,11 +120,12 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
                 f"unroll {n}: {e}", residual=e.residual, unroll=n
             ) from None
         if iterates is not None:
-            ref = iterates[n].x_n.data
+            ref = iterates[n].data
             recompute_errors.append(
                 float(np.linalg.norm(x_prev.data - ref) / max(np.linalg.norm(ref), 1e-300))
             )
 
+        gz = dc_vjp(op, q, net.mu, net.n_cg, exit_rel=net.cg_exit)
         tape = Tape(ledger=ledger, scope_id=f"mel:unroll{n}")
         tape.watch(x_prev)
         unroll_leaves = reg.named_leaves() if net.shares_weights else [
@@ -131,8 +134,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
         for _, t in unroll_leaves:
             tape.watch(t)
         z_re = regularizer_forward(reg, x_prev, tape=tape)
-        x_re = dc_forward(op, y, z_re, net.mu, net.n_cg, tape=tape)
-        gm = tape.backward(x_re, q, [x_prev] + [t for _, t in unroll_leaves])
+        gm = tape.backward(z_re, gz, [x_prev] + [t for _, t in unroll_leaves])
         q = gm[x_prev.alloc_id]
         for name, t in unroll_leaves:
             g = gm[t.alloc_id].data

@@ -478,8 +478,3 @@ def load_dataset(path) -> Dataset:
             Case(m["id"], m["split"], x, y, mask, SensitivityMaps(sens_t), m["seed"], m["sigma"])
         )
     return Dataset(cfg, cases)
-
-
-def zero_filled_image(op: EncodingOperator, y: ComplexTensor) -> ComplexTensor:
-    """A^H y, the standard network input."""
-    return op.adjoint(y)

@@ -303,6 +303,8 @@ def melt_read(path) -> Tensor:
     version, dt, rank = struct.unpack_from("<BBB", raw, 4)
     if version != _MELT_VERSION:
         raise ValueError(f"{path}: unsupported MELT version {version}")
+    if dt not in (_DT_REAL, _DT_COMPLEX):
+        raise ValueError(f"{path}: bad dtype code {dt}")
     if not 1 <= rank <= _MAX_RANK:
         raise ValueError(f"{path}: bad rank {rank}")
     dims = struct.unpack_from("<5Q", raw, 7)
@@ -311,8 +313,6 @@ def melt_read(path) -> Tensor:
         raise ValueError(f"{path}: unused trailing dims must be 1")
     n = int(np.prod(shape))
     dtype = np.dtype("<c16") if dt == _DT_COMPLEX else np.dtype("<f8")
-    if dt not in (_DT_REAL, _DT_COMPLEX):
-        raise ValueError(f"{path}: bad dtype code {dt}")
     expected = 47 + n * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: payload size {len(raw)} != expected {expected}")

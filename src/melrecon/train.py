@@ -1,9 +1,9 @@
 """Training loop, metrics and baselines.
 
-Per-pixel l1 loss on the 2-channel real view, Adam with bias correction
-followed by the contraction projection, pSNR/SSIM on magnitude images,
-zero-filled and l2-regularized CG-SENSE baselines, and directory-based
-checkpoints (manifest + MELT tensors).
+Adam with bias correction followed by the contraction projection (the loss is
+the taped per-pixel ``l1`` op), pSNR/SSIM on magnitude images, zero-filled
+and l2-regularized CG-SENSE baselines, and directory-based checkpoints
+(manifest + MELT tensors).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,6 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .autodiff import Tape, apply_op
 from .mel import backprop_mel, backprop_standard
 from .mri import Dataset, EncodingOperator, load_dataset
 from .tensor import ComplexTensor, RealTensor, melt_read, melt_write
@@ -34,7 +34,6 @@ __all__ = [
     "AdamState",
     "TrainConfig",
     "MetricsReport",
-    "l1_loss",
     "adam_step",
     "psnr",
     "ssim",
@@ -47,13 +46,6 @@ __all__ = [
 ]
 
 LOG_CSV_HEADER = ["epoch", "step", "engine", "train_loss", "val_psnr", "val_ssim", "peak_bytes", "epoch_seconds"]
-
-
-def l1_loss(x: ComplexTensor, target: ComplexTensor, tape: Tape | None = None) -> RealTensor:
-    """Mean over pixels of |re(x-t)| + |im(x-t)|; subgradient 0 at zeros."""
-    if tape is None:
-        return apply_op("l1", x, target=target.data)
-    return tape.record("l1", x, target=target.data)
 
 
 # --- optimizer -----------------------------------------------------------------
@@ -200,8 +192,18 @@ def cg_sense(op: EncodingOperator, y: ComplexTensor, lam: float = 1e-3, iters: i
 
 
 def save_checkpoint(out_dir, net: UnrolledNetParams, seed: int = 0, step: int = 0, extra: dict | None = None) -> Path:
+    """Write the checkpoint into a sibling temporary directory, then swap it
+    in by renames, so ``out_dir`` never holds a mix of old and new weights.
+    A crash between the two renames leaves the previous checkpoint complete
+    under ``.<name>.old``; the next save moves it back before it starts."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.tmp")
+    old = out.with_name(f".{out.name}.old")
+    if old.exists() and not out.exists():
+        old.rename(out)
+    for d in (tmp, old):
+        shutil.rmtree(d, ignore_errors=True)
+    tmp.mkdir(parents=True)
     reg = net.reg
     meta = {
         "format": "melrecon-checkpoint",
@@ -219,21 +221,45 @@ def save_checkpoint(out_dir, net: UnrolledNetParams, seed: int = 0, step: int = 
     }
     if extra:
         meta.update(extra)
-    for name, t in net.named_leaves():
-        melt_write(out / f"{name.replace('.', '_')}.melt", t)
-    (out / "manifest.json").write_text(json.dumps(meta, indent=2))
+    try:
+        for name, t in net.named_leaves():
+            melt_write(tmp / f"{name.replace('.', '_')}.melt", t)
+        (tmp / "manifest.json").write_text(json.dumps(meta, indent=2))
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if out.exists():
+        out.rename(old)
+    tmp.rename(out)
+    shutil.rmtree(old, ignore_errors=True)
     return out
 
 
 def load_checkpoint(path) -> tuple[UnrolledNetParams, dict]:
+    """Load a checkpoint; every tensor must match the manifest's channels and
+    layer count, and all kernels must share one shape (ValueError if not)."""
     root = Path(path)
     meta = json.loads((root / "manifest.json").read_text())
     if meta.get("format") != "melrecon-checkpoint":
         raise ValueError(f"{path}: not a checkpoint directory")
+    layers, ch = meta["layers"], meta["channels"]
+    if layers < 2:
+        raise ValueError(f"{path}: manifest layers {layers} < 2")
+    dims = [(ch, 2)] + [(ch, ch)] * (layers - 2) + [(2, ch)]
 
     def load_reg(prefix: str) -> RegularizerParams:
-        ws = [melt_read(root / f"{prefix}w{i}.melt") for i in range(meta["layers"])]
-        bs = [melt_read(root / f"{prefix}b{i}.melt") for i in range(meta["layers"])]
+        ws, bs = [], []
+        for i, (cout, cin) in enumerate(dims):
+            w = melt_read(root / f"{prefix}w{i}.melt")
+            b = melt_read(root / f"{prefix}b{i}.melt")
+            kernel = ws[0].shape[2:] if ws else w.shape[2:]
+            want_w, want_b = (cout, cin) + kernel, (cout,)
+            if not kernel or not isinstance(w, RealTensor) or w.shape != want_w:
+                raise ValueError(f"{path}: {prefix}w{i} is {w!r}, manifest expects real {want_w}")
+            if not isinstance(b, RealTensor) or b.shape != want_b:
+                raise ValueError(f"{path}: {prefix}b{i} is {b!r}, manifest expects real {want_b}")
+            ws.append(w)
+            bs.append(b)
         return RegularizerParams(ws, bs, meta["contraction"])
 
     if meta["share_weights"]:

@@ -23,7 +23,6 @@ from .tensor import ComplexTensor, RealTensor, Tensor, conv_input_grad, _correla
 __all__ = [
     "RegularizerParams",
     "UnrolledNetParams",
-    "UnrollState",
     "FixedPointDivergence",
     "regularizer_forward",
     "regularizer_invert",
@@ -139,15 +138,6 @@ class UnrolledNetParams:
         return [(f"u{n}.{k}", t) for n in range(self.n_unrolls) for k, t in self.per_unroll[n].named_leaves()]
 
 
-@dataclass
-class UnrollState:
-    """Current image estimate after ``n`` unrolls (n = 0 is the zero-filled
-    init); shape is constant across unrolls."""
-
-    x_n: ComplexTensor
-    n: int
-
-
 def _ap(tape: Tape | None, kind: str, *args, **attrs) -> Tensor:
     return apply_op(kind, *args, **attrs) if tape is None else tape.record(kind, *args, **attrs)
 
@@ -236,21 +226,13 @@ def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: f
     return x
 
 
-def _dc_solve_raw(z: np.ndarray, op: EncodingOperator, y: np.ndarray, mu: float, n_cg: int,
-                  exit_rel: float) -> np.ndarray:
-    rhs = op._adjoint(y) + mu * z
-    return cg_solve_normal(op, rhs, z, mu, n_cg, exit_rel=exit_rel)
-
-
 def _dc_solve_forward(z: ComplexTensor, op=None, y=None, mu=None, n_cg=None, exit_rel=1e-12) -> ComplexTensor:
-    return ComplexTensor(_dc_solve_raw(z.data, op, y, mu, n_cg, exit_rel))
+    rhs = op._adjoint(y) + mu * z.data
+    return ComplexTensor(cg_solve_normal(op, rhs, z.data, mu, n_cg, exit_rel=exit_rel))
 
 
 def _dc_solve_vjp(saved, attrs, g):
-    # implicit-function rule: d(dc)/dz = mu * (A^H A + mu I)^-1, self-adjoint
-    op, mu, n_cg = attrs["op"], attrs["mu"], attrs["n_cg"]
-    exit_rel = attrs.get("exit_rel", 1e-12)
-    return (mu * cg_solve_normal(op, g, np.zeros_like(g), mu, n_cg, exit_rel=exit_rel),)
+    return (dc_vjp(attrs["op"], ComplexTensor(g), attrs["mu"], attrs["n_cg"], attrs.get("exit_rel", 1e-12)).data,)
 
 
 register_op("dc_solve", _dc_solve_forward, _dc_solve_vjp)
@@ -261,8 +243,8 @@ def dc_forward(op: EncodingOperator, y: ComplexTensor, z: ComplexTensor, mu: flo
     """Data-consistency update: approximately solve
     (A^H A + mu I) x = A^H y + mu z by CG initialized at z.
 
-    On a tape this is a single implicit node; its VJP is
-    mu * (A^H A + mu I)^-1 in both gradient engines.
+    On a tape this is a single implicit node that saves nothing; its VJP is
+    :func:`dc_vjp` in both gradient engines.
     """
     if mu <= 0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -277,25 +259,29 @@ def dc_invert(op: EncodingOperator, y: ComplexTensor, x_next: ComplexTensor, mu:
     return ComplexTensor((op._normal(x_next.data, mu) - op._adjoint(y.data)) / mu)
 
 
-def dc_vjp(op: EncodingOperator, seed: ComplexTensor, mu: float, n_cg: int) -> ComplexTensor:
-    """Gradient of dc_forward w.r.t. z applied to ``seed``:
-    mu * (A^H A + mu I)^-1 seed (self-adjoint)."""
-    return ComplexTensor(mu * cg_solve_normal(op, seed.data, np.zeros_like(seed.data), mu, n_cg))
+def dc_vjp(op: EncodingOperator, seed: ComplexTensor, mu: float, n_cg: int,
+           exit_rel: float = 1e-12) -> ComplexTensor:
+    """Gradient of dc_forward w.r.t. z applied to ``seed``, by the
+    implicit-function rule: mu * (A^H A + mu I)^-1 seed (self-adjoint). This
+    is the VJP of the taped ``dc_solve`` node and the one the mel sweep
+    applies directly."""
+    return ComplexTensor(mu * cg_solve_normal(op, seed.data, np.zeros_like(seed.data), mu, n_cg, exit_rel=exit_rel))
 
 
 def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
                  tape: Tape | None = None, iterates: list | None = None) -> ComplexTensor:
     """N alternations of regularizer and DC from the zero-filled init
     x_0 = A^H y. Recording is value-transparent: the taped and untaped paths
-    run the identical arithmetic."""
+    run the identical arithmetic. ``iterates``, when given, receives
+    x_0, ..., x_N."""
     x = op.adjoint(y)
     if iterates is not None:
-        iterates.append(UnrollState(x, 0))
+        iterates.append(x)
     for n in range(net.n_unrolls):
         z = regularizer_forward(net.reg_for(n), x, tape)
         x = dc_forward(op, y, z, net.mu, net.n_cg, tape, exit_rel=net.cg_exit)
         if iterates is not None:
-            iterates.append(UnrollState(x, n + 1))
+            iterates.append(x)
     return x
 
 

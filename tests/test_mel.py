@@ -1,9 +1,11 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from melrecon import unrolled
 from melrecon.mel import BENCH_CSV_HEADER, backprop_mel, backprop_standard, engine_report
 from melrecon.mri import EncodingOperator, make_poisson_disk_mask, make_sensitivities
 from melrecon.tensor import ComplexTensor, RealTensor
@@ -123,6 +125,23 @@ def test_mel_aborts_on_broken_contraction():
     with pytest.raises(FixedPointDivergence) as exc:
         backprop_mel(net, op, y, target, invert_tol=1e-10)
     assert exc.value.unroll is not None
+
+
+def test_mel_backward_solves_at_net_cg_exit(monkeypatch):
+    # every CG solve of the mel engine, forward and VJP, honours net.cg_exit
+    net, op, y, target = make_instance(12, n_unrolls=2)
+    net = replace(net, cg_exit=1e-6)
+    seen = []
+    real_cg = unrolled.cg_solve_normal
+
+    def spy(op, rhs, x0, mu, n_iter, exit_rel=1e-12, residuals=None):
+        seen.append(exit_rel)
+        return real_cg(op, rhs, x0, mu, n_iter, exit_rel=exit_rel, residuals=residuals)
+
+    monkeypatch.setattr(unrolled, "cg_solve_normal", spy)
+    backprop_mel(net, op, y, target)
+    assert set(seen) == {net.cg_exit}
+    assert len(seen) == 2 * net.n_unrolls  # one forward and one VJP solve per unroll
 
 
 def test_per_unroll_weights_equivalence():

@@ -276,6 +276,16 @@ def test_melt_rejects_garbage(tmp_path):
         melt_read(p)
 
 
+def test_melt_rejects_bad_dtype_code(tmp_path):
+    p = tmp_path / "d.melt"
+    melt_write(p, RealTensor(np.arange(6.0).reshape(2, 3)))
+    raw = bytearray(p.read_bytes())
+    raw[5] = 7  # neither real64 (0) nor complex128 (1)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="bad dtype code 7"):
+        melt_read(p)
+
+
 def test_finite_outputs():
     rng = np.random.default_rng(14)
     x = ComplexTensor(crandn(rng, 8, 8))

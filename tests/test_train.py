@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from melrecon.autodiff import Tape
+from melrecon import train
+from melrecon.autodiff import Tape, apply_op
 from melrecon.mri import DatasetConfig, build_dataset
 from melrecon.tensor import ComplexTensor, RealTensor
 from melrecon.train import (
@@ -11,7 +13,6 @@ from melrecon.train import (
     TrainConfig,
     adam_step,
     cg_sense,
-    l1_loss,
     load_checkpoint,
     psnr,
     save_checkpoint,
@@ -46,14 +47,14 @@ def tiny_net(seed=0, n_unrolls=2, channels=4, layers=2, mu=0.3, n_cg=20):
 def test_l1_zero_at_target():
     rng = np.random.default_rng(0)
     x = ComplexTensor(crandn(rng, 4, 4))
-    assert l1_loss(x, x).item() == 0.0
+    assert apply_op("l1", x, target=x.data).item() == 0.0
 
 
 def test_l1_constant_offset_is_one():
     rng = np.random.default_rng(1)
     t = ComplexTensor(crandn(rng, 5, 5))
     x = ComplexTensor(t.data + (1.0 + 0.0j))
-    assert l1_loss(x, t).item() == pytest.approx(1.0, abs=1e-15)
+    assert apply_op("l1", x, target=t.data).item() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_l1_gradient_matches_finite_differences():
@@ -62,12 +63,12 @@ def test_l1_gradient_matches_finite_differences():
     target = ComplexTensor(crandn(rng, 4, 4))
 
     def loss_channels(ch):
-        return l1_loss(ComplexTensor(ch[0] + 1j * ch[1]), target).item()
+        return apply_op("l1", ComplexTensor(ch[0] + 1j * ch[1]), target=target.data).item()
 
     x = ComplexTensor(xa)
     tape = Tape()
     tape.watch(x)
-    out = l1_loss(x, target, tape=tape)
+    out = tape.record("l1", x, target=target.data)
     g = tape.backward(out, RealTensor(1.0), [x])[x.alloc_id].data
     fd = central_diff(loss_channels, np.stack([xa.real, xa.imag]).copy())
     got = np.stack([g.real, g.imag])
@@ -76,7 +77,7 @@ def test_l1_gradient_matches_finite_differences():
 
 def test_l1_shape_mismatch():
     with pytest.raises(ValueError):
-        l1_loss(ComplexTensor(np.zeros((2, 2))), ComplexTensor(np.zeros((3, 3))))
+        apply_op("l1", ComplexTensor(np.zeros((2, 2))), target=np.zeros((3, 3)))
 
 
 # --- adam ----------------------------------------------------------------------
@@ -237,6 +238,52 @@ def test_checkpoint_roundtrip_per_unroll(tmp_path):
     assert not back.shares_weights
     for (k, a), (_, b) in zip(net.named_leaves(), back.named_leaves()):
         assert np.array_equal(a.data, b.data), k
+
+
+def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
+    first = tiny_net(seed=12)
+    save_checkpoint(tmp_path / "ck", first, step=1)
+    calls = []
+    real_write = train.melt_write
+
+    def failing_write(path, t):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_write(path, t)
+
+    monkeypatch.setattr(train, "melt_write", failing_write)
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "ck", tiny_net(seed=13), step=2)
+    assert len(calls) == 2
+    back, meta = load_checkpoint(tmp_path / "ck")
+    assert meta["step"] == 1
+    for (k, a), (_, b) in zip(first.named_leaves(), back.named_leaves()):
+        assert np.array_equal(a.data, b.data), k
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
+def test_checkpoint_save_recovers_interrupted_swap(tmp_path, monkeypatch):
+    save_checkpoint(tmp_path / "ck", tiny_net(seed=12), step=1)
+    (tmp_path / "ck").rename(tmp_path / ".ck.old")  # crash between the two renames
+
+    def failing_write(path, t):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(train, "melt_write", failing_write)
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "ck", tiny_net(seed=13), step=2)
+    assert load_checkpoint(tmp_path / "ck")[1]["step"] == 1
+
+
+def test_load_checkpoint_rejects_tampered_manifest(tmp_path):
+    save_checkpoint(tmp_path / "ck", tiny_net(seed=14, channels=4, layers=3))
+    manifest = tmp_path / "ck" / "manifest.json"
+    meta = json.loads(manifest.read_text())
+    meta["channels"] = 8
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="manifest expects"):
+        load_checkpoint(tmp_path / "ck")
 
 
 # --- training loop ----------------------------------------------------------------

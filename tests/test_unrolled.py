@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from melrecon import autodiff
 from melrecon.autodiff import Tape
 from melrecon.mri import EncodingOperator, SamplingMask, make_poisson_disk_mask, make_sensitivities
 from melrecon.tensor import ComplexTensor, RealTensor, norm2
@@ -288,6 +289,21 @@ def test_modl_zero_weights_full_mask_recovers_truth():
         net = UnrolledNetParams(zero_params(), 0.05, n, 20)
         out = modl_forward(net, op, y)
         assert np.linalg.norm(out.data - xstar) <= 1e-10 * np.linalg.norm(xstar)
+
+
+def test_op_registry_is_what_the_model_records():
+    # every registered op kind is recorded by modl_forward plus the l1 loss,
+    # so ops no engine uses cannot accumulate in the registry
+    rng = np.random.default_rng(22)
+    op = random_op(seed=22)
+    y = ComplexTensor(op._forward(crandn(rng, 8, 8)))
+    net = make_net(n_unrolls=2, seed=22)
+    tape = Tape()
+    for _, t in net.named_leaves():
+        tape.watch(t)
+    x = modl_forward(net, op, y, tape=tape)
+    tape.record("l1", x, target=np.zeros(x.shape, dtype=complex))
+    assert {n.op_kind for n in tape.nodes} - {"leaf", "const"} == set(autodiff._OPS)
 
 
 def test_modl_recorded_equals_unrecorded_bitwise():
