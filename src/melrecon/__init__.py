@@ -3,8 +3,7 @@ standard full-graph backpropagation and memory-efficient learning by
 layer inversion."""
 
 from .tensor import (
-    ComplexTensor,
-    RealTensor,
+    Tensor,
     MemoryLedger,
     fft_centered,
     ifft_centered,

@@ -24,9 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .tensor import (
-    ComplexTensor,
     MemoryLedger,
-    RealTensor,
     Tensor,
     add,
     channels_to_complex,
@@ -176,7 +174,7 @@ class Tape:
             g = adj.get(idx)
             if g is None:
                 g = np.zeros(t.shape, dtype=t.data.dtype)
-            result[t.alloc_id] = ComplexTensor(g) if isinstance(t, ComplexTensor) else RealTensor(g)
+            result[t.alloc_id] = Tensor(g)
         return result
 
     # -- lifetime ---------------------------------------------------------
@@ -249,16 +247,16 @@ def l1_value(x: np.ndarray, target: np.ndarray) -> float:
     return float((np.abs(d.real) + np.abs(d.imag)).sum() / d.size)
 
 
-def _l1_forward(x: ComplexTensor, target: np.ndarray) -> RealTensor:
+def _l1_forward(x: Tensor, target: np.ndarray) -> Tensor:
     if x.shape != target.shape:
         raise ValueError(f"shape mismatch in l1: {x.shape} vs {target.shape}")
-    return RealTensor(l1_value(x.data, target))
+    return Tensor(l1_value(x.data, target))
 
 
 def _l1_saves(inputs, out, attrs):
     d = inputs[0].data - attrs["target"]
     # sign per real channel; exact zeros get subgradient 0
-    return {"sgn": ComplexTensor(np.sign(d.real) + 1j * np.sign(d.imag))}
+    return {"sgn": Tensor(np.sign(d.real) + 1j * np.sign(d.imag))}
 
 
 def _vjp_l1(saved, attrs, g):

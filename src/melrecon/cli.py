@@ -19,7 +19,7 @@ import numpy as np
 
 from .mel import backprop_mel, backprop_standard, engine_report
 from .mri import DatasetConfig, build_dataset, load_dataset, make_poisson_disk_mask, make_sensitivities, EncodingOperator
-from .tensor import ComplexTensor, melt_read, melt_write
+from .tensor import Tensor, melt_read, melt_write
 from .train import MetricsReport, TrainConfig, cg_sense, load_checkpoint, psnr, ssim, train_loop, zero_filled
 from .unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
@@ -42,7 +42,7 @@ DEFAULT_CONFIG: dict = {
     "lr": 1e-3,
     "unrolls": 5,
     "cg_iters": 10,
-    "mu": 0.05,
+    "mu": 0.3,
     "contraction": 0.9,
     "channels": 16,
     "layers": 5,
@@ -251,8 +251,8 @@ def bench_instance(cfg: dict):
         RegularizerParams.init(channels=int(cfg["channels"]), layers=int(cfg["layers"]), seed=seed + 2, scale=3.0)
     )
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    y = ComplexTensor(op._forward(x))
-    target = ComplexTensor(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    y = Tensor(op._forward(x))
+    target = Tensor(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return op, reg, y, target
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .mri import EncodingOperator
-from .tensor import ComplexTensor, MemoryLedger, RealTensor
+from .tensor import MemoryLedger, Tensor
 from .unrolled import (
     FixedPointDivergence,
     UnrolledNetParams,
@@ -49,7 +49,7 @@ BENCH_CSV_HEADER = ["engine", "n_unrolls", "shape", "peak_bytes", "wall_time_s",
 class GradientResult:
     """Gradients plus the bookkeeping the benchmarks report."""
 
-    grads: dict[str, RealTensor]
+    grads: dict[str, Tensor]
     loss_value: float
     peak_tape_bytes: int
     wall_time: float
@@ -59,15 +59,9 @@ class GradientResult:
     recompute_errors: list[float] | None = None
 
 
-def _check_loss(loss_cfg: str):
-    if loss_cfg != "l1":
-        raise ValueError(f"unsupported loss {loss_cfg!r}")
-
-
-def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
-                      target: ComplexTensor, loss_cfg: str = "l1") -> GradientResult:
+def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
+                      target: Tensor) -> GradientResult:
     """Full-graph backprop: all unrolls recorded on a single tape."""
-    _check_loss(loss_cfg)
     t0 = time.perf_counter()
     ledger = MemoryLedger()
     tape = Tape(ledger=ledger, scope_id="standard")
@@ -76,7 +70,7 @@ def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTe
         tape.watch(t)
     x = modl_forward(net, op, y, tape=tape)
     loss = tape.record("l1", x, target=target.data)
-    gm = tape.backward(loss, RealTensor(1.0), [t for _, t in leaves])
+    gm = tape.backward(loss, Tensor(1.0), [t for _, t in leaves])
     grads = {name: gm[t.alloc_id] for name, t in leaves}
     peak = ledger.peak_bytes
     tape.dispose()
@@ -84,8 +78,8 @@ def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTe
                           "standard", net.n_unrolls, op.image_shape)
 
 
-def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
-                 target: ComplexTensor, loss_cfg: str = "l1", invert_tol: float = 1e-10,
+def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
+                 target: Tensor, invert_tol: float = 1e-10,
                  invert_max_iter: int = 50, debug_recompute: bool = False) -> GradientResult:
     """Memory-efficient backprop by layer inversion, one unroll at a time.
 
@@ -93,7 +87,6 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
     with the offending unroll index rather than falling back to stored
     activations.
     """
-    _check_loss(loss_cfg)
     t0 = time.perf_counter()
     ledger = MemoryLedger()
 
@@ -104,17 +97,17 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
     loss_tape = Tape(ledger=ledger, scope_id="mel:loss")
     loss_tape.watch(x_n)
     loss = loss_tape.record("l1", x_n, target=target.data)
-    q = loss_tape.backward(loss, RealTensor(1.0), [x_n])[x_n.alloc_id]
+    q = loss_tape.backward(loss, Tensor(1.0), [x_n])[x_n.alloc_id]
     loss_value = loss.item()
     loss_tape.dispose()
 
     grads: dict[str, np.ndarray] = {}
     recompute_errors: list[float] = []
+    leaves = net.named_leaves()
     for n in range(net.n_unrolls - 1, -1, -1):
-        reg = net.reg_for(n)
         z = dc_invert(op, y, x_n, net.mu)
         try:
-            x_prev = regularizer_invert(reg, z, tol=invert_tol, max_iter=invert_max_iter)
+            x_prev = regularizer_invert(net.reg, z, tol=invert_tol, max_iter=invert_max_iter)
         except FixedPointDivergence as e:
             raise FixedPointDivergence(
                 f"unroll {n}: {e}", residual=e.residual, unroll=n
@@ -128,22 +121,19 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
         gz = dc_vjp(op, q, net.mu, net.n_cg, exit_rel=net.cg_exit)
         tape = Tape(ledger=ledger, scope_id=f"mel:unroll{n}")
         tape.watch(x_prev)
-        unroll_leaves = reg.named_leaves() if net.shares_weights else [
-            (f"u{n}.{k}", t) for k, t in reg.named_leaves()
-        ]
-        for _, t in unroll_leaves:
+        for _, t in leaves:
             tape.watch(t)
-        z_re = regularizer_forward(reg, x_prev, tape=tape)
-        gm = tape.backward(z_re, gz, [x_prev] + [t for _, t in unroll_leaves])
+        z_re = regularizer_forward(net.reg, x_prev, tape=tape)
+        gm = tape.backward(z_re, gz, [x_prev] + [t for _, t in leaves])
         q = gm[x_prev.alloc_id]
-        for name, t in unroll_leaves:
+        for name, t in leaves:
             g = gm[t.alloc_id].data
             grads[name] = grads[name] + g if name in grads else g
         tape.dispose()
         x_n = x_prev
 
     return GradientResult(
-        {k: RealTensor(v) for k, v in grads.items()},
+        {k: Tensor(v) for k, v in grads.items()},
         loss_value,
         ledger.peak_bytes,
         time.perf_counter() - t0,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import ComplexTensor, RealTensor, melt_read, melt_write
+from .tensor import Tensor, melt_read, melt_write
 
 __all__ = [
     "SamplingMask",
@@ -57,7 +57,7 @@ class SamplingMask:
 
 @dataclass
 class SensitivityMaps:
-    maps: ComplexTensor  # [C, H, W], SOS-normalized per voxel
+    maps: Tensor  # [C, H, W], SOS-normalized per voxel
 
     @property
     def coils(self) -> int:
@@ -116,22 +116,22 @@ class EncodingOperator:
 
     # wrapped contract surface
 
-    def forward(self, x: ComplexTensor) -> ComplexTensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape != self.image_shape:
             raise ValueError(f"image shape {x.shape} != operator shape {self.image_shape}")
-        return ComplexTensor(self._forward(x.data))
+        return Tensor(self._forward(x.data))
 
-    def adjoint(self, y: ComplexTensor) -> ComplexTensor:
+    def adjoint(self, y: Tensor) -> Tensor:
         if y.shape != (self.coils,) + self.image_shape:
             raise ValueError(f"k-space shape {y.shape} != {(self.coils,) + self.image_shape}")
-        return ComplexTensor(self._adjoint(y.data))
+        return Tensor(self._adjoint(y.data))
 
-    def normal(self, x: ComplexTensor, mu: float = 0.0) -> ComplexTensor:
+    def normal(self, x: Tensor, mu: float = 0.0) -> Tensor:
         if mu < 0:
             raise ValueError(f"mu must be >= 0, got {mu}")
         if x.shape != self.image_shape:
             raise ValueError(f"image shape {x.shape} != operator shape {self.image_shape}")
-        return ComplexTensor(self._normal(x.data, mu))
+        return Tensor(self._normal(x.data, mu))
 
 
 # --- sampling masks ---------------------------------------------------------
@@ -283,7 +283,7 @@ def make_sensitivities(shape, coils: int, seed: int = 0) -> SensitivityMaps:
         maps[c] = mag * np.exp(1j * phase)
     sos = np.sqrt((np.abs(maps) ** 2).sum(axis=0))
     maps /= sos
-    return SensitivityMaps(ComplexTensor(maps))
+    return SensitivityMaps(Tensor(maps))
 
 
 def _raster_ellipse(yy, xx, cy, cx, ay, ax, theta):
@@ -293,7 +293,7 @@ def _raster_ellipse(yy, xx, cy, cx, ay, ax, theta):
     return ((u / ax) ** 2 + (v / ay) ** 2 <= 1.0).astype(float)
 
 
-def make_phantom(shape, kind: str = "static2d", seed: int = 0, frames: int = 1, motion_amp: float = 0.1) -> ComplexTensor:
+def make_phantom(shape, kind: str = "static2d", seed: int = 0, frames: int = 1, motion_amp: float = 0.1) -> Tensor:
     """Randomized ellipse phantom with piecewise-smooth texture and smooth
     phase; magnitude clamped to [0, 1].
 
@@ -342,8 +342,8 @@ def make_phantom(shape, kind: str = "static2d", seed: int = 0, frames: int = 1, 
         return mag * np.exp(1j * phase)
 
     if kind == "static2d":
-        return ComplexTensor(frame(0.0))
-    return ComplexTensor(np.stack([frame(t / frames) for t in range(frames)]))
+        return Tensor(frame(0.0))
+    return Tensor(np.stack([frame(t / frames) for t in range(frames)]))
 
 
 # --- dataset ------------------------------------------------------------------
@@ -370,8 +370,8 @@ class DatasetConfig:
 class Case:
     case_id: str
     split: str
-    x: ComplexTensor
-    y: ComplexTensor
+    x: Tensor
+    y: Tensor
     mask: SamplingMask
     sens: SensitivityMaps
     seed: int
@@ -417,7 +417,7 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
                 noise = (nrng.standard_normal(y.shape) + 1j * nrng.standard_normal(y.shape)) / np.sqrt(2)
                 y = (y + s * noise) * mask.data
             cases.append(
-                Case(f"case{idx:04d}", split, x, ComplexTensor(y), mask, sens, cseed, cfg.noise_sigma)
+                Case(f"case{idx:04d}", split, x, Tensor(y), mask, sens, cseed, cfg.noise_sigma)
             )
             idx += 1
     return Dataset(cfg, cases)
@@ -432,7 +432,7 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         cdir.mkdir(exist_ok=True)
         melt_write(cdir / "x.melt", c.x)
         melt_write(cdir / "y.melt", c.y)
-        melt_write(cdir / "mask.melt", RealTensor(c.mask.data))
+        melt_write(cdir / "mask.melt", Tensor(c.mask.data))
         melt_write(cdir / "sens.melt", c.sens.maps)
         manifest["cases"].append(
             {

@@ -1,10 +1,11 @@
-"""Dense real/complex tensor values, centered unitary FFTs, N-d convolution,
-and byte-accurate allocation accounting.
+"""One dense tensor type, centered unitary FFTs, N-d convolution, and
+byte-accurate allocation accounting.
 
-Everything here is gradient-free: plain double-precision data with a unique
-allocation id so the memory ledger and the tape can track payloads. The
-``MELT`` binary format used for datasets, checkpoints and reconstructions
-also lives here.
+Everything here is gradient-free. A :class:`Tensor` is a float64 or
+complex128 array (the dtype is the only real/complex distinction) with a
+unique allocation id, so the memory ledger and the tape can track and
+release payloads by identity. The ``MELT`` binary format used for datasets,
+checkpoints and reconstructions also lives here.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "ComplexTensor",
-    "RealTensor",
+    "Tensor",
     "MemoryLedger",
     "fft_centered",
     "ifft_centered",
@@ -36,17 +36,19 @@ __all__ = [
 
 _alloc_ids = count(1)
 
-BYTES_PER_REAL = 8
-BYTES_PER_COMPLEX = 16
+class Tensor:
+    """Row-major array plus a unique allocation id.
 
-
-class RealTensor:
-    """Row-major float64 array plus a unique allocation id."""
+    Complex input of any precision is stored as complex128, every other
+    input (float, int, bool) as float64, so the dtype alone says whether a
+    tensor is real or complex and ``nbytes`` is 8 or 16 bytes per element.
+    """
 
     __slots__ = ("data", "alloc_id")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        dtype = np.complex128 if np.iscomplexobj(data) else np.float64
+        self.data = np.asarray(data, dtype=dtype, order="C")
         self.alloc_id = next(_alloc_ids)
 
     @property
@@ -55,50 +57,18 @@ class RealTensor:
 
     @property
     def nbytes(self) -> int:
-        return BYTES_PER_REAL * self.data.size
+        return self.data.nbytes
 
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(-1)[0])
 
-    def copy(self) -> "RealTensor":
-        return RealTensor(self.data.copy())
+    def copy(self) -> "Tensor":
+        return Tensor(self.data.copy())
 
     def __repr__(self):
-        return f"RealTensor(shape={self.shape}, alloc_id={self.alloc_id})"
-
-
-class ComplexTensor:
-    """Row-major complex128 array plus a unique allocation id."""
-
-    __slots__ = ("data", "alloc_id")
-
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.complex128, order="C")
-        self.alloc_id = next(_alloc_ids)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def nbytes(self) -> int:
-        return BYTES_PER_COMPLEX * self.data.size
-
-    def copy(self) -> "ComplexTensor":
-        return ComplexTensor(self.data.copy())
-
-    def __repr__(self):
-        return f"ComplexTensor(shape={self.shape}, alloc_id={self.alloc_id})"
-
-
-Tensor = RealTensor | ComplexTensor
-
-
-def wrap_like(template: Tensor, data: np.ndarray) -> Tensor:
-    """Wrap ``data`` in the same tensor class as ``template`` (fresh id)."""
-    return type(template)(data)
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, alloc_id={self.alloc_id})"
 
 
 def _fft_axes(x: Tensor, dims) -> tuple[int, ...]:
@@ -113,7 +83,7 @@ def _fft_axes(x: Tensor, dims) -> tuple[int, ...]:
     return axes
 
 
-def fft_centered(x: ComplexTensor, dims=None) -> ComplexTensor:
+def fft_centered(x: Tensor, dims=None) -> Tensor:
     """Centered orthonormal DFT over ``dims`` (all axes if None).
 
     The convention is ifftshift -> fft(norm="ortho") -> fftshift, i.e. both
@@ -123,15 +93,15 @@ def fft_centered(x: ComplexTensor, dims=None) -> ComplexTensor:
     axes = _fft_axes(x, dims)
     d = np.fft.ifftshift(x.data, axes=axes)
     d = np.fft.fftn(d, axes=axes, norm="ortho")
-    return ComplexTensor(np.fft.fftshift(d, axes=axes))
+    return Tensor(np.fft.fftshift(d, axes=axes))
 
 
-def ifft_centered(x: ComplexTensor, dims=None) -> ComplexTensor:
+def ifft_centered(x: Tensor, dims=None) -> Tensor:
     """Inverse of :func:`fft_centered` (also its adjoint)."""
     axes = _fft_axes(x, dims)
     d = np.fft.ifftshift(x.data, axes=axes)
     d = np.fft.ifftn(d, axes=axes, norm="ortho")
-    return ComplexTensor(np.fft.fftshift(d, axes=axes))
+    return Tensor(np.fft.fftshift(d, axes=axes))
 
 
 def _check_conv_shapes(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -166,7 +136,7 @@ def _correlate(x: np.ndarray, w: np.ndarray, pad_mode: str) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
-def conv_nd(x: RealTensor, w: RealTensor, b: RealTensor) -> RealTensor:
+def conv_nd(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """'Same' zero-padded cross-correlation over 2 or 3 spatial dims.
 
     ``x`` is [C_in, *spatial], ``w`` is [C_out, C_in, *kernel] with odd
@@ -176,7 +146,7 @@ def conv_nd(x: RealTensor, w: RealTensor, b: RealTensor) -> RealTensor:
     _check_conv_shapes(x.data, w.data, b.data)
     out = _correlate(x.data, w.data, "constant")
     out += b.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
-    return RealTensor(out)
+    return Tensor(out)
 
 
 def conv_input_grad(g: np.ndarray, w: np.ndarray, pad_mode: str = "constant") -> np.ndarray:
@@ -197,32 +167,32 @@ def conv_weight_grad(x: np.ndarray, g: np.ndarray, kshape: tuple[int, ...]) -> n
     return np.ascontiguousarray(gw)
 
 
-def relu(x: RealTensor) -> RealTensor:
-    return RealTensor(np.maximum(x.data, 0.0))
+def relu(x: Tensor) -> Tensor:
+    return Tensor(np.maximum(x.data, 0.0))
 
 
 def add(x: Tensor, y: Tensor) -> Tensor:
-    if type(x) is not type(y):
-        raise ValueError("add requires operands of the same tensor type")
+    if x.data.dtype != y.data.dtype:
+        raise ValueError(f"dtype mismatch in add: {x.data.dtype} vs {y.data.dtype}")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch in add: {x.shape} vs {y.shape}")
-    return wrap_like(x, x.data + y.data)
+    return Tensor(x.data + y.data)
 
 
 def scale(x: Tensor, a: float) -> Tensor:
-    return wrap_like(x, x.data * float(a))
+    return Tensor(x.data * float(a))
 
 
-def complex_to_channels(x: ComplexTensor) -> RealTensor:
+def complex_to_channels(x: Tensor) -> Tensor:
     """Stack real and imaginary parts as 2 leading channels."""
-    return RealTensor(np.stack([x.data.real, x.data.imag]))
+    return Tensor(np.stack([x.data.real, x.data.imag]))
 
 
-def channels_to_complex(x: RealTensor) -> ComplexTensor:
+def channels_to_complex(x: Tensor) -> Tensor:
     """Exact inverse of :func:`complex_to_channels`."""
     if x.shape[0] != 2:
         raise ValueError(f"expected 2 leading channels, got {x.shape[0]}")
-    return ComplexTensor(x.data[0] + 1j * x.data[1])
+    return Tensor(x.data[0] + 1j * x.data[1])
 
 
 def inner_product(x: Tensor, y: Tensor):
@@ -230,7 +200,7 @@ def inner_product(x: Tensor, y: Tensor):
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch in inner_product: {x.shape} vs {y.shape}")
     v = np.vdot(x.data, y.data)
-    return complex(v) if isinstance(x, ComplexTensor) or isinstance(y, ComplexTensor) else float(v.real)
+    return complex(v) if np.iscomplexobj(x.data) or np.iscomplexobj(y.data) else float(v.real)
 
 
 def norm2(x: Tensor) -> float:
@@ -286,7 +256,7 @@ def melt_write(path, t: Tensor) -> None:
     rank = len(t.shape)
     if not 1 <= rank <= _MAX_RANK:
         raise ValueError(f"MELT supports rank 1..{_MAX_RANK}, got {rank}")
-    dt = _DT_COMPLEX if isinstance(t, ComplexTensor) else _DT_REAL
+    dt = _DT_COMPLEX if np.iscomplexobj(t.data) else _DT_REAL
     dims = list(t.shape) + [1] * (_MAX_RANK - rank)
     payload = t.data.astype("<c16" if dt == _DT_COMPLEX else "<f8").tobytes(order="C")
     with open(path, "wb") as f:
@@ -317,4 +287,4 @@ def melt_read(path) -> Tensor:
     if len(raw) != expected:
         raise ValueError(f"{path}: payload size {len(raw)} != expected {expected}")
     data = np.frombuffer(raw, dtype=dtype, count=n, offset=47).reshape(shape)
-    return ComplexTensor(data) if dt == _DT_COMPLEX else RealTensor(data)
+    return Tensor(data)

@@ -21,7 +21,7 @@ from scipy.ndimage import uniform_filter
 
 from .mel import backprop_mel, backprop_standard
 from .mri import Dataset, EncodingOperator, load_dataset
-from .tensor import ComplexTensor, RealTensor, melt_read, melt_write
+from .tensor import Tensor, melt_read, melt_write
 from .unrolled import (
     RegularizerParams,
     UnrolledNetParams,
@@ -70,7 +70,7 @@ class AdamState:
         return st
 
 
-def adam_step(state: AdamState, net: UnrolledNetParams, grads: dict[str, RealTensor]):
+def adam_step(state: AdamState, net: UnrolledNetParams, grads: dict[str, Tensor]):
     """Bias-corrected Adam update followed by the contraction projection.
 
     Functional: returns (state', net') with fresh tensors.
@@ -89,23 +89,17 @@ def adam_step(state: AdamState, net: UnrolledNetParams, grads: dict[str, RealTen
         new.m[name], new.v[name] = m, v
         updated[name] = tns.data - state.lr * mhat / (np.sqrt(vhat) + state.eps)
 
-    def rebuild(reg: RegularizerParams, prefix: str) -> RegularizerParams:
-        ws = [RealTensor(updated[f"{prefix}w{i}"]) for i in range(reg.layers)]
-        bs = [RealTensor(updated[f"{prefix}b{i}"]) for i in range(reg.layers)]
-        return project_weights(RegularizerParams(ws, bs, reg.contraction))
-
-    if net.shares_weights:
-        net2 = UnrolledNetParams(rebuild(net.reg, ""), net.mu, net.n_unrolls, net.n_cg, net.cg_exit)
-    else:
-        regs = [rebuild(r, f"u{n}.") for n, r in enumerate(net.per_unroll)]
-        net2 = UnrolledNetParams(regs[0], net.mu, net.n_unrolls, net.n_cg, net.cg_exit, per_unroll=regs)
-    return new, net2
+    reg = net.reg
+    ws = [Tensor(updated[f"w{i}"]) for i in range(reg.layers)]
+    bs = [Tensor(updated[f"b{i}"]) for i in range(reg.layers)]
+    reg2 = project_weights(RegularizerParams(ws, bs, reg.contraction))
+    return new, UnrolledNetParams(reg2, net.mu, net.n_unrolls, net.n_cg, net.cg_exit)
 
 
 # --- metrics --------------------------------------------------------------------
 
 
-def psnr(x: ComplexTensor, ref: ComplexTensor) -> float:
+def psnr(x: Tensor, ref: Tensor) -> float:
     """20*log10(max|ref| / rmse(|x|, |ref|)) on magnitude images; +inf when
     the magnitudes agree exactly."""
     if x.shape != ref.shape:
@@ -137,7 +131,7 @@ def _ssim_2d(x: np.ndarray, ref: np.ndarray, drange: float, win: int, k1: float,
     return float(s[pad:-pad, pad:-pad].mean())
 
 
-def ssim(x: ComplexTensor, ref: ComplexTensor, win: int = 7, k1: float = 0.01, k2: float = 0.03) -> float:
+def ssim(x: Tensor, ref: Tensor, win: int = 7, k1: float = 0.01, k2: float = 0.03) -> float:
     """Mean local SSIM on magnitude images (uniform window, dynamic range
     max|ref|); frames of a cine image are averaged."""
     if x.shape != ref.shape:
@@ -175,17 +169,17 @@ class MetricsReport:
 # --- baselines -------------------------------------------------------------------
 
 
-def zero_filled(op: EncodingOperator, y: ComplexTensor) -> ComplexTensor:
+def zero_filled(op: EncodingOperator, y: Tensor) -> Tensor:
     """A^H y."""
     return op.adjoint(y)
 
 
-def cg_sense(op: EncodingOperator, y: ComplexTensor, lam: float = 1e-3, iters: int = 30) -> ComplexTensor:
+def cg_sense(op: EncodingOperator, y: Tensor, lam: float = 1e-3, iters: int = 30) -> Tensor:
     """l2-regularized SENSE: CG on (A^H A + lam I) x = A^H y from zero."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     rhs = op._adjoint(y.data)
-    return ComplexTensor(cg_solve_normal(op, rhs, np.zeros_like(rhs), lam, iters))
+    return Tensor(cg_solve_normal(op, rhs, np.zeros_like(rhs), lam, iters))
 
 
 # --- checkpoints --------------------------------------------------------------------
@@ -215,7 +209,6 @@ def save_checkpoint(out_dir, net: UnrolledNetParams, seed: int = 0, step: int = 
         "contraction": reg.contraction,
         "channels": reg.channels,
         "layers": reg.layers,
-        "share_weights": net.shares_weights,
         "seed": seed,
         "step": step,
     }
@@ -223,7 +216,7 @@ def save_checkpoint(out_dir, net: UnrolledNetParams, seed: int = 0, step: int = 
         meta.update(extra)
     try:
         for name, t in net.named_leaves():
-            melt_write(tmp / f"{name.replace('.', '_')}.melt", t)
+            melt_write(tmp / f"{name}.melt", t)
         (tmp / "manifest.json").write_text(json.dumps(meta, indent=2))
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -247,27 +240,20 @@ def load_checkpoint(path) -> tuple[UnrolledNetParams, dict]:
         raise ValueError(f"{path}: manifest layers {layers} < 2")
     dims = [(ch, 2)] + [(ch, ch)] * (layers - 2) + [(2, ch)]
 
-    def load_reg(prefix: str) -> RegularizerParams:
-        ws, bs = [], []
-        for i, (cout, cin) in enumerate(dims):
-            w = melt_read(root / f"{prefix}w{i}.melt")
-            b = melt_read(root / f"{prefix}b{i}.melt")
-            kernel = ws[0].shape[2:] if ws else w.shape[2:]
-            want_w, want_b = (cout, cin) + kernel, (cout,)
-            if not kernel or not isinstance(w, RealTensor) or w.shape != want_w:
-                raise ValueError(f"{path}: {prefix}w{i} is {w!r}, manifest expects real {want_w}")
-            if not isinstance(b, RealTensor) or b.shape != want_b:
-                raise ValueError(f"{path}: {prefix}b{i} is {b!r}, manifest expects real {want_b}")
-            ws.append(w)
-            bs.append(b)
-        return RegularizerParams(ws, bs, meta["contraction"])
-
-    if meta["share_weights"]:
-        net = UnrolledNetParams(load_reg(""), meta["mu"], meta["n_unrolls"], meta["n_cg"], meta["cg_exit"])
-    else:
-        regs = [load_reg(f"u{n}_") for n in range(meta["n_unrolls"])]
-        net = UnrolledNetParams(regs[0], meta["mu"], meta["n_unrolls"], meta["n_cg"], meta["cg_exit"], per_unroll=regs)
-    return net, meta
+    ws, bs = [], []
+    for i, (cout, cin) in enumerate(dims):
+        w = melt_read(root / f"w{i}.melt")
+        b = melt_read(root / f"b{i}.melt")
+        kernel = ws[0].shape[2:] if ws else w.shape[2:]
+        want_w, want_b = (cout, cin) + kernel, (cout,)
+        if not kernel or np.iscomplexobj(w.data) or w.shape != want_w:
+            raise ValueError(f"{path}: w{i} is {w!r}, manifest expects real {want_w}")
+        if np.iscomplexobj(b.data) or b.shape != want_b:
+            raise ValueError(f"{path}: b{i} is {b!r}, manifest expects real {want_b}")
+        ws.append(w)
+        bs.append(b)
+    reg = RegularizerParams(ws, bs, meta["contraction"])
+    return UnrolledNetParams(reg, meta["mu"], meta["n_unrolls"], meta["n_cg"], meta["cg_exit"]), meta
 
 
 # --- training loop -----------------------------------------------------------------
@@ -317,7 +303,7 @@ def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str, inv
         peak = max(peak, r.peak_tape_bytes)
         for k, g in r.grads.items():
             acc[k] = acc[k] + g.data if k in acc else g.data.copy()
-    grads = {k: RealTensor(v / len(batch)) for k, v in acc.items()}
+    grads = {k: Tensor(v / len(batch)) for k, v in acc.items()}
     adam, net = adam_step(adam, net, grads)
     return net, adam, float(np.mean(losses)), peak
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tape, apply_op, register_op
 from .mri import EncodingOperator
-from .tensor import ComplexTensor, RealTensor, Tensor, conv_input_grad, _correlate
+from .tensor import Tensor, conv_input_grad, _correlate
 
 __all__ = [
     "RegularizerParams",
@@ -52,8 +52,8 @@ class RegularizerParams:
     channels -> channels; all kernels are odd 'same' convolutions.
     """
 
-    weights: list[RealTensor]
-    biases: list[RealTensor]
+    weights: list[Tensor]
+    biases: list[Tensor]
     contraction: float  # c, strictly < 1
 
     def __post_init__(self):
@@ -86,11 +86,11 @@ class RegularizerParams:
         for cin, cout in zip(dims, dims_out):
             fan_in = cin * kernel**spatial_rank
             w = rng.standard_normal((cout, cin) + (kernel,) * spatial_rank) * scale / np.sqrt(fan_in)
-            ws.append(RealTensor(w))
-            bs.append(RealTensor(np.zeros(cout)))
+            ws.append(Tensor(w))
+            bs.append(Tensor(np.zeros(cout)))
         return cls(ws, bs, contraction)
 
-    def named_leaves(self) -> list[tuple[str, RealTensor]]:
+    def named_leaves(self) -> list[tuple[str, Tensor]]:
         out = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             out.append((f"w{i}", w))
@@ -105,9 +105,8 @@ class RegularizerParams:
 class UnrolledNetParams:
     """Learnable state of the unrolled network.
 
-    ``reg`` is shared across unrolls by default (set ``per_unroll`` to a list
-    of per-unroll params for the ablation variant). ``mu`` is a fixed
-    configuration scalar, not trained.
+    ``reg`` is shared by every unroll. ``mu`` is a fixed configuration
+    scalar, not trained.
     """
 
     reg: RegularizerParams
@@ -115,34 +114,22 @@ class UnrolledNetParams:
     n_unrolls: int = 5
     n_cg: int = 10
     cg_exit: float = 1e-12  # early-exit relative residual of the DC solve
-    per_unroll: list[RegularizerParams] | None = None
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.n_unrolls < 1 or self.n_cg < 1:
             raise ValueError("n_unrolls and n_cg must be >= 1")
-        if self.per_unroll is not None and len(self.per_unroll) != self.n_unrolls:
-            raise ValueError("per_unroll needs one RegularizerParams per unroll")
 
-    def reg_for(self, n: int) -> RegularizerParams:
-        return self.reg if self.per_unroll is None else self.per_unroll[n]
-
-    @property
-    def shares_weights(self) -> bool:
-        return self.per_unroll is None
-
-    def named_leaves(self) -> list[tuple[str, RealTensor]]:
-        if self.per_unroll is None:
-            return self.reg.named_leaves()
-        return [(f"u{n}.{k}", t) for n in range(self.n_unrolls) for k, t in self.per_unroll[n].named_leaves()]
+    def named_leaves(self) -> list[tuple[str, Tensor]]:
+        return self.reg.named_leaves()
 
 
 def _ap(tape: Tape | None, kind: str, *args, **attrs) -> Tensor:
     return apply_op(kind, *args, **attrs) if tape is None else tape.record(kind, *args, **attrs)
 
 
-def regularizer_forward(params: RegularizerParams, x: ComplexTensor, tape: Tape | None = None) -> ComplexTensor:
+def regularizer_forward(params: RegularizerParams, x: Tensor, tape: Tape | None = None) -> Tensor:
     """z = x + c*G(x), recorded on ``tape`` when given."""
     h = _ap(tape, "c2ch", x)
     last = params.layers - 1
@@ -166,8 +153,8 @@ def _branch_raw(params: RegularizerParams, x: np.ndarray) -> np.ndarray:
     return params.contraction * (h[0] + 1j * h[1])
 
 
-def regularizer_invert(params: RegularizerParams, z: ComplexTensor, tol: float = 1e-10,
-                       max_iter: int = 50, trace: list | None = None) -> ComplexTensor:
+def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
+                       max_iter: int = 50, trace: list | None = None) -> Tensor:
     """Invert z = x + c*G(x) by fixed-point iteration x_{k+1} = z - c*G(x_k).
 
     Valid while c*G is a contraction (projected weights). Raises
@@ -177,7 +164,7 @@ def regularizer_invert(params: RegularizerParams, z: ComplexTensor, tol: float =
     zd = z.data
     znorm = float(np.linalg.norm(zd))
     if znorm == 0.0:
-        return ComplexTensor(np.zeros_like(zd))
+        return Tensor(np.zeros_like(zd))
     x = zd
     gx = _branch_raw(params, x)
     for _ in range(max_iter):
@@ -189,7 +176,7 @@ def regularizer_invert(params: RegularizerParams, z: ComplexTensor, tol: float =
         if trace is not None:
             trace.append((np.array(x), res))
         if res <= tol * znorm:
-            return ComplexTensor(x)
+            return Tensor(x)
     raise FixedPointDivergence(
         f"fixed-point inversion did not reach {tol:g} within {max_iter} iterations "
         f"(relative residual {res / znorm:.3e})",
@@ -226,20 +213,20 @@ def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: f
     return x
 
 
-def _dc_solve_forward(z: ComplexTensor, op=None, y=None, mu=None, n_cg=None, exit_rel=1e-12) -> ComplexTensor:
+def _dc_solve_forward(z: Tensor, op=None, y=None, mu=None, n_cg=None, exit_rel=1e-12) -> Tensor:
     rhs = op._adjoint(y) + mu * z.data
-    return ComplexTensor(cg_solve_normal(op, rhs, z.data, mu, n_cg, exit_rel=exit_rel))
+    return Tensor(cg_solve_normal(op, rhs, z.data, mu, n_cg, exit_rel=exit_rel))
 
 
 def _dc_solve_vjp(saved, attrs, g):
-    return (dc_vjp(attrs["op"], ComplexTensor(g), attrs["mu"], attrs["n_cg"], attrs.get("exit_rel", 1e-12)).data,)
+    return (dc_vjp(attrs["op"], Tensor(g), attrs["mu"], attrs["n_cg"], attrs.get("exit_rel", 1e-12)).data,)
 
 
 register_op("dc_solve", _dc_solve_forward, _dc_solve_vjp)
 
 
-def dc_forward(op: EncodingOperator, y: ComplexTensor, z: ComplexTensor, mu: float,
-               n_cg: int, tape: Tape | None = None, exit_rel: float = 1e-12) -> ComplexTensor:
+def dc_forward(op: EncodingOperator, y: Tensor, z: Tensor, mu: float,
+               n_cg: int, tape: Tape | None = None, exit_rel: float = 1e-12) -> Tensor:
     """Data-consistency update: approximately solve
     (A^H A + mu I) x = A^H y + mu z by CG initialized at z.
 
@@ -251,25 +238,25 @@ def dc_forward(op: EncodingOperator, y: ComplexTensor, z: ComplexTensor, mu: flo
     return _ap(tape, "dc_solve", z, op=op, y=y.data, mu=mu, n_cg=n_cg, exit_rel=exit_rel)
 
 
-def dc_invert(op: EncodingOperator, y: ComplexTensor, x_next: ComplexTensor, mu: float) -> ComplexTensor:
+def dc_invert(op: EncodingOperator, y: Tensor, x_next: Tensor, mu: float) -> Tensor:
     """Exact inverse of the converged DC update:
     z = (1/mu) * ((A^H A + mu I) x_next - A^H y)."""
     if mu <= 0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    return ComplexTensor((op._normal(x_next.data, mu) - op._adjoint(y.data)) / mu)
+    return Tensor((op._normal(x_next.data, mu) - op._adjoint(y.data)) / mu)
 
 
-def dc_vjp(op: EncodingOperator, seed: ComplexTensor, mu: float, n_cg: int,
-           exit_rel: float = 1e-12) -> ComplexTensor:
+def dc_vjp(op: EncodingOperator, seed: Tensor, mu: float, n_cg: int,
+           exit_rel: float = 1e-12) -> Tensor:
     """Gradient of dc_forward w.r.t. z applied to ``seed``, by the
     implicit-function rule: mu * (A^H A + mu I)^-1 seed (self-adjoint). This
     is the VJP of the taped ``dc_solve`` node and the one the mel sweep
     applies directly."""
-    return ComplexTensor(mu * cg_solve_normal(op, seed.data, np.zeros_like(seed.data), mu, n_cg, exit_rel=exit_rel))
+    return Tensor(mu * cg_solve_normal(op, seed.data, np.zeros_like(seed.data), mu, n_cg, exit_rel=exit_rel))
 
 
-def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
-                 tape: Tape | None = None, iterates: list | None = None) -> ComplexTensor:
+def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
+                 tape: Tape | None = None, iterates: list | None = None) -> Tensor:
     """N alternations of regularizer and DC from the zero-filled init
     x_0 = A^H y. Recording is value-transparent: the taped and untaped paths
     run the identical arithmetic. ``iterates``, when given, receives
@@ -278,7 +265,7 @@ def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
     if iterates is not None:
         iterates.append(x)
     for n in range(net.n_unrolls):
-        z = regularizer_forward(net.reg_for(n), x, tape)
+        z = regularizer_forward(net.reg, x, tape)
         x = dc_forward(op, y, z, net.mu, net.n_cg, tape, exit_rel=net.cg_exit)
         if iterates is not None:
             iterates.append(x)
@@ -288,7 +275,7 @@ def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: ComplexTensor,
 # --- contraction enforcement ----------------------------------------------------
 
 
-def conv_operator_norm(w: RealTensor, probe_shape=None, iters: int = 20, seed: int = 0) -> float:
+def conv_operator_norm(w: Tensor, probe_shape=None, iters: int = 20, seed: int = 0) -> float:
     """Spectral norm of the circular-padding linearization of one conv layer,
     estimated by power iteration on M^T M."""
     wd = w.data
@@ -326,5 +313,5 @@ def project_weights(params: RegularizerParams, threshold: float = 0.95, target: 
     if bound < threshold:
         return params
     f = (target / bound) ** (1.0 / params.layers)
-    ws = [RealTensor(w.data * f) for w in params.weights]
+    ws = [Tensor(w.data * f) for w in params.weights]
     return replace(params, weights=ws, biases=[b.copy() for b in params.biases])

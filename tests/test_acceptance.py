@@ -19,7 +19,7 @@ from melrecon.mri import (
     make_poisson_disk_mask,
     make_sensitivities,
 )
-from melrecon.tensor import ComplexTensor, fft_centered
+from melrecon.tensor import Tensor, fft_centered
 from melrecon.train import AdamState, cg_sense, psnr, train_steps, zero_filled
 from melrecon.unrolled import (
     RegularizerParams,
@@ -53,8 +53,8 @@ def random_instance(seed, shape=(16, 16), coils=2, n_unrolls=2, mu=0.3, n_cg=80,
     op = EncodingOperator(mask, make_sensitivities(shape, coils, seed=seed + 1))
     reg = project_weights(RegularizerParams.init(channels=channels, layers=layers, seed=seed + 2, scale=scale))
     net = UnrolledNetParams(reg, mu, n_unrolls, n_cg, cg_exit=cg_exit)
-    y = ComplexTensor(op._forward(crandn(rng, *shape)))
-    target = ComplexTensor(crandn(rng, *shape) * 0.5)
+    y = Tensor(op._forward(crandn(rng, *shape)))
+    target = Tensor(crandn(rng, *shape) * 0.5)
     return net, op, y, target
 
 
@@ -147,7 +147,7 @@ def test_criterion_4_inversion_fidelity():
     for i in range(100):
         seed = 3000 + i
         p = project_weights(RegularizerParams.init(channels=8, layers=3, seed=seed, scale=3.0))
-        x = ComplexTensor(crandn(rng, 12, 12))
+        x = Tensor(crandn(rng, 12, 12))
         z = regularizer_forward(p, x)
         back = regularizer_invert(p, z, tol=1e-12, max_iter=200)
         worst_reg = max(worst_reg, float(np.linalg.norm(back.data - x.data) / np.linalg.norm(x.data)))
@@ -155,8 +155,8 @@ def test_criterion_4_inversion_fidelity():
         mask = make_poisson_disk_mask((12, 12), 2.0, calib=(4, 4), seed=seed)
         op = EncodingOperator(mask, make_sensitivities((12, 12), 2, seed=seed + 1))
         mu = 0.3
-        y = ComplexTensor(op._forward(crandn(rng, 12, 12)))
-        z0 = ComplexTensor(crandn(rng, 12, 12))
+        y = Tensor(op._forward(crandn(rng, 12, 12)))
+        z0 = Tensor(crandn(rng, 12, 12))
         xx = dc_forward(op, y, z0, mu, n_cg=400, exit_rel=1e-14)
         zb = dc_invert(op, y, xx, mu)
         worst_dc = max(worst_dc, float(np.linalg.norm(zb.data - z0.data) / np.linalg.norm(z0.data)))
@@ -272,8 +272,8 @@ def test_criterion_9_physics_oracles():
     for seed in (1, 2, 3):
         mask = make_poisson_disk_mask((8, 8), 2.0, calib=(4, 4), seed=seed)
         op = EncodingOperator(mask, make_sensitivities((8, 8), 2 + seed % 2, seed=seed))
-        x = ComplexTensor(crandn(rng, 8, 8))
-        y = ComplexTensor(crandn(rng, op.coils, 8, 8))
+        x = Tensor(crandn(rng, 8, 8))
+        y = Tensor(crandn(rng, op.coils, 8, 8))
         lhs = np.vdot(y.data, op.forward(x).data)
         rhs = np.vdot(op.adjoint(y).data, x.data)
         adj_worst = max(adj_worst, abs(lhs - rhs) / abs(lhs))
@@ -282,7 +282,7 @@ def test_criterion_9_physics_oracles():
     fft_worst = 0.0
     for shape in ((4,), (16,), (16, 16), (5, 7), (13, 11), (4, 4, 8), (3, 5, 7)):
         x = crandn(rng, *shape)
-        got = fft_centered(ComplexTensor(x)).data
+        got = fft_centered(Tensor(x)).data
         want = dft_centered_direct(x)
         fft_worst = max(fft_worst, np.linalg.norm(got - want) / np.linalg.norm(want))
 

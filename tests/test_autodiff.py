@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from melrecon.autodiff import Tape, apply_op
-from melrecon.tensor import ComplexTensor, MemoryLedger, RealTensor, add, conv_nd
+from melrecon.tensor import MemoryLedger, Tensor, add, conv_nd
 
 from oracles import central_diff
 
@@ -20,8 +20,8 @@ def n_op_nodes(tape):
 
 def test_record_matches_untaped_bitwise():
     rng = np.random.default_rng(0)
-    x = ComplexTensor(crandn(rng, 4, 4))
-    y = ComplexTensor(crandn(rng, 4, 4))
+    x = Tensor(crandn(rng, 4, 4))
+    y = Tensor(crandn(rng, 4, 4))
     tape = Tape()
     out = tape.record("add", x, y)
     assert np.array_equal(out.data, add(x, y).data)
@@ -29,7 +29,7 @@ def test_record_matches_untaped_bitwise():
 
 def test_tape_appends_one_node_per_op():
     rng = np.random.default_rng(1)
-    x = ComplexTensor(crandn(rng, 3, 3))
+    x = Tensor(crandn(rng, 3, 3))
     tape = Tape()
     tape.watch(x)
     h = tape.record("scale", x, a=2.0)
@@ -42,9 +42,9 @@ def test_retained_bytes_hand_count():
     # conv saves x (1x4x4 = 128 B) and w (1x1x3x3 = 72 B); relu saves its
     # input (128 B); add saves nothing. Total 328 bytes.
     rng = np.random.default_rng(2)
-    x = RealTensor(rng.standard_normal((1, 4, 4)))
-    w = RealTensor(rng.standard_normal((1, 1, 3, 3)))
-    b = RealTensor(np.zeros(1))
+    x = Tensor(rng.standard_normal((1, 4, 4)))
+    w = Tensor(rng.standard_normal((1, 1, 3, 3)))
+    b = Tensor(np.zeros(1))
     led = MemoryLedger()
     tape = Tape(ledger=led)
     tape.watch(x)
@@ -59,27 +59,27 @@ def test_record_on_disposed_tape_fails():
     tape = Tape()
     tape.dispose()
     with pytest.raises(ValueError):
-        tape.record("scale", RealTensor(np.zeros(3)), a=1.0)
+        tape.record("scale", Tensor(np.zeros(3)), a=1.0)
 
 
 # --- backward -----------------------------------------------------------------
 
 
 def test_backward_linear_scale():
-    x = ComplexTensor(np.ones((4, 4)))
+    x = Tensor(np.ones((4, 4), dtype=complex))
     tape = Tape()
     tape.watch(x)
     out = tape.record("scale", x, a=3.0)
-    g = tape.backward(out, ComplexTensor(np.ones((4, 4))), [x])
+    g = tape.backward(out, Tensor(np.ones((4, 4), dtype=complex)), [x])
     assert np.allclose(g[x.alloc_id].data, 3.0 * np.ones((4, 4)))
 
 
 def test_relu_gradient_at_positive_and_zero():
-    x = RealTensor(np.array([2.0, -1.0, 0.0]).reshape(1, 1, 3))
+    x = Tensor(np.array([2.0, -1.0, 0.0]).reshape(1, 1, 3))
     tape = Tape()
     tape.watch(x)
     out = tape.record("relu", x)
-    g = tape.backward(out, RealTensor(np.ones((1, 1, 3))), [x])
+    g = tape.backward(out, Tensor(np.ones((1, 1, 3))), [x])
     assert g[x.alloc_id].data.tolist() == [[[1.0, 0.0, 0.0]]]
 
 
@@ -90,14 +90,14 @@ def test_conv_weight_grad_matches_finite_differences():
     ba = np.zeros(1)
 
     def loss_of(warr):
-        h = conv_nd(RealTensor(xa), RealTensor(warr), RealTensor(ba))
+        h = conv_nd(Tensor(xa), Tensor(warr), Tensor(ba))
         return 0.5 * float(np.vdot(h.data, h.data).real)
 
-    x = RealTensor(xa)
-    w = RealTensor(wa)
+    x = Tensor(xa)
+    w = Tensor(wa)
     tape = Tape()
     tape.watch(w)
-    h = tape.record("conv", x, w, RealTensor(ba))
+    h = tape.record("conv", x, w, Tensor(ba))
     g = tape.backward(h, h, [w])[w.alloc_id].data  # seed h: gradient of 0.5*||h||^2
 
     fd = central_diff(loss_of, wa.copy(), h=1e-6)
@@ -112,17 +112,17 @@ def test_conv_input_and_bias_grads_match_finite_differences():
     t = rng.standard_normal((3, 4, 4))
 
     def loss_parts(xarr, barr):
-        h = conv_nd(RealTensor(xarr), RealTensor(wa), RealTensor(barr))
+        h = conv_nd(Tensor(xarr), Tensor(wa), Tensor(barr))
         d = h.data - t
         return 0.5 * float((d * d).sum())
 
-    x = RealTensor(xa)
-    b = RealTensor(ba)
+    x = Tensor(xa)
+    b = Tensor(ba)
     tape = Tape()
     tape.watch(x)
     tape.watch(b)
-    h = tape.record("conv", x, RealTensor(wa), b)
-    d = tape.record("add", h, RealTensor(-t))
+    h = tape.record("conv", x, Tensor(wa), b)
+    d = tape.record("add", h, Tensor(-t))
     g = tape.backward(d, d, [x, b])  # seed d: gradient of 0.5*||d||^2
 
     fd_x = central_diff(lambda a: loss_parts(a, ba), xa.copy())
@@ -137,8 +137,8 @@ def test_complex_composite_matches_finite_differences():
     # the real-pair convention.
     rng = np.random.default_rng(5)
     xa = crandn(rng, 4, 4)
-    w0, b0 = RealTensor(rng.standard_normal((3, 2, 3, 3)) * 0.5), RealTensor(rng.standard_normal(3))
-    w1, b1 = RealTensor(rng.standard_normal((2, 3, 3, 3)) * 0.5), RealTensor(rng.standard_normal(2))
+    w0, b0 = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5), Tensor(rng.standard_normal(3))
+    w1, b1 = Tensor(rng.standard_normal((2, 3, 3, 3)) * 0.5), Tensor(rng.standard_normal(2))
     target = crandn(rng, 4, 4)
 
     def fwd(x, op):
@@ -147,13 +147,13 @@ def test_complex_composite_matches_finite_differences():
         return op("l1", op("add", x, op("scale", g, a=1.3)), target=target)
 
     def loss_channels(ch):
-        return fwd(ComplexTensor(ch[0] + 1j * ch[1]), apply_op).item()
+        return fwd(Tensor(ch[0] + 1j * ch[1]), apply_op).item()
 
-    x = ComplexTensor(xa)
+    x = Tensor(xa)
     tape = Tape()
     tape.watch(x)
     out = fwd(x, tape.record)
-    g = tape.backward(out, RealTensor(1.0), [x])[x.alloc_id].data
+    g = tape.backward(out, Tensor(1.0), [x])[x.alloc_id].data
 
     ch = np.stack([xa.real, xa.imag])
     fd = central_diff(loss_channels, ch.copy())
@@ -165,13 +165,13 @@ def _linear_inputs(kind, rng):
     """Inputs for ``kind`` and how many leading ones it is jointly linear in
     (conv with a zero bias is linear in its input for fixed weights)."""
     if kind == "ch2c":
-        return [RealTensor(rng.standard_normal((2, 6, 6)))], 1
+        return [Tensor(rng.standard_normal((2, 6, 6)))], 1
     if kind == "add":
-        return [ComplexTensor(crandn(rng, 6, 6)), ComplexTensor(crandn(rng, 6, 6))], 2
+        return [Tensor(crandn(rng, 6, 6)), Tensor(crandn(rng, 6, 6))], 2
     if kind == "conv":
         x, w = rng.standard_normal((2, 6, 6)), rng.standard_normal((3, 2, 3, 3))
-        return [RealTensor(x), RealTensor(w), RealTensor(np.zeros(3))], 1
-    return [ComplexTensor(crandn(rng, 6, 6))], 1
+        return [Tensor(x), Tensor(w), Tensor(np.zeros(3))], 1
+    return [Tensor(crandn(rng, 6, 6))], 1
 
 
 @pytest.mark.parametrize("kind,attrs", [("ch2c", {}), ("add", {}), ("c2ch", {}), ("scale", {"a": -1.7}), ("conv", {})])
@@ -184,10 +184,10 @@ def test_linear_op_adjoint_identity(kind, attrs):
     for x in xs:
         tape.watch(x)
     out = tape.record(kind, *inputs, **attrs)
-    if isinstance(out, ComplexTensor):
-        y = ComplexTensor(crandn(rng, *out.shape))
+    if np.iscomplexobj(out.data):
+        y = Tensor(crandn(rng, *out.shape))
     else:
-        y = RealTensor(rng.standard_normal(out.shape))
+        y = Tensor(rng.standard_normal(out.shape))
     lhs = np.vdot(y.data, out.data).real
     g = tape.backward(out, y, xs)
     rhs = sum(np.vdot(g[x.alloc_id].data, x.data).real for x in xs)
@@ -197,46 +197,46 @@ def test_linear_op_adjoint_identity(kind, attrs):
 def test_vjp_linear_in_seed():
     # x + ch2c(conv(c2ch(0.7 x))) with a zero bias is linear in x
     rng = np.random.default_rng(8)
-    x = ComplexTensor(crandn(rng, 4, 4))
-    w = RealTensor(rng.standard_normal((2, 2, 3, 3)))
+    x = Tensor(crandn(rng, 4, 4))
+    w = Tensor(rng.standard_normal((2, 2, 3, 3)))
     tape = Tape()
     tape.watch(x)
     h = tape.record("c2ch", tape.record("scale", x, a=0.7))
-    h = tape.record("ch2c", tape.record("conv", h, w, RealTensor(np.zeros(2))))
+    h = tape.record("ch2c", tape.record("conv", h, w, Tensor(np.zeros(2))))
     out = tape.record("add", x, h)
     s1 = crandn(rng, 4, 4)
     s2 = crandn(rng, 4, 4)
     a, b = 1.3, -2.1
-    g1 = tape.backward(out, ComplexTensor(s1), [x])[x.alloc_id].data
-    g2 = tape.backward(out, ComplexTensor(s2), [x])[x.alloc_id].data
-    g12 = tape.backward(out, ComplexTensor(a * s1 + b * s2), [x])[x.alloc_id].data
+    g1 = tape.backward(out, Tensor(s1), [x])[x.alloc_id].data
+    g2 = tape.backward(out, Tensor(s2), [x])[x.alloc_id].data
+    g12 = tape.backward(out, Tensor(a * s1 + b * s2), [x])[x.alloc_id].data
     assert np.linalg.norm(g12 - (a * g1 + b * g2)) <= 1e-12 * np.linalg.norm(g12)
 
 
 def test_backward_error_cases():
     rng = np.random.default_rng(9)
-    x = ComplexTensor(crandn(rng, 3, 3))
-    other = ComplexTensor(crandn(rng, 3, 3))
+    x = Tensor(crandn(rng, 3, 3))
+    other = Tensor(crandn(rng, 3, 3))
     tape = Tape()
     tape.watch(x)
     out = tape.record("scale", x, a=1.0)
     with pytest.raises(ValueError):
-        tape.backward(out, ComplexTensor(np.zeros((2, 2))), [x])
+        tape.backward(out, Tensor(np.zeros((2, 2), dtype=complex)), [x])
     with pytest.raises(ValueError):
-        tape.backward(out, ComplexTensor(np.zeros((3, 3))), [other])
+        tape.backward(out, Tensor(np.zeros((3, 3), dtype=complex)), [other])
     with pytest.raises(ValueError):
-        tape.backward(other, ComplexTensor(np.zeros((3, 3))), [x])
+        tape.backward(other, Tensor(np.zeros((3, 3), dtype=complex)), [x])
 
 
 def test_unreached_leaf_gets_zero_gradient():
     rng = np.random.default_rng(10)
-    x = ComplexTensor(crandn(rng, 3, 3))
-    unused = ComplexTensor(crandn(rng, 3, 3))
+    x = Tensor(crandn(rng, 3, 3))
+    unused = Tensor(crandn(rng, 3, 3))
     tape = Tape()
     tape.watch(x)
     tape.watch(unused)
     out = tape.record("scale", x, a=2.0)
-    g = tape.backward(out, ComplexTensor(np.ones((3, 3))), [x, unused])
+    g = tape.backward(out, Tensor(np.ones((3, 3), dtype=complex)), [x, unused])
     assert np.all(g[unused.alloc_id].data == 0)
     assert g[unused.alloc_id].shape == unused.shape
 
@@ -249,7 +249,7 @@ def test_dispose_releases_ledger():
     led = MemoryLedger()
     before = led.live_bytes
     tape = Tape(ledger=led)
-    x = RealTensor(rng.standard_normal((1, 4, 4)))
+    x = Tensor(rng.standard_normal((1, 4, 4)))
     tape.watch(x)
     tape.record("relu", tape.record("relu", x))
     assert led.live_bytes > before
@@ -265,7 +265,7 @@ def test_sequential_scoped_tapes_peak_is_single_graph():
 
     def one_graph():
         tape = Tape(ledger=led)
-        x = RealTensor(rng.standard_normal((1, 8, 8)))
+        x = Tensor(rng.standard_normal((1, 8, 8)))
         tape.watch(x)
         h = x
         for _ in range(3):

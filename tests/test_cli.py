@@ -1,12 +1,20 @@
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from melrecon.cli import main
+from melrecon.cli import DEFAULT_CONFIG, main
 from melrecon.tensor import melt_read, melt_write
+from melrecon.train import TrainConfig
+
+
+def test_cli_default_mu_matches_train_config():
+    # deep mel runs need mu around 0.3; the CLI must not default below it
+    mu_default = next(f.default for f in fields(TrainConfig) if f.name == "mu")
+    assert DEFAULT_CONFIG["mu"] == mu_default
 
 
 def tiny_config(tmp_path, **kw):

@@ -15,7 +15,7 @@ from melrecon.mri import (
     make_sensitivities,
     save_dataset,
 )
-from melrecon.tensor import ComplexTensor, fft_centered, norm2
+from melrecon.tensor import Tensor, fft_centered, norm2
 
 from oracles import dense_matrix_of
 
@@ -41,9 +41,9 @@ def random_op(rng, shape=(8, 8), coils=2, accel=2.0):
 
 def test_forward_full_mask_single_flat_coil_is_fft():
     rng = np.random.default_rng(0)
-    x = ComplexTensor(crandn(rng, 8, 8))
+    x = Tensor(crandn(rng, 8, 8))
     mask = SamplingMask(np.ones((8, 8)), 1.0, (0, 0))
-    sens = SensitivityMaps(ComplexTensor(np.ones((1, 8, 8))))
+    sens = SensitivityMaps(Tensor(np.ones((1, 8, 8), dtype=complex)))
     op = EncodingOperator(mask, sens)
     y = op.forward(x)
     assert np.allclose(y.data[0], fft_centered(x).data, atol=1e-13)
@@ -51,22 +51,22 @@ def test_forward_full_mask_single_flat_coil_is_fft():
 
 def test_forward_of_zero_is_zero():
     op = full_op((8, 8), coils=3)
-    y = op.forward(ComplexTensor(np.zeros((8, 8))))
+    y = op.forward(Tensor(np.zeros((8, 8), dtype=complex)))
     assert np.all(y.data == 0)
 
 
 def test_forward_zero_off_mask():
     rng = np.random.default_rng(1)
     op = random_op(rng)
-    y = op.forward(ComplexTensor(crandn(rng, 8, 8)))
+    y = op.forward(Tensor(crandn(rng, 8, 8)))
     assert np.all(y.data[:, op.mask.data == 0] == 0)
 
 
 def test_adjointness_inner_product_8x8_c2():
     rng = np.random.default_rng(2)
     op = random_op(rng, coils=2)
-    x = ComplexTensor(crandn(rng, 8, 8))
-    y = ComplexTensor(crandn(rng, 2, 8, 8))
+    x = Tensor(crandn(rng, 8, 8))
+    y = Tensor(crandn(rng, 2, 8, 8))
     lhs = np.vdot(y.data, op.forward(x).data)
     rhs = np.vdot(op.adjoint(y).data, x.data)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
@@ -93,7 +93,7 @@ def test_normal_matches_dense_oracle():
 def test_normal_full_mask_is_identity_plus_mu():
     rng = np.random.default_rng(5)
     op = full_op((8, 8), coils=3, seed=7)
-    x = ComplexTensor(crandn(rng, 8, 8))
+    x = Tensor(crandn(rng, 8, 8))
     out = op.normal(x, mu=0.3)
     assert np.linalg.norm(out.data - 1.3 * x.data) <= 1e-10 * norm2(x)
 
@@ -102,7 +102,7 @@ def test_normal_is_psd_plus_mu():
     rng = np.random.default_rng(6)
     op = random_op(rng, coils=3)
     mu = 0.05
-    x = ComplexTensor(crandn(rng, 8, 8))
+    x = Tensor(crandn(rng, 8, 8))
     q = np.vdot(x.data, op.normal(x, mu).data).real
     assert q >= mu * norm2(x) ** 2 - 1e-12
 
@@ -110,15 +110,15 @@ def test_normal_is_psd_plus_mu():
 def test_normal_rejects_negative_mu():
     op = full_op((8, 8))
     with pytest.raises(ValueError):
-        op.normal(ComplexTensor(np.zeros((8, 8))), mu=-0.1)
+        op.normal(Tensor(np.zeros((8, 8), dtype=complex)), mu=-0.1)
 
 
 def test_operator_shape_checks():
     op = full_op((8, 8), coils=2)
     with pytest.raises(ValueError):
-        op.forward(ComplexTensor(np.zeros((4, 4))))
+        op.forward(Tensor(np.zeros((4, 4), dtype=complex)))
     with pytest.raises(ValueError):
-        op.adjoint(ComplexTensor(np.zeros((3, 8, 8))))
+        op.adjoint(Tensor(np.zeros((3, 8, 8), dtype=complex)))
 
 
 def test_cine_operator_adjointness():
@@ -126,8 +126,8 @@ def test_cine_operator_adjointness():
     mask = make_kt_mask((8, 8), frames=3, accel=2.0, seed=5)
     sens = make_sensitivities((8, 8), 2, seed=6)
     op = EncodingOperator(mask, sens)
-    x = ComplexTensor(crandn(rng, 3, 8, 8))
-    y = ComplexTensor(crandn(rng, 2, 3, 8, 8))
+    x = Tensor(crandn(rng, 3, 8, 8))
+    y = Tensor(crandn(rng, 2, 3, 8, 8))
     lhs = np.vdot(y.data, op.forward(x).data)
     rhs = np.vdot(op.adjoint(y).data, x.data)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)

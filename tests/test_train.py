@@ -7,7 +7,7 @@ import pytest
 from melrecon import train
 from melrecon.autodiff import Tape, apply_op
 from melrecon.mri import DatasetConfig, build_dataset
-from melrecon.tensor import ComplexTensor, RealTensor
+from melrecon.tensor import Tensor
 from melrecon.train import (
     AdamState,
     TrainConfig,
@@ -46,30 +46,30 @@ def tiny_net(seed=0, n_unrolls=2, channels=4, layers=2, mu=0.3, n_cg=20):
 
 def test_l1_zero_at_target():
     rng = np.random.default_rng(0)
-    x = ComplexTensor(crandn(rng, 4, 4))
+    x = Tensor(crandn(rng, 4, 4))
     assert apply_op("l1", x, target=x.data).item() == 0.0
 
 
 def test_l1_constant_offset_is_one():
     rng = np.random.default_rng(1)
-    t = ComplexTensor(crandn(rng, 5, 5))
-    x = ComplexTensor(t.data + (1.0 + 0.0j))
+    t = Tensor(crandn(rng, 5, 5))
+    x = Tensor(t.data + (1.0 + 0.0j))
     assert apply_op("l1", x, target=t.data).item() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_l1_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     xa = crandn(rng, 4, 4)
-    target = ComplexTensor(crandn(rng, 4, 4))
+    target = Tensor(crandn(rng, 4, 4))
 
     def loss_channels(ch):
-        return apply_op("l1", ComplexTensor(ch[0] + 1j * ch[1]), target=target.data).item()
+        return apply_op("l1", Tensor(ch[0] + 1j * ch[1]), target=target.data).item()
 
-    x = ComplexTensor(xa)
+    x = Tensor(xa)
     tape = Tape()
     tape.watch(x)
     out = tape.record("l1", x, target=target.data)
-    g = tape.backward(out, RealTensor(1.0), [x])[x.alloc_id].data
+    g = tape.backward(out, Tensor(1.0), [x])[x.alloc_id].data
     fd = central_diff(loss_channels, np.stack([xa.real, xa.imag]).copy())
     got = np.stack([g.real, g.imag])
     assert np.abs(got - fd).max() <= 1e-6
@@ -77,14 +77,14 @@ def test_l1_gradient_matches_finite_differences():
 
 def test_l1_shape_mismatch():
     with pytest.raises(ValueError):
-        apply_op("l1", ComplexTensor(np.zeros((2, 2))), target=np.zeros((3, 3)))
+        apply_op("l1", Tensor(np.zeros((2, 2), dtype=complex)), target=np.zeros((3, 3)))
 
 
 # --- adam ----------------------------------------------------------------------
 
 
 def zero_grads(net):
-    return {k: RealTensor(np.zeros(t.shape)) for k, t in net.named_leaves()}
+    return {k: Tensor(np.zeros(t.shape)) for k, t in net.named_leaves()}
 
 
 def test_adam_zero_gradients_leave_params():
@@ -112,7 +112,7 @@ def test_adam_projection_applied():
     net = tiny_net()
     st = AdamState.init(net, lr=0.5)  # huge lr to blow past the bound
     rng = np.random.default_rng(3)
-    grads = {k: RealTensor(rng.standard_normal(t.shape)) for k, t in net.named_leaves()}
+    grads = {k: Tensor(rng.standard_normal(t.shape)) for k, t in net.named_leaves()}
     for _ in range(10):
         st, net = adam_step(st, net, grads)
     assert lipschitz_bound(net.reg) <= 0.95
@@ -122,7 +122,7 @@ def test_adam_deterministic_across_engines():
     net = tiny_net()
     st = AdamState.init(net)
     rng = np.random.default_rng(4)
-    grads = {k: RealTensor(rng.standard_normal(t.shape)) for k, t in net.named_leaves()}
+    grads = {k: Tensor(rng.standard_normal(t.shape)) for k, t in net.named_leaves()}
     _, a = adam_step(st, net, grads)
     _, b = adam_step(AdamState.init(net), net, grads)
     for (k, ta), (_, tb) in zip(a.named_leaves(), b.named_leaves()):
@@ -134,7 +134,7 @@ def test_adam_deterministic_across_engines():
 
 def test_psnr_exact_match_is_infinite():
     rng = np.random.default_rng(5)
-    x = ComplexTensor(crandn(rng, 8, 8))
+    x = Tensor(crandn(rng, 8, 8))
     assert math.isinf(psnr(x, x))
     assert ssim(x, x) == pytest.approx(1.0, abs=1e-12)
 
@@ -143,7 +143,7 @@ def test_psnr_formula_30db():
     ref = np.zeros((8, 8))
     ref[4, 4] = 1.0
     x = ref + 10 ** (-1.5)
-    got = psnr(ComplexTensor(x), ComplexTensor(ref))
+    got = psnr(Tensor(x), Tensor(ref))
     assert got == pytest.approx(30.0, abs=1e-9)
 
 
@@ -151,20 +151,20 @@ def test_psnr_scale_consistent():
     rng = np.random.default_rng(6)
     x = crandn(rng, 8, 8)
     ref = crandn(rng, 8, 8)
-    p1 = psnr(ComplexTensor(x), ComplexTensor(ref))
-    p2 = psnr(ComplexTensor(3.7 * x), ComplexTensor(3.7 * ref))
+    p1 = psnr(Tensor(x), Tensor(ref))
+    p2 = psnr(Tensor(3.7 * x), Tensor(3.7 * ref))
     assert abs(p1 - p2) <= 1e-9
 
 
 def test_psnr_rejects_zero_reference():
     with pytest.raises(ValueError):
-        psnr(ComplexTensor(np.ones((4, 4))), ComplexTensor(np.zeros((4, 4))))
+        psnr(Tensor(np.ones((4, 4), dtype=complex)), Tensor(np.zeros((4, 4), dtype=complex)))
 
 
 def test_ssim_checkerboard_inverse_is_low():
     i, j = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
     board = ((i + j) % 2).astype(float)
-    s = ssim(ComplexTensor(board), ComplexTensor(1.0 - board))
+    s = ssim(Tensor(board), Tensor(1.0 - board))
     assert s < 0.1
 
 
@@ -175,7 +175,7 @@ def test_ssim_in_valid_range_and_matches_skimage():
 
     a = gaussian_filter(rng.random((32, 32)), 2.0)
     b = a + 0.05 * gaussian_filter(rng.standard_normal((32, 32)), 1.0)
-    got = ssim(ComplexTensor(a), ComplexTensor(b))
+    got = ssim(Tensor(a), Tensor(b))
     want = skimage.structural_similarity(
         a, np.abs(b), win_size=7, gaussian_weights=False, data_range=np.abs(b).max(), K1=0.01, K2=0.03
     )
@@ -186,7 +186,7 @@ def test_ssim_in_valid_range_and_matches_skimage():
 def test_ssim_cine_averages_frames():
     rng = np.random.default_rng(8)
     x = crandn(rng, 3, 16, 16)
-    s = ssim(ComplexTensor(x), ComplexTensor(x))
+    s = ssim(Tensor(x), Tensor(x))
     assert s == pytest.approx(1.0, abs=1e-12)
 
 
@@ -199,7 +199,7 @@ def test_baselines_full_mask_recover_truth():
     rng = np.random.default_rng(9)
     xstar = crandn(rng, 8, 8)
     op = EncodingOperator(SamplingMask(np.ones((8, 8)), 1.0, (0, 0)), make_sensitivities((8, 8), 2, seed=1))
-    y = op.forward(ComplexTensor(xstar))
+    y = op.forward(Tensor(xstar))
     zf = zero_filled(op, y)
     assert np.linalg.norm(zf.data - xstar) <= 1e-10 * np.linalg.norm(xstar)
     lam = 1e-3
@@ -226,16 +226,6 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(tmp_path / "ck", net, seed=11, step=7, extra={"val_psnr": 21.5})
     back, meta = load_checkpoint(tmp_path / "ck")
     assert meta["step"] == 7 and meta["mu"] == net.mu and meta["val_psnr"] == 21.5
-    for (k, a), (_, b) in zip(net.named_leaves(), back.named_leaves()):
-        assert np.array_equal(a.data, b.data), k
-
-
-def test_checkpoint_roundtrip_per_unroll(tmp_path):
-    regs = [project_weights(RegularizerParams.init(channels=4, layers=2, seed=s, scale=1.0)) for s in (1, 2)]
-    net = UnrolledNetParams(regs[0], 0.3, 2, 10, per_unroll=regs)
-    save_checkpoint(tmp_path / "ck", net)
-    back, _ = load_checkpoint(tmp_path / "ck")
-    assert not back.shares_weights
     for (k, a), (_, b) in zip(net.named_leaves(), back.named_leaves()):
         assert np.array_equal(a.data, b.data), k
 

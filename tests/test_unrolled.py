@@ -4,7 +4,7 @@ import pytest
 from melrecon import autodiff
 from melrecon.autodiff import Tape
 from melrecon.mri import EncodingOperator, SamplingMask, make_poisson_disk_mask, make_sensitivities
-from melrecon.tensor import ComplexTensor, RealTensor, norm2
+from melrecon.tensor import Tensor, norm2
 from melrecon.unrolled import (
     FixedPointDivergence,
     RegularizerParams,
@@ -31,8 +31,8 @@ def crandn(rng, *shape):
 def zero_params(channels=8, layers=3):
     p = RegularizerParams.init(channels=channels, layers=layers, seed=0)
     return RegularizerParams(
-        [RealTensor(np.zeros(w.shape)) for w in p.weights],
-        [RealTensor(np.zeros(b.shape)) for b in p.biases],
+        [Tensor(np.zeros(w.shape)) for w in p.weights],
+        [Tensor(np.zeros(b.shape)) for b in p.biases],
         p.contraction,
     )
 
@@ -57,7 +57,7 @@ def random_op(seed=0, shape=(8, 8), coils=2, accel=2.0):
 
 def test_regularizer_zero_weights_is_identity():
     rng = np.random.default_rng(0)
-    x = ComplexTensor(crandn(rng, 8, 8))
+    x = Tensor(crandn(rng, 8, 8))
     z = regularizer_forward(zero_params(), x)
     assert np.array_equal(z.data, x.data)
 
@@ -65,9 +65,9 @@ def test_regularizer_zero_weights_is_identity():
 def test_regularizer_is_nonlinear():
     rng = np.random.default_rng(1)
     p = RegularizerParams.init(channels=8, layers=3, seed=2, scale=2.0)
-    p = RegularizerParams(p.weights, [RealTensor(rng.standard_normal(b.shape) * 0.1) for b in p.biases], p.contraction)
-    x = ComplexTensor(crandn(rng, 8, 8))
-    lhs = regularizer_forward(p, ComplexTensor(2 * x.data)).data
+    p = RegularizerParams(p.weights, [Tensor(rng.standard_normal(b.shape) * 0.1) for b in p.biases], p.contraction)
+    x = Tensor(crandn(rng, 8, 8))
+    lhs = regularizer_forward(p, Tensor(2 * x.data)).data
     rhs = 2 * regularizer_forward(p, x).data
     assert np.linalg.norm(lhs - rhs) > 1e-6 * np.linalg.norm(rhs)
 
@@ -81,8 +81,8 @@ def test_residual_branch_lipschitz_bound_sampled():
     for _ in range(100):
         x1 = crandn(rng, 8, 8)
         x2 = crandn(rng, 8, 8)
-        z1 = regularizer_forward(p, ComplexTensor(x1)).data - x1
-        z2 = regularizer_forward(p, ComplexTensor(x2)).data - x2
+        z1 = regularizer_forward(p, Tensor(x1)).data - x1
+        z2 = regularizer_forward(p, Tensor(x2)).data - x2
         ratio = np.linalg.norm(z1 - z2) / np.linalg.norm(x1 - x2)
         worst = max(worst, ratio)
     assert worst <= bound * 1.02
@@ -91,7 +91,7 @@ def test_residual_branch_lipschitz_bound_sampled():
 
 def test_invert_zero_weights_single_iteration():
     rng = np.random.default_rng(3)
-    z = ComplexTensor(crandn(rng, 8, 8))
+    z = Tensor(crandn(rng, 8, 8))
     trace = []
     x = regularizer_invert(zero_params(), z, trace=trace)
     assert np.array_equal(x.data, z.data)
@@ -102,16 +102,16 @@ def test_invert_zero_weights_single_iteration():
 def test_regularizer_roundtrip(seed):
     rng = np.random.default_rng(100 + seed)
     p = projected_params(seed=seed)
-    x = ComplexTensor(crandn(rng, 8, 8))
+    x = Tensor(crandn(rng, 8, 8))
     z = regularizer_forward(p, x)
     back = regularizer_invert(p, z, tol=1e-12, max_iter=100)
-    assert norm2(ComplexTensor(back.data - x.data)) <= 1e-9 * norm2(x)
+    assert norm2(Tensor(back.data - x.data)) <= 1e-9 * norm2(x)
 
 
 def test_invert_geometric_convergence():
     rng = np.random.default_rng(4)
     p = projected_params(seed=5)
-    z = ComplexTensor(crandn(rng, 8, 8))
+    z = Tensor(crandn(rng, 8, 8))
     trace = []
     regularizer_invert(p, z, tol=1e-12, max_iter=100, trace=trace)
     res = [r for _, r in trace]
@@ -124,9 +124,9 @@ def test_invert_divergence_raises():
     p = RegularizerParams.init(channels=8, layers=3, seed=6, scale=2.0)
     b = lipschitz_bound(p)
     f = (30.0 / b) ** (1.0 / p.layers)
-    p = RegularizerParams([RealTensor(w.data * f) for w in p.weights], p.biases, p.contraction)
+    p = RegularizerParams([Tensor(w.data * f) for w in p.weights], p.biases, p.contraction)
     rng = np.random.default_rng(7)
-    z = ComplexTensor(crandn(rng, 8, 8))
+    z = Tensor(crandn(rng, 8, 8))
     with pytest.raises(FixedPointDivergence):
         regularizer_invert(p, z, tol=1e-10, max_iter=30)
 
@@ -138,8 +138,8 @@ def test_dc_full_mask_closed_form():
     rng = np.random.default_rng(8)
     op = full_op()
     mu = 0.2
-    y = ComplexTensor(op._forward(crandn(rng, 8, 8)))
-    z = ComplexTensor(crandn(rng, 8, 8))
+    y = Tensor(op._forward(crandn(rng, 8, 8)))
+    z = Tensor(crandn(rng, 8, 8))
     got = dc_forward(op, y, z, mu, n_cg=50)
     want = (op._adjoint(y.data) + mu * z.data) / (1 + mu)
     assert np.linalg.norm(got.data - want) <= 1e-10 * np.linalg.norm(want)
@@ -149,8 +149,8 @@ def test_dc_consistent_fixed_point():
     rng = np.random.default_rng(9)
     op = random_op(seed=10)
     xstar = crandn(rng, 8, 8)
-    y = ComplexTensor(op._forward(xstar))
-    got = dc_forward(op, y, ComplexTensor(xstar), mu=0.1, n_cg=50)
+    y = Tensor(op._forward(xstar))
+    got = dc_forward(op, y, Tensor(xstar), mu=0.1, n_cg=50)
     assert np.linalg.norm(got.data - xstar) <= 1e-10 * np.linalg.norm(xstar)
 
 
@@ -158,8 +158,8 @@ def test_dc_matches_dense_solve_30_iters():
     rng = np.random.default_rng(10)
     op = random_op(seed=11)
     mu = 0.05
-    y = ComplexTensor(op._forward(crandn(rng, 8, 8)) * 0.7 + 0.1 * crandn(rng, 2, 8, 8) * op.mask.data)
-    z = ComplexTensor(crandn(rng, 8, 8))
+    y = Tensor(op._forward(crandn(rng, 8, 8)) * 0.7 + 0.1 * crandn(rng, 2, 8, 8) * op.mask.data)
+    z = Tensor(crandn(rng, 8, 8))
     got = dc_forward(op, y, z, mu, n_cg=30)
     n = dense_matrix_of(lambda v: op._normal(v, mu), (8, 8))
     rhs = (op._adjoint(y.data) + mu * z.data).reshape(-1)
@@ -193,8 +193,8 @@ def test_dc_invert_roundtrip_tight_cg():
     rng = np.random.default_rng(12)
     op = random_op(seed=15)
     mu = 0.05
-    y = ComplexTensor(op._forward(crandn(rng, 8, 8)))
-    z = ComplexTensor(crandn(rng, 8, 8))
+    y = Tensor(op._forward(crandn(rng, 8, 8)))
+    z = Tensor(crandn(rng, 8, 8))
     x = dc_forward(op, y, z, mu, n_cg=300)
     back = dc_invert(op, y, x, mu)
     assert np.linalg.norm(back.data - z.data) <= 5e-8 * np.linalg.norm(z.data)
@@ -204,8 +204,8 @@ def test_dc_invert_full_mask_closed_form():
     rng = np.random.default_rng(13)
     op = full_op(seed=3)
     mu = 0.3
-    y = ComplexTensor(op._forward(crandn(rng, 8, 8)))
-    xn = ComplexTensor(crandn(rng, 8, 8))
+    y = Tensor(op._forward(crandn(rng, 8, 8)))
+    xn = Tensor(crandn(rng, 8, 8))
     got = dc_invert(op, y, xn, mu)
     want = ((1 + mu) * xn.data - op._adjoint(y.data)) / mu
     assert np.linalg.norm(got.data - want) <= 1e-12 * np.linalg.norm(want)
@@ -215,23 +215,23 @@ def test_dc_invert_consistent_fixed_point():
     rng = np.random.default_rng(14)
     op = random_op(seed=16)
     xstar = crandn(rng, 8, 8)
-    y = ComplexTensor(op._forward(xstar))
-    z = dc_invert(op, y, ComplexTensor(xstar), mu=0.1)
+    y = Tensor(op._forward(xstar))
+    z = dc_invert(op, y, Tensor(xstar), mu=0.1)
     assert np.linalg.norm(z.data - xstar) <= 1e-9 * np.linalg.norm(xstar)
 
 
 def test_dc_invert_rejects_nonpositive_mu():
     op = full_op()
-    t = ComplexTensor(np.zeros((8, 8)))
+    t = Tensor(np.zeros((8, 8), dtype=complex))
     with pytest.raises(ValueError):
-        dc_invert(op, ComplexTensor(np.zeros((2, 8, 8))), t, mu=0.0)
+        dc_invert(op, Tensor(np.zeros((2, 8, 8), dtype=complex)), t, mu=0.0)
 
 
 def test_dc_vjp_full_mask_scalar():
     rng = np.random.default_rng(15)
     op = full_op(seed=4)
     mu = 0.25
-    s = ComplexTensor(crandn(rng, 8, 8))
+    s = Tensor(crandn(rng, 8, 8))
     got = dc_vjp(op, s, mu, n_cg=60)
     want = mu / (1 + mu) * s.data
     assert np.linalg.norm(got.data - want) <= 1e-10 * np.linalg.norm(want)
@@ -241,8 +241,8 @@ def test_dc_vjp_self_adjoint():
     rng = np.random.default_rng(16)
     op = random_op(seed=17)
     mu = 0.05
-    s1 = ComplexTensor(crandn(rng, 8, 8))
-    s2 = ComplexTensor(crandn(rng, 8, 8))
+    s1 = Tensor(crandn(rng, 8, 8))
+    s2 = Tensor(crandn(rng, 8, 8))
     lhs = np.vdot(dc_vjp(op, s1, mu, 200).data, s2.data)
     rhs = np.vdot(s1.data, dc_vjp(op, s2, mu, 200).data)
     assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
@@ -252,14 +252,14 @@ def test_dc_vjp_matches_directional_finite_difference():
     rng = np.random.default_rng(17)
     op = random_op(seed=18, shape=(6, 6), coils=2)
     mu = 0.1
-    y = ComplexTensor(op._forward(crandn(rng, 6, 6)))
+    y = Tensor(op._forward(crandn(rng, 6, 6)))
     z = crandn(rng, 6, 6)
     v = crandn(rng, 6, 6)
     h = 1e-6
-    fp = dc_forward(op, y, ComplexTensor(z + h * v), mu, n_cg=200).data
-    fm = dc_forward(op, y, ComplexTensor(z - h * v), mu, n_cg=200).data
+    fp = dc_forward(op, y, Tensor(z + h * v), mu, n_cg=200).data
+    fm = dc_forward(op, y, Tensor(z - h * v), mu, n_cg=200).data
     jv = (fp - fm) / (2 * h)
-    want = dc_vjp(op, ComplexTensor(v), mu, n_cg=200).data
+    want = dc_vjp(op, Tensor(v), mu, n_cg=200).data
     assert np.linalg.norm(jv - want) <= 1e-5 * np.linalg.norm(want)
 
 
@@ -273,7 +273,7 @@ def make_net(n_unrolls=3, seed=0, channels=8, layers=3, mu=0.05, n_cg=10):
 def test_modl_zero_unrolls_returns_zero_filled():
     rng = np.random.default_rng(18)
     op = random_op(seed=19)
-    y = ComplexTensor(op._forward(crandn(rng, 8, 8)))
+    y = Tensor(op._forward(crandn(rng, 8, 8)))
     net = make_net(n_unrolls=1)
     net.n_unrolls = 0  # degenerate base case; the type invariant forbids it at construction
     out = modl_forward(net, op, y)
@@ -284,7 +284,7 @@ def test_modl_zero_weights_full_mask_recovers_truth():
     rng = np.random.default_rng(19)
     op = full_op(seed=5)
     xstar = crandn(rng, 8, 8)
-    y = ComplexTensor(op._forward(xstar))
+    y = Tensor(op._forward(xstar))
     for n in (1, 4):
         net = UnrolledNetParams(zero_params(), 0.05, n, 20)
         out = modl_forward(net, op, y)
@@ -296,7 +296,7 @@ def test_op_registry_is_what_the_model_records():
     # so ops no engine uses cannot accumulate in the registry
     rng = np.random.default_rng(22)
     op = random_op(seed=22)
-    y = ComplexTensor(op._forward(crandn(rng, 8, 8)))
+    y = Tensor(op._forward(crandn(rng, 8, 8)))
     net = make_net(n_unrolls=2, seed=22)
     tape = Tape()
     for _, t in net.named_leaves():
@@ -309,7 +309,7 @@ def test_op_registry_is_what_the_model_records():
 def test_modl_recorded_equals_unrecorded_bitwise():
     rng = np.random.default_rng(20)
     op = random_op(seed=20)
-    y = ComplexTensor(op._forward(crandn(rng, 8, 8)))
+    y = Tensor(op._forward(crandn(rng, 8, 8)))
     net = make_net(n_unrolls=2, seed=21)
     plain = modl_forward(net, op, y)
     tape = Tape()
@@ -322,7 +322,7 @@ def test_modl_recorded_equals_unrecorded_bitwise():
 def test_modl_deterministic():
     rng = np.random.default_rng(21)
     op = random_op(seed=22)
-    y = ComplexTensor(op._forward(crandn(rng, 8, 8)))
+    y = Tensor(op._forward(crandn(rng, 8, 8)))
     net = make_net(n_unrolls=2, seed=23)
     a = modl_forward(net, op, y)
     b = modl_forward(net, op, y)
@@ -330,17 +330,11 @@ def test_modl_deterministic():
 
 
 def test_weight_sharing_structural():
+    # one regularizer for every unroll: the leaves do not grow with depth
     net = make_net(n_unrolls=4)
-    assert net.shares_weights
-    assert all(net.reg_for(n) is net.reg for n in range(net.n_unrolls))
-
-
-def test_per_unroll_weights_variant():
-    regs = [projected_params(seed=s) for s in (1, 2)]
-    net = UnrolledNetParams(regs[0], 0.05, 2, 5, per_unroll=regs)
-    assert not net.shares_weights
-    assert net.reg_for(0) is regs[0] and net.reg_for(1) is regs[1]
-    assert len(net.named_leaves()) == 2 * len(regs[0].named_leaves())
+    leaves = [t for _, t in net.named_leaves()]
+    assert len(leaves) == len(net.reg.named_leaves())
+    assert all(a is b for a, (_, b) in zip(leaves, net.reg.named_leaves()))
 
 
 def test_net_param_validation():
@@ -366,7 +360,7 @@ def test_project_reduces_inflated_bound():
     p = RegularizerParams.init(channels=8, layers=3, seed=24, scale=1.0)
     b = lipschitz_bound(p)
     f = (2.0 / b) ** (1.0 / p.layers)
-    inflated = RegularizerParams([RealTensor(w.data * f) for w in p.weights], p.biases, p.contraction)
+    inflated = RegularizerParams([Tensor(w.data * f) for w in p.weights], p.biases, p.contraction)
     assert abs(lipschitz_bound(inflated) - 2.0) < 0.05
     q = project_weights(inflated)
     assert lipschitz_bound(q) <= 0.95
@@ -383,7 +377,7 @@ def test_power_iteration_matches_exact_circular_norm():
     rng = np.random.default_rng(26)
     for cin, cout in ((2, 8), (8, 8), (8, 2)):
         w = rng.standard_normal((cout, cin, 3, 3)) * 0.2
-        got = conv_operator_norm(RealTensor(w), probe_shape=(16, 16), iters=60)
+        got = conv_operator_norm(Tensor(w), probe_shape=(16, 16), iters=60)
         want = conv_circular_norm_exact(w, (16, 16))
         assert got <= want * (1 + 1e-9)
         assert got >= 0.97 * want
