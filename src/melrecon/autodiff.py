@@ -75,13 +75,13 @@ class Tape:
 
     One tape is one graph lifetime: single-writer, single-reader. ``dispose``
     releases every saved tensor from the ledger and makes the tape unusable
-    (idempotently).
+    (idempotently). Tapes of one gradient evaluation share a ledger; a tape
+    built without one gets its own.
     """
 
-    def __init__(self, ledger: MemoryLedger | None = None, scope_id: str = ""):
+    def __init__(self, ledger: MemoryLedger | None = None):
         self.nodes: list[NodeRecord] = []
-        self.scope_id = scope_id
-        self.ledger = ledger
+        self.ledger = MemoryLedger() if ledger is None else ledger
         self._node_of: dict[int, int] = {}
         self._retained: list[int] = []
         self._retained_set: set[int] = set()
@@ -101,13 +101,12 @@ class Tape:
             idx = self._add_node("const", (), {}, {}, t)
         return idx
 
-    def _retain(self, t: Tensor, label: str) -> None:
+    def _retain(self, t: Tensor) -> None:
         if t.alloc_id in self._retained_set:
             return
         self._retained_set.add(t.alloc_id)
         self._retained.append(t.alloc_id)
-        if self.ledger is not None:
-            self.ledger.retain(t, label)
+        self.ledger.retain(t)
 
     def watch(self, t: Tensor) -> Tensor:
         """Mark ``t`` as a leaf (parameter or input) of this graph."""
@@ -126,8 +125,8 @@ class Tape:
         out = op.forward(*inputs, **attrs)
         input_ids = [self._ensure_node(t) for t in inputs]
         saved = op.saves(inputs, out, attrs)
-        for name, t in saved.items():
-            self._retain(t, f"{self.scope_id}:{kind}.{name}")
+        for t in saved.values():
+            self._retain(t)
         self._add_node(kind, input_ids, saved, attrs, out)
         return out
 
@@ -183,9 +182,8 @@ class Tape:
         """Release all saved tensors; the tape is unusable afterwards."""
         if self._disposed:
             return
-        if self.ledger is not None:
-            for alloc_id in self._retained:
-                self.ledger.release(alloc_id)
+        for alloc_id in self._retained:
+            self.ledger.release(alloc_id)
         self.nodes.clear()
         self._node_of.clear()
         self._retained.clear()

@@ -371,6 +371,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:
+        (Path(cfg["out"]) / "INVALID").unlink(missing_ok=True)
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
         if args.command == "train":

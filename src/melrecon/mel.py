@@ -9,7 +9,11 @@ invert the DC layer to recover z, fixed-point-invert the residual
 regularizer to recover the unroll's input, rebuild just that unroll's
 regularizer graph, backpropagate the gradient at z through it, and dispose
 the tape. Peak retained bytes stay at one unroll's worth regardless of depth,
-at the price of the recompute work.
+at the price of the recompute work. The fixed-point inversion runs the same
+:func:`residual_branch` as the forward pass and the rebuild, so it inverts
+exactly the function that was run. The sweep keeps no iterate; its only
+check is the free one at the end, where the recovered x_0 is compared with
+its known value A^H y and the gap is returned as ``x0_drift``.
 
 The DC layer is never rebuilt: its taped node saves nothing and its VJP is
 closed form (:func:`dc_vjp`), so mel applies that VJP to the incoming image
@@ -56,15 +60,14 @@ class GradientResult:
     engine: str
     n_unrolls: int
     shape: tuple[int, ...]
-    recompute_errors: list[float] | None = None
+    x0_drift: float | None = None  # mel only: ||x0_hat - A^H y|| / ||A^H y||
 
 
 def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
                       target: Tensor) -> GradientResult:
     """Full-graph backprop: all unrolls recorded on a single tape."""
     t0 = time.perf_counter()
-    ledger = MemoryLedger()
-    tape = Tape(ledger=ledger, scope_id="standard")
+    tape = Tape()
     leaves = net.named_leaves()
     for _, t in leaves:
         tape.watch(t)
@@ -72,29 +75,29 @@ def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     loss = tape.record("l1", x, target=target.data)
     gm = tape.backward(loss, Tensor(1.0), [t for _, t in leaves])
     grads = {name: gm[t.alloc_id] for name, t in leaves}
-    peak = ledger.peak_bytes
+    peak = tape.ledger.peak_bytes
     tape.dispose()
     return GradientResult(grads, loss.item(), peak, time.perf_counter() - t0,
                           "standard", net.n_unrolls, op.image_shape)
 
 
 def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
-                 target: Tensor, invert_tol: float = 1e-10,
-                 invert_max_iter: int = 50, debug_recompute: bool = False) -> GradientResult:
+                 target: Tensor, invert_tol: float = 1e-10) -> GradientResult:
     """Memory-efficient backprop by layer inversion, one unroll at a time.
 
     Requires contractive (projected) weights; a fixed-point failure aborts
     with the offending unroll index rather than falling back to stored
-    activations.
+    activations. The sweep ends at a recovered x_0 whose true value,
+    A^H y, is known, so every call records the relative gap between them as
+    ``x0_drift`` (one extra adjoint). The drift is recorded, not enforced.
     """
     t0 = time.perf_counter()
     ledger = MemoryLedger()
 
-    iterates: list | None = [] if debug_recompute else None
-    x_n = modl_forward(net, op, y, iterates=iterates)  # no gradients recorded
+    x_n = modl_forward(net, op, y)  # no gradients recorded
 
     # seed gradient from the loss at the network output
-    loss_tape = Tape(ledger=ledger, scope_id="mel:loss")
+    loss_tape = Tape(ledger)
     loss_tape.watch(x_n)
     loss = loss_tape.record("l1", x_n, target=target.data)
     q = loss_tape.backward(loss, Tensor(1.0), [x_n])[x_n.alloc_id]
@@ -102,24 +105,18 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     loss_tape.dispose()
 
     grads: dict[str, np.ndarray] = {}
-    recompute_errors: list[float] = []
     leaves = net.named_leaves()
     for n in range(net.n_unrolls - 1, -1, -1):
         z = dc_invert(op, y, x_n, net.mu)
         try:
-            x_prev = regularizer_invert(net.reg, z, tol=invert_tol, max_iter=invert_max_iter)
+            x_prev = regularizer_invert(net.reg, z, tol=invert_tol)
         except FixedPointDivergence as e:
             raise FixedPointDivergence(
                 f"unroll {n}: {e}", residual=e.residual, unroll=n
             ) from None
-        if iterates is not None:
-            ref = iterates[n].data
-            recompute_errors.append(
-                float(np.linalg.norm(x_prev.data - ref) / max(np.linalg.norm(ref), 1e-300))
-            )
 
         gz = dc_vjp(op, q, net.mu, net.n_cg, exit_rel=net.cg_exit)
-        tape = Tape(ledger=ledger, scope_id=f"mel:unroll{n}")
+        tape = Tape(ledger)
         tape.watch(x_prev)
         for _, t in leaves:
             tape.watch(t)
@@ -132,6 +129,8 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
         tape.dispose()
         x_n = x_prev
 
+    x0 = op.adjoint(y).data
+    x0_drift = float(np.linalg.norm(x_n.data - x0) / max(np.linalg.norm(x0), 1e-300))
     return GradientResult(
         {k: Tensor(v) for k, v in grads.items()},
         loss_value,
@@ -140,7 +139,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
         "mel",
         net.n_unrolls,
         op.image_shape,
-        recompute_errors=recompute_errors if debug_recompute else None,
+        x0_drift=x0_drift,
     )
 
 

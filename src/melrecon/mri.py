@@ -14,6 +14,7 @@ the MELT tensor format.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -150,14 +151,11 @@ def _calib_slices(shape, calib):
 
 def _poisson_darts(shape, calib, rng_order, min_dist, scale):
     """One dart-throwing pass; returns the accepted 0/1 mask."""
-    h, w = shape
+    w = shape[1]
     mask = np.zeros(shape)
     mask[_calib_slices(shape, calib)] = 1.0
     pts = np.argwhere(mask > 0).astype(float)
-    acc_i = list(pts[:, 0])
-    acc_j = list(pts[:, 1])
-    ai = np.array(acc_i)
-    aj = np.array(acc_j)
+    ai, aj = pts[:, 0], pts[:, 1]
     for flat in rng_order:
         i, j = divmod(int(flat), w)
         if mask[i, j]:
@@ -424,8 +422,12 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
 
 
 def save_dataset(ds: Dataset, out_dir) -> Path:
+    """Write every case, then the manifest. An old manifest is removed
+    first and the new one is swapped in last, so an interrupted save leaves
+    no manifest and the directory fails to load instead of mixing cases."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     manifest = {"format": "melrecon-dataset", "version": 1, "config": asdict(ds.config), "cases": []}
     for c in ds.cases:
         cdir = out / c.case_id
@@ -447,7 +449,9 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
                 "calib": list(c.mask.calib_region),
             }
         )
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    tmp = out / ".manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2))
+    os.replace(tmp, out / "manifest.json")
     return out
 
 

@@ -10,6 +10,7 @@ checkpoints and reconstructions also lives here.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from itertools import count
@@ -211,32 +212,29 @@ def norm2(x: Tensor) -> float:
 class MemoryLedger:
     """Byte-accurate record of tape-retained tensor payloads.
 
-    ``live_bytes`` is the sum of currently retained allocations,
-    ``peak_bytes`` its running maximum, and ``events`` an append-only list of
-    (alloc_id, signed byte delta, label). Single-writer: one ledger per
-    gradient evaluation / training run.
+    ``live_bytes`` is the sum of currently retained allocations and
+    ``peak_bytes`` its running maximum; each allocation is counted once, by
+    ``nbytes``, from ``retain`` to ``release``. Single-writer: one ledger
+    per gradient evaluation, shared by every tape that evaluation builds.
     """
 
     live_bytes: int = 0
     peak_bytes: int = 0
-    events: list[tuple[int, int, str]] = field(default_factory=list)
     _held: dict[int, int] = field(default_factory=dict, repr=False)
 
-    def retain(self, t: Tensor, label: str = "") -> None:
+    def retain(self, t: Tensor) -> None:
         if t.alloc_id in self._held:
             raise ValueError(f"alloc_id {t.alloc_id} retained twice")
         n = t.nbytes
         self._held[t.alloc_id] = n
         self.live_bytes += n
         self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-        self.events.append((t.alloc_id, n, label))
 
     def release(self, alloc_id: int) -> None:
         if alloc_id not in self._held:
             raise ValueError(f"release of unknown alloc_id {alloc_id}")
         n = self._held.pop(alloc_id)
         self.live_bytes -= n
-        self.events.append((alloc_id, -n, "release"))
 
 
 # --- MELT binary tensor format -------------------------------------------
@@ -253,17 +251,22 @@ _MAX_RANK = 5
 
 
 def melt_write(path, t: Tensor) -> None:
+    """Write ``t`` to a sibling temp file and rename it over ``path``, so a
+    reader never sees a half-written file."""
     rank = len(t.shape)
     if not 1 <= rank <= _MAX_RANK:
         raise ValueError(f"MELT supports rank 1..{_MAX_RANK}, got {rank}")
     dt = _DT_COMPLEX if np.iscomplexobj(t.data) else _DT_REAL
     dims = list(t.shape) + [1] * (_MAX_RANK - rank)
     payload = t.data.astype("<c16" if dt == _DT_COMPLEX else "<f8").tobytes(order="C")
-    with open(path, "wb") as f:
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    with open(tmp, "wb") as f:
         f.write(_MELT_MAGIC)
         f.write(struct.pack("<BBB", _MELT_VERSION, dt, rank))
         f.write(struct.pack("<5Q", *dims))
         f.write(payload)
+    os.replace(tmp, path)
 
 
 def melt_read(path) -> Tensor:

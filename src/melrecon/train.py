@@ -13,7 +13,7 @@ import json
 import math
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +93,7 @@ def adam_step(state: AdamState, net: UnrolledNetParams, grads: dict[str, Tensor]
     ws = [Tensor(updated[f"w{i}"]) for i in range(reg.layers)]
     bs = [Tensor(updated[f"b{i}"]) for i in range(reg.layers)]
     reg2 = project_weights(RegularizerParams(ws, bs, reg.contraction))
-    return new, UnrolledNetParams(reg2, net.mu, net.n_unrolls, net.n_cg, net.cg_exit)
+    return new, replace(net, reg=reg2)
 
 
 # --- metrics --------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "RegularizerParams",
     "UnrolledNetParams",
     "FixedPointDivergence",
+    "residual_branch",
     "regularizer_forward",
     "regularizer_invert",
     "dc_forward",
@@ -97,9 +98,6 @@ class RegularizerParams:
             out.append((f"b{i}", b))
         return out
 
-    def copy(self) -> "RegularizerParams":
-        return RegularizerParams([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.contraction)
-
 
 @dataclass
 class UnrolledNetParams:
@@ -110,9 +108,9 @@ class UnrolledNetParams:
     """
 
     reg: RegularizerParams
-    mu: float = 0.05
-    n_unrolls: int = 5
-    n_cg: int = 10
+    mu: float
+    n_unrolls: int
+    n_cg: int
     cg_exit: float = 1e-12  # early-exit relative residual of the DC solve
 
     def __post_init__(self):
@@ -129,8 +127,10 @@ def _ap(tape: Tape | None, kind: str, *args, **attrs) -> Tensor:
     return apply_op(kind, *args, **attrs) if tape is None else tape.record(kind, *args, **attrs)
 
 
-def regularizer_forward(params: RegularizerParams, x: Tensor, tape: Tape | None = None) -> Tensor:
-    """z = x + c*G(x), recorded on ``tape`` when given."""
+def residual_branch(params: RegularizerParams, x: Tensor, tape: Tape | None = None) -> Tensor:
+    """c*G(x), recorded on ``tape`` when given. The one definition of the
+    branch: the forward pass, the fixed-point inversion and the mel rebuild
+    all evaluate it."""
     h = _ap(tape, "c2ch", x)
     last = params.layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -138,19 +138,12 @@ def regularizer_forward(params: RegularizerParams, x: Tensor, tape: Tape | None 
         if i < last:
             h = _ap(tape, "relu", h)
     g = _ap(tape, "ch2c", h)
-    return _ap(tape, "add", x, _ap(tape, "scale", g, a=params.contraction))
+    return _ap(tape, "scale", g, a=params.contraction)
 
 
-def _branch_raw(params: RegularizerParams, x: np.ndarray) -> np.ndarray:
-    """c*G(x) on raw arrays (fixed-point inner loop)."""
-    h = np.stack([x.real, x.imag])
-    last = params.layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = _correlate(h, w.data, "constant")
-        h += b.data.reshape((-1,) + (1,) * (h.ndim - 1))
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return params.contraction * (h[0] + 1j * h[1])
+def regularizer_forward(params: RegularizerParams, x: Tensor, tape: Tape | None = None) -> Tensor:
+    """z = x + c*G(x), recorded on ``tape`` when given."""
+    return _ap(tape, "add", x, residual_branch(params, x, tape))
 
 
 def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
@@ -166,10 +159,10 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
     if znorm == 0.0:
         return Tensor(np.zeros_like(zd))
     x = zd
-    gx = _branch_raw(params, x)
+    gx = residual_branch(params, z).data
     for _ in range(max_iter):
         x_new = zd - gx
-        gx_new = _branch_raw(params, x_new)
+        gx_new = residual_branch(params, Tensor(x_new)).data
         # residual of x_new: ||x_new + cG(x_new) - z|| = ||cG(x_new) - cG(x)||
         res = float(np.linalg.norm(gx_new - gx))
         x, gx = x_new, gx_new
@@ -213,13 +206,13 @@ def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: f
     return x
 
 
-def _dc_solve_forward(z: Tensor, op=None, y=None, mu=None, n_cg=None, exit_rel=1e-12) -> Tensor:
+def _dc_solve_forward(z: Tensor, op, y, mu, n_cg, exit_rel) -> Tensor:
     rhs = op._adjoint(y) + mu * z.data
     return Tensor(cg_solve_normal(op, rhs, z.data, mu, n_cg, exit_rel=exit_rel))
 
 
 def _dc_solve_vjp(saved, attrs, g):
-    return (dc_vjp(attrs["op"], Tensor(g), attrs["mu"], attrs["n_cg"], attrs.get("exit_rel", 1e-12)).data,)
+    return (dc_vjp(attrs["op"], Tensor(g), attrs["mu"], attrs["n_cg"], attrs["exit_rel"]).data,)
 
 
 register_op("dc_solve", _dc_solve_forward, _dc_solve_vjp)
@@ -256,19 +249,14 @@ def dc_vjp(op: EncodingOperator, seed: Tensor, mu: float, n_cg: int,
 
 
 def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
-                 tape: Tape | None = None, iterates: list | None = None) -> Tensor:
+                 tape: Tape | None = None) -> Tensor:
     """N alternations of regularizer and DC from the zero-filled init
     x_0 = A^H y. Recording is value-transparent: the taped and untaped paths
-    run the identical arithmetic. ``iterates``, when given, receives
-    x_0, ..., x_N."""
+    run the identical arithmetic."""
     x = op.adjoint(y)
-    if iterates is not None:
-        iterates.append(x)
-    for n in range(net.n_unrolls):
+    for _ in range(net.n_unrolls):
         z = regularizer_forward(net.reg, x, tape)
         x = dc_forward(op, y, z, net.mu, net.n_cg, tape, exit_rel=net.cg_exit)
-        if iterates is not None:
-            iterates.append(x)
     return x
 
 

@@ -55,6 +55,18 @@ def test_retained_bytes_hand_count():
     assert led.live_bytes == 328
 
 
+def test_bare_tape_reports_peak_through_own_ledger():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((1, 4, 4)))
+    tape = Tape()
+    tape.watch(x)
+    tape.record("relu", tape.record("relu", x))  # two saved inputs, 128 B each
+    assert tape.ledger.live_bytes == 256
+    tape.dispose()
+    assert tape.ledger.live_bytes == 0
+    assert tape.ledger.peak_bytes == 256
+
+
 def test_record_on_disposed_tape_fails():
     tape = Tape()
     tape.dispose()

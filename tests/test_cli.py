@@ -198,6 +198,16 @@ def test_failed_command_marks_output_invalid(trained, tmp_path, capsys):
     assert (out / "INVALID").exists()
 
 
+def test_successful_command_clears_stale_invalid(trained, tmp_path):
+    tmp, cfg, ckpt = trained
+    out = tmp_path / "reused_out"
+    out.mkdir()
+    assert run_cli("--config", str(cfg), "--out", str(out), "eval", "--method", "nonsense") == 1
+    assert (out / "INVALID").exists()
+    assert run_cli("--config", str(cfg), "--out", str(out), "eval", "--method", "zero_filled") == 0
+    assert not (out / "INVALID").exists()
+
+
 # --- bench-memory -----------------------------------------------------------------
 
 

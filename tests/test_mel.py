@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from melrecon import unrolled
+from melrecon import mel, unrolled
 from melrecon.mel import BENCH_CSV_HEADER, backprop_mel, backprop_standard, engine_report
 from melrecon.mri import EncodingOperator, make_poisson_disk_mask, make_sensitivities
 from melrecon.tensor import Tensor
-from melrecon.unrolled import RegularizerParams, UnrolledNetParams, project_weights
+from melrecon.unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
 from oracles import central_diff
 
@@ -95,7 +95,28 @@ def test_standard_matches_finite_differences_n2():
         assert np.abs(got - fd).max() <= 1e-5 * denom, name
 
 
-def test_mel_recompute_fidelity_zero_weights():
+def recovered_input_errors(monkeypatch, net, op, y, target, invert_tol):
+    """Run mel, spying on every recovered unroll input, and return the result
+    with the relative error of each recovered x_k against the forward x_k
+    (k = 0 first)."""
+    recovered = []
+    orig = mel.regularizer_invert
+
+    def spy(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        recovered.append(out)
+        return out
+
+    monkeypatch.setattr(mel, "regularizer_invert", spy)
+    r = backprop_mel(net, op, y, target, invert_tol=invert_tol)
+    errs = []
+    for k, got in enumerate(reversed(recovered)):
+        ref = (op.adjoint(y) if k == 0 else modl_forward(replace(net, n_unrolls=k), op, y)).data
+        errs.append(float(np.linalg.norm(got.data - ref) / max(np.linalg.norm(ref), 1e-300)))
+    return r, errs
+
+
+def test_mel_recompute_fidelity_zero_weights(monkeypatch):
     net, op, y, target = make_instance(4, n_unrolls=3)
     zero_reg = RegularizerParams(
         [Tensor(np.zeros(w.shape)) for w in net.reg.weights],
@@ -103,15 +124,25 @@ def test_mel_recompute_fidelity_zero_weights():
         net.reg.contraction,
     )
     net = UnrolledNetParams(zero_reg, net.mu, net.n_unrolls, 200, cg_exit=1e-15)
-    r = backprop_mel(net, op, y, target, invert_tol=1e-13, debug_recompute=True)
-    assert r.recompute_errors is not None and len(r.recompute_errors) == 3
-    assert max(r.recompute_errors) <= 1e-10
+    r, errs = recovered_input_errors(monkeypatch, net, op, y, target, invert_tol=1e-13)
+    assert len(errs) == 3
+    assert max(errs) <= 1e-10
+    assert r.x0_drift == errs[0]
 
 
-def test_mel_recompute_fidelity_random_weights():
+def test_mel_recompute_fidelity_random_weights(monkeypatch):
     net, op, y, target = make_instance(5, n_unrolls=4)
-    r = backprop_mel(net, op, y, target, invert_tol=1e-12, debug_recompute=True)
-    assert max(r.recompute_errors) <= 1e-7
+    r, errs = recovered_input_errors(monkeypatch, net, op, y, target, invert_tol=1e-12)
+    assert len(errs) == 4
+    assert max(errs) <= 1e-7
+    assert r.x0_drift == errs[0]
+
+
+def test_x0_drift_recorded_by_mel_only():
+    net, op, y, target = make_instance(7, n_unrolls=2)
+    rm = backprop_mel(net, op, y, target)
+    assert isinstance(rm.x0_drift, float) and 0.0 <= rm.x0_drift < 1e-3
+    assert backprop_standard(net, op, y, target).x0_drift is None
 
 
 def test_mel_aborts_on_broken_contraction():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from melrecon import mri
 from melrecon.mri import (
     Dataset,
     DatasetConfig,
@@ -302,6 +303,26 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a.y.data, b.y.data)
         assert np.array_equal(a.mask.data, b.mask.data)
         assert np.array_equal(a.sens.maps.data, b.sens.maps.data)
+
+
+def test_interrupted_save_does_not_load_as_mixed_dataset(tmp_path, monkeypatch):
+    # a save that dies part-way over an existing dataset must not leave the
+    # old manifest pointing at a mix of old and new case files
+    save_dataset(build_dataset(small_cfg()), tmp_path / "d")
+    real_write = mri.melt_write
+    calls = []
+
+    def failing_write(path, t):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("simulated interruption")
+        real_write(path, t)
+
+    monkeypatch.setattr(mri, "melt_write", failing_write)
+    with pytest.raises(OSError, match="simulated"):
+        save_dataset(build_dataset(small_cfg(seed=43)), tmp_path / "d")
+    with pytest.raises(FileNotFoundError):
+        load_dataset(tmp_path / "d")
 
 
 def test_dataset_deterministic_per_seed():

@@ -224,7 +224,7 @@ def test_inner_product_and_norm():
 def test_ledger_retain_bytes():
     led = MemoryLedger()
     t = Tensor(np.zeros((8, 8), dtype=complex))
-    led.retain(t, "x")
+    led.retain(t)
     assert led.live_bytes == 1024  # 64 samples x 16 bytes
     assert led.peak_bytes == 1024
 
@@ -242,14 +242,18 @@ def test_ledger_peak_is_max_prefix_sum():
     rng = np.random.default_rng(11)
     led = MemoryLedger()
     live = []
+    deltas = []
     for step in range(60):
         if live and rng.random() < 0.45:
-            led.release(live.pop(rng.integers(len(live))).alloc_id)
+            t = live.pop(rng.integers(len(live)))
+            led.release(t.alloc_id)
+            deltas.append(-t.nbytes)
         else:
             t = Tensor(np.zeros(int(rng.integers(1, 200))))
             led.retain(t)
             live.append(t)
-    want = max_prefix_sum(d for _, d, _ in led.events)
+            deltas.append(t.nbytes)
+    want = max_prefix_sum(deltas)
     assert led.peak_bytes == want
     for t in live:
         led.release(t.alloc_id)

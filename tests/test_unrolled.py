@@ -19,6 +19,7 @@ from melrecon.unrolled import (
     project_weights,
     regularizer_forward,
     regularizer_invert,
+    residual_branch,
 )
 
 from oracles import conv_circular_norm_exact, dense_matrix_of
@@ -70,6 +71,23 @@ def test_regularizer_is_nonlinear():
     lhs = regularizer_forward(p, Tensor(2 * x.data)).data
     rhs = 2 * regularizer_forward(p, x).data
     assert np.linalg.norm(lhs - rhs) > 1e-6 * np.linalg.norm(rhs)
+
+
+def test_regularizer_forward_is_x_plus_residual_branch():
+    # one definition of c*G: the forward pass adds x to exactly what the
+    # inversion evaluates, bit for bit, and tapes one node per op in order
+    rng = np.random.default_rng(8)
+    for seed in range(5):
+        p = RegularizerParams.init(channels=8, layers=3, seed=seed, scale=2.0)
+        p = RegularizerParams(p.weights, [Tensor(rng.standard_normal(b.shape)) for b in p.biases], p.contraction)
+        x = Tensor(crandn(rng, 8, 8))
+        assert np.array_equal(regularizer_forward(p, x).data, x.data + residual_branch(p, x).data)
+    tape = Tape()
+    tape.watch(x)
+    regularizer_forward(p, x, tape)
+    assert [n.op_kind for n in tape.nodes if n.op_kind != "leaf"] == [
+        "c2ch", "const", "const", "conv", "relu", "const", "const", "conv", "relu",
+        "const", "const", "conv", "ch2c", "scale", "add"]
 
 
 def test_residual_branch_lipschitz_bound_sampled():
@@ -340,9 +358,9 @@ def test_weight_sharing_structural():
 def test_net_param_validation():
     p = projected_params()
     with pytest.raises(ValueError):
-        UnrolledNetParams(p, mu=0.0)
+        UnrolledNetParams(p, mu=0.0, n_unrolls=5, n_cg=10)
     with pytest.raises(ValueError):
-        UnrolledNetParams(p, n_unrolls=0)
+        UnrolledNetParams(p, mu=0.3, n_unrolls=0, n_cg=10)
     with pytest.raises(ValueError):
         RegularizerParams(p.weights, p.biases, contraction=1.0)
 
