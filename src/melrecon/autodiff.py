@@ -153,10 +153,14 @@ class Tape:
                 raise ValueError(f"leaf alloc_id {t.alloc_id} is not on this tape")
             leaf_idx.append(idx)
 
+        # Every consumer of a node comes after it, so a node's adjoint is
+        # complete when the sweep reaches it. It is dropped there unless it
+        # is requested, which keeps only the adjoints still to be consumed.
+        keep = set(leaf_idx)
         adj: dict[int, np.ndarray] = {out_idx: np.array(seed.data, copy=True)}
         for idx in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[idx]
-            g = adj.get(idx)
+            g = adj.get(idx) if idx in keep else adj.pop(idx, None)
             if g is None or node.op_kind in ("leaf", "const"):
                 continue
             grads = _OPS[node.op_kind].vjp(node.saved, node.attrs, g)

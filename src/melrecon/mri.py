@@ -6,6 +6,13 @@ the sensitivity map, take the centered unitary FFT over the trailing two
 either [H, W] or [T, H, W] (leading time axis for cine); sensitivity maps
 are [C, H, W] and broadcast across time.
 
+The centered FFT is applied without shifts. Along an axis of length n with
+m = n//2, the centered DFT is diag(a) . DFT . diag(b) with
+a_k = exp(2 pi i k m/n) exp(-2 pi i m^2/n) and b_j = exp(2 pi i j m/n)
+(both +-1 for even n). The operator folds a into a phased copy of the mask
+and b into one [H, W] image modulation once, at construction, so every
+application is a modulation, a plain FFT and a mask product.
+
 Also here: Poisson-disk and k-t sampling-mask generators, smooth synthetic
 coil maps, ellipse phantoms, and dataset construction/persistence on top of
 the MELT tensor format.
@@ -19,6 +26,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sfft
 
 from .tensor import Tensor, melt_read, melt_write
 
@@ -37,6 +45,8 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
+
+_FFT_AXES = (-2, -1)  # in-plane axes of image and k-space arrays
 
 
 @dataclass
@@ -65,11 +75,31 @@ class SensitivityMaps:
         return self.maps.shape[0]
 
 
+def _centering_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with centered DFT_n = diag(a) . DFT_n . diag(b), m = n//2:
+    a_k = exp(2 pi i k m/n) exp(-2 pi i m^2/n), b_j = exp(2 pi i j m/n).
+    For even n both are exactly +-1 and returned real."""
+    m = n // 2
+    j = np.arange(n)
+    if n % 2 == 0:
+        b = 1.0 - 2.0 * (j % 2)
+        return b * (1.0 - 2.0 * (m % 2)), b
+    b = np.exp(2j * np.pi * (j * m % n) / n)
+    return b * np.exp(-2j * np.pi * (m * m % n) / n), b
+
+
 class EncodingOperator:
     """A = P.F.S with adjoint and normal operator.
 
     Shapes: image [H, W] or [T, H, W]; k-space [C, *image]; mask matches the
     image grid; maps [C, H, W]. FFT runs over the trailing two axes.
+
+    The centering of F is folded in at construction (see the module
+    docstring): the output-side factor into a phased copy of the mask, the
+    input-side factor into an [H, W] image modulation, so the operator keeps
+    O(H*W) state of its own and no copy of the coil maps. The mask is
+    snapshotted then; changing ``mask.data`` afterwards does not change the
+    operator. ``mask`` and ``sens`` stay public and unshifted.
     """
 
     def __init__(self, mask: SamplingMask, sens: SensitivityMaps):
@@ -84,7 +114,9 @@ class EncodingOperator:
         self.mask = mask
         self.sens = sens
         self.image_shape = tuple(mask.data.shape)
-        self.fft_dims = (len(self.image_shape) - 2, len(self.image_shape) - 1)
+        (a_h, b_h), (a_w, b_w) = (_centering_factors(n) for n in self.image_shape[-2:])
+        self._kmask = mask.data * np.outer(a_h, a_w)  # a (x) M, [*image]
+        self._phase = np.outer(b_h, b_w)  # b, [H, W]
 
     @property
     def coils(self) -> int:
@@ -92,25 +124,21 @@ class EncodingOperator:
 
     # raw ndarray paths (used by CG loops where wrapper churn would dominate)
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
+    def _maps(self, ndim: int) -> np.ndarray:
+        """Coil maps shaped to broadcast against [C, *image] of rank ``ndim``."""
         m = self.sens.maps.data
-        s = m.reshape(m.shape[:1] + (1,) * (x.ndim - 2) + m.shape[1:])
-        coils = s * x
-        axes = tuple(a + 1 for a in self.fft_dims)
-        k = np.fft.ifftshift(coils, axes=axes)
-        k = np.fft.fftn(k, axes=axes, norm="ortho")
-        k = np.fft.fftshift(k, axes=axes)
-        return k * self.mask.data
+        return m.reshape(m.shape[:1] + (1,) * (ndim - 3) + m.shape[1:])
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        k = sfft.fftn(self._maps(x.ndim + 1) * (self._phase * x), axes=_FFT_AXES,
+                      norm="ortho", overwrite_x=True)
+        k *= self._kmask
+        return k
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
-        axes = tuple(a + 1 for a in self.fft_dims)
-        k = y * self.mask.data
-        img = np.fft.ifftshift(k, axes=axes)
-        img = np.fft.ifftn(img, axes=axes, norm="ortho")
-        img = np.fft.fftshift(img, axes=axes)
-        m = self.sens.maps.data
-        s = m.reshape(m.shape[:1] + (1,) * (img.ndim - 3) + m.shape[1:])
-        return (np.conj(s) * img).sum(axis=0)
+        img = sfft.ifftn(y * np.conj(self._kmask), axes=_FFT_AXES, norm="ortho", overwrite_x=True)
+        img *= np.conj(self._maps(img.ndim))
+        return np.conj(self._phase) * img.sum(axis=0)
 
     def _normal(self, x: np.ndarray, mu: float) -> np.ndarray:
         return self._adjoint(self._forward(x)) + mu * x

@@ -10,6 +10,7 @@ checkpoints and reconstructions also lives here.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -121,20 +122,72 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def _pad_input(x: np.ndarray, kshape: tuple[int, ...], mode: str) -> np.ndarray:
-    pads = [(0, 0)] + [(k // 2, k // 2) for k in kshape]
-    return np.pad(x, pads, mode=mode)
+    """Pad the spatial axes by k//2 on each side, with zeros ("constant") or
+    periodically ("wrap"). Built by hand: ``np.pad``'s fixed cost is about a
+    quarter of a small conv."""
+    spatial = x.shape[1:]
+    if mode == "wrap":
+        for ax, (n, k) in enumerate(zip(spatial, kshape), start=1):
+            x = np.take(x, np.arange(-(k // 2), n + k // 2) % n, axis=ax)
+        return x
+    if mode != "constant":
+        raise ValueError(f"unknown pad mode {mode!r}")
+    xp = np.zeros(x.shape[:1] + tuple(n + k - 1 for n, k in zip(spatial, kshape)), dtype=x.dtype)
+    xp[(slice(None),) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(spatial, kshape))] = x
+    return xp
+
+
+# Multiply-adds per conv GEMM at most. OpenBLAS runs a GEMM this small on
+# the calling thread; a larger one it hands to worker threads, whose hand-off
+# and busy-waiting cost more than they save at these sizes and make a conv's
+# time depend on whether another core is free at that moment.
+_GEMM_MACS = 1 << 18
+
+
+def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], pad_mode: str, macs_per_col: int):
+    """im2col in bands of consecutive voxels of the flattened spatial grid.
+
+    Yields ``(span, cols)``: ``span`` slices the flattened grid and ``cols``
+    [C_in*prod(k), len(span)] holds its columns, rows laid out [C_in, *k]:
+    cols[(i, *d), p] = xpad[i, *(p + d)] for every kernel offset d. Each band
+    is one copy of a read-only strided view of the padded input; the view
+    stays in bounds because p + d <= n + k - 2, the last padded index.
+
+    A band is a run of indices along one spatial axis, with all of the
+    trailing axes and one index of each leading axis: the first axis whose
+    trailing block keeps ``macs_per_col`` times the band's columns within
+    ``_GEMM_MACS``, as many indices of it as fit (at least one).
+    """
+    xp = _pad_input(x, kshape, pad_mode)
+    s = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, x.shape[:1] + tuple(kshape) + x.shape[1:], s[:1] + s[1:] + s[1:], writeable=False)
+    spatial = x.shape[1:]
+    ax = 0
+    while ax < len(spatial) - 1 and macs_per_col * math.prod(spatial[ax + 1:]) > _GEMM_MACS:
+        ax += 1
+    row, n = math.prod(spatial[ax + 1:]), spatial[ax]
+    step = max(1, _GEMM_MACS // (macs_per_col * row))
+    lead = (slice(None),) * (1 + len(kshape))
+    k = x.shape[0] * math.prod(kshape)
+    for i, outer in enumerate(np.ndindex(spatial[:ax])):
+        for r in range(0, n, step):
+            cols = np.ascontiguousarray(view[lead + outer + (slice(r, r + step),)])
+            yield slice((i * n + r) * row, (i * n + min(r + step, n)) * row), cols.reshape(k, -1)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, pad_mode: str) -> np.ndarray:
-    """Channelled 'same' cross-correlation, out[o] = sum_i x[i] * w[o,i]."""
-    kshape = w.shape[2:]
-    xp = _pad_input(x, kshape, pad_mode)
-    # windows: [C_in, *spatial, *k]
-    win = np.lib.stride_tricks.sliding_window_view(xp, kshape, axis=tuple(range(1, x.ndim)))
-    nk = len(kshape)
-    # contract C_in and the kernel offsets against w[C_out, C_in, *k]
-    out = np.tensordot(win, w, axes=([0] + list(range(x.ndim, x.ndim + nk)), [1] + list(range(2, 2 + nk))))
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+    """Channelled 'same' cross-correlation, out[o] = sum_i x[i] * w[o,i].
+
+    One GEMM per im2col band: the columns are laid out [C_in, *k] by
+    spatial position, so each band is [C_in*prod(k), band voxels] with rows
+    in the order of ``w.reshape(C_out, -1)``'s columns.
+    """
+    w2 = w.reshape(w.shape[0], -1)
+    out = np.empty((w.shape[0], x[0].size), dtype=np.result_type(x, w))
+    for span, cols in _im2col_bands(x, w.shape[2:], pad_mode, w2.size):
+        np.matmul(w2, cols, out=out[:, span])
+    return out.reshape(w.shape[:1] + x.shape[1:])
 
 
 def conv_nd(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -159,13 +212,15 @@ def conv_input_grad(g: np.ndarray, w: np.ndarray, pad_mode: str = "constant") ->
 
 
 def conv_weight_grad(x: np.ndarray, g: np.ndarray, kshape: tuple[int, ...]) -> np.ndarray:
-    """Adjoint of :func:`conv_nd` in the kernel argument (x fixed)."""
-    xp = _pad_input(x, kshape, "constant")
-    win = np.lib.stride_tricks.sliding_window_view(xp, kshape, axis=tuple(range(1, x.ndim)))
-    # win: [C_in, *spatial, *k], g: [C_out, *spatial] -> [C_out, C_in, *k]
-    spatial_axes = list(range(1, x.ndim))
-    gw = np.tensordot(g, win, axes=(spatial_axes, spatial_axes))
-    return np.ascontiguousarray(gw)
+    """Adjoint of :func:`conv_nd` in the kernel argument (x fixed): the sum
+    over im2col bands of the band [C_in*prod(k), voxels] times g's matching
+    [voxels, C_out] slice, transposed to [C_out, C_in, *k] at the end."""
+    g2 = g.reshape(g.shape[0], -1)
+    gw_t = None
+    for span, cols in _im2col_bands(x, kshape, "constant", g2.shape[0] * x.shape[0] * math.prod(kshape)):
+        part = cols @ g2[:, span].T
+        gw_t = part if gw_t is None else np.add(gw_t, part, out=gw_t)
+    return np.ascontiguousarray(gw_t.T).reshape(g.shape[:1] + x.shape[:1] + tuple(kshape))
 
 
 def relu(x: Tensor) -> Tensor:

@@ -23,23 +23,22 @@ def dft_centered_direct(x: np.ndarray, axes=None) -> np.ndarray:
 
 
 def conv_same_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Zero-padded 'same' cross-correlation by explicit nested loops (2D)."""
+    """Zero-padded 'same' cross-correlation by explicit loops over channels,
+    output voxels and kernel taps; any number of spatial dims (2D and the
+    3D 2D+time case)."""
     c_out, c_in = w.shape[0], w.shape[1]
-    kh, kw = w.shape[2], w.shape[3]
-    h, wd = x.shape[1], x.shape[2]
-    out = np.zeros((c_out, h, wd))
+    kshape = w.shape[2:]
+    spatial = x.shape[1:]
+    out = np.zeros((c_out,) + spatial)
     for o in range(c_out):
         for i in range(c_in):
-            for p in range(h):
-                for q in range(wd):
-                    acc = 0.0
-                    for a in range(kh):
-                        for bb in range(kw):
-                            pi = p + a - kh // 2
-                            qi = q + bb - kw // 2
-                            if 0 <= pi < h and 0 <= qi < wd:
-                                acc += x[i, pi, qi] * w[o, i, a, bb]
-                    out[o, p, q] += acc
+            for p in np.ndindex(*spatial):
+                acc = 0.0
+                for d in np.ndindex(*kshape):
+                    q = tuple(pj + dj - kj // 2 for pj, dj, kj in zip(p, d, kshape))
+                    if all(0 <= qj < n for qj, n in zip(q, spatial)):
+                        acc += x[(i,) + q] * w[(o, i) + d]
+                out[(o,) + p] += acc
         out[o] += b[o]
     return out
 

@@ -18,7 +18,7 @@ from melrecon.mri import (
 )
 from melrecon.tensor import Tensor, fft_centered, norm2
 
-from oracles import dense_matrix_of
+from oracles import dense_matrix_of, dft_centered_direct
 
 
 def crandn(rng, *shape):
@@ -132,6 +132,28 @@ def test_cine_operator_adjointness():
     lhs = np.vdot(y.data, op.forward(x).data)
     rhs = np.vdot(op.adjoint(y).data, x.data)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+@pytest.mark.parametrize("kind", ["odd_odd", "even_odd", "kt_cine"])
+def test_operator_matches_direct_dft_off_even_grids(kind):
+    # odd extents give complex (not +-1) centering factors
+    rng = np.random.default_rng(8)
+    if kind == "kt_cine":
+        mask = make_kt_mask((15, 16), frames=3, accel=3.0, seed=9)
+    else:
+        shape = (15, 17) if kind == "odd_odd" else (16, 15)
+        mask = SamplingMask((rng.random(shape) < 0.5).astype(float), 2.0, (0, 0))
+    sens = make_sensitivities(mask.shape[-2:], 3, seed=10)
+    op = EncodingOperator(mask, sens)
+    x = crandn(rng, *mask.shape)
+    y = op._forward(x)
+    for c in range(3):
+        want = mask.data * dft_centered_direct(sens.maps.data[c] * x, axes=(-2, -1))
+        assert np.abs(y[c] - want).max() <= 1e-12 * np.abs(want).max()
+    v = crandn(rng, *y.shape)
+    lhs = np.vdot(v, y)
+    rhs = np.vdot(op._adjoint(v), x)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 # --- poisson-disk masks --------------------------------------------------------

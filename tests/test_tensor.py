@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from melrecon import tensor as tensor_mod
 from melrecon.tensor import (
     MemoryLedger,
     Tensor,
     add,
     channels_to_complex,
     complex_to_channels,
+    conv_input_grad,
     conv_nd,
+    conv_weight_grad,
     fft_centered,
     ifft_centered,
     inner_product,
@@ -18,7 +21,7 @@ from melrecon.tensor import (
     scale,
 )
 
-from oracles import conv_same_loops, dft_centered_direct, max_prefix_sum
+from oracles import central_diff, conv_same_loops, dft_centered_direct, max_prefix_sum
 
 
 def crandn(rng, *shape):
@@ -159,6 +162,78 @@ def test_conv_3d_identity():
         w[c, c, 1, 1, 1] = 1.0
     out = conv_nd(x, Tensor(w), Tensor(np.zeros(2)))
     assert np.allclose(out.data, x.data)
+
+
+def test_conv_3d_multichannel_matches_loop_oracle():
+    # [C, T, H, W] with an anisotropic 3x3x5 kernel: the 2D+time path
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 4, 5, 7))
+    w = rng.standard_normal((3, 2, 3, 3, 5))
+    b = rng.standard_normal(3)
+    got = conv_nd(Tensor(x), Tensor(w), Tensor(b)).data
+    want = conv_same_loops(x, w, b)
+    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+def test_conv_3d_input_grad_is_adjoint():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 4, 5, 7))
+    w = rng.standard_normal((3, 2, 3, 3, 5))
+    g = rng.standard_normal((3, 4, 5, 7))
+    lhs = np.vdot(g, conv_nd(Tensor(x), Tensor(w), Tensor(np.zeros(3))).data)
+    rhs = np.vdot(conv_input_grad(g, w), x)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_conv_3d_weight_grad_matches_finite_differences():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 4, 5, 7))
+    w = rng.standard_normal((3, 2, 3, 3, 5))
+    g = rng.standard_normal((3, 4, 5, 7))
+    b0 = Tensor(np.zeros(3))
+    fd = central_diff(lambda wa: float(np.vdot(g, conv_nd(Tensor(x), Tensor(wa), b0).data)), w.copy())
+    got = conv_weight_grad(x, g, w.shape[2:])
+    assert got.shape == w.shape
+    assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize(
+    "spatial,kshape,band_macs,n_bands",
+    [
+        ((5, 7), (3, 3), 1, 35),  # one voxel per band
+        ((5, 7), (3, 3), 54 * 7 * 2, 3),  # two rows per band, the last one partial
+        ((5, 7), (3, 3), 54 * 3, 15),  # runs of three voxels of each row
+        ((4, 5, 7), (3, 3, 5), 270 * 35 * 3, 2),  # three frames per band, the last one partial
+        ((4, 5, 7), (3, 3, 5), 270 * 7 * 2, 12),  # two rows of each frame per band
+        ((4, 5, 7), (3, 3, 5), 1, 140),
+    ],
+    ids=["2d_voxel", "2d_rows", "2d_row_runs", "3d_frames", "3d_rows", "3d_voxel"],
+)
+def test_conv_bands_match_one_band(monkeypatch, spatial, kshape, band_macs, n_bands):
+    # 2 -> 3 channels: every conv GEMM does w.size = 3 * 2 * prod(kshape)
+    # multiply-adds per voxel
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2,) + spatial)
+    w = rng.standard_normal((3, 2) + kshape)
+    b = rng.standard_normal(3)
+    g = rng.standard_normal((3,) + spatial)
+
+    def kernels():
+        return (conv_nd(Tensor(x), Tensor(w), Tensor(b)).data, conv_input_grad(g, w), conv_input_grad(g, w, "wrap"),
+                conv_weight_grad(x, g, kshape))
+
+    monkeypatch.setattr(tensor_mod, "_GEMM_MACS", 1 << 62)
+    whole = kernels()
+    monkeypatch.setattr(tensor_mod, "_GEMM_MACS", band_macs)
+    banded = kernels()
+    spans = [span for span, _ in tensor_mod._im2col_bands(x, kshape, "constant", w.size)]
+    assert len(spans) == n_bands
+    assert np.array_equal(np.concatenate([np.arange(x[0].size)[s] for s in spans]), np.arange(x[0].size))
+    want = conv_same_loops(x, w, b)
+    assert np.linalg.norm(banded[0] - want) <= 1e-12 * np.linalg.norm(want)
+    for got, ref in zip(banded, whole):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_conv_linearity():
