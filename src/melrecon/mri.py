@@ -178,24 +178,40 @@ def _calib_slices(shape, calib):
 
 
 def _poisson_darts(shape, calib, rng_order, min_dist, scale):
-    """One dart-throwing pass; returns the accepted 0/1 mask."""
-    w = shape[1]
+    """One dart-throwing pass; returns the accepted 0/1 mask.
+
+    A candidate is rejected when an accepted point (the calib box included)
+    lies closer than its scaled minimum distance, which is at most
+    R = ceil(max(min_dist) * scale). ``d2`` holds, per grid point, the
+    smallest squared distance to the calib box or to an accepted point
+    within R on each axis; each accept lowers it in its (2R+1)^2 window, so
+    a candidate costs one lookup. A point outside the window is farther than
+    R and could reject nothing. The squared distances are integers, exact in
+    float64, so the decisions are those of a scan over every accepted point.
+    """
+    h, w = shape
+    cal = _calib_slices(shape, calib)
     mask = np.zeros(shape)
-    mask[_calib_slices(shape, calib)] = 1.0
-    pts = np.argwhere(mask > 0).astype(float)
-    ai, aj = pts[:, 0], pts[:, 1]
-    for flat in rng_order:
-        i, j = divmod(int(flat), w)
-        if mask[i, j]:
+    mask[cal] = 1.0
+    if mask.any():  # squared distance to the nearest point of the calib box
+        di, dj = (np.maximum(np.maximum(s.start - np.arange(n), np.arange(n) - (s.stop - 1)), 0)
+                  for s, n in zip(cal, shape))
+        d2 = (di[:, None] ** 2 + dj[None, :] ** 2).astype(float)
+    else:
+        d2 = np.full(shape, np.inf)
+    dist = min_dist * scale
+    thr = (dist * dist).ravel().tolist()
+    r = int(np.ceil(dist.max()))
+    off = np.arange(-r, r + 1) ** 2
+    win = (off[:, None] + off[None, :]).astype(float)
+    d2f = d2.ravel()
+    for flat in rng_order.tolist():
+        if d2f[flat] < thr[flat]:
             continue
-        d = min_dist[i, j] * scale
-        if ai.size:
-            dd = (ai - i) ** 2 + (aj - j) ** 2
-            if dd.min() < d * d:
-                continue
+        i, j = divmod(flat, w)
         mask[i, j] = 1.0
-        ai = np.append(ai, i)
-        aj = np.append(aj, j)
+        i0, i1, j0, j1 = max(i - r, 0), min(i + r + 1, h), max(j - r, 0), min(j + r + 1, w)
+        np.minimum(d2[i0:i1, j0:j1], win[i0 - i + r: i1 - i + r, j0 - j + r: j1 - j + r], out=d2[i0:i1, j0:j1])
     return mask
 
 

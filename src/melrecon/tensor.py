@@ -121,17 +121,10 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray, b: np.ndarray):
             raise ValueError(f"kernel extents must be odd, got {w.shape[2:]}")
 
 
-def _pad_input(x: np.ndarray, kshape: tuple[int, ...], mode: str) -> np.ndarray:
-    """Pad the spatial axes by k//2 on each side, with zeros ("constant") or
-    periodically ("wrap"). Built by hand: ``np.pad``'s fixed cost is about a
-    quarter of a small conv."""
+def _pad_input(x: np.ndarray, kshape: tuple[int, ...]) -> np.ndarray:
+    """Zero-pad the spatial axes by k//2 on each side. Built by hand:
+    ``np.pad``'s fixed cost is about a quarter of a small conv."""
     spatial = x.shape[1:]
-    if mode == "wrap":
-        for ax, (n, k) in enumerate(zip(spatial, kshape), start=1):
-            x = np.take(x, np.arange(-(k // 2), n + k // 2) % n, axis=ax)
-        return x
-    if mode != "constant":
-        raise ValueError(f"unknown pad mode {mode!r}")
     xp = np.zeros(x.shape[:1] + tuple(n + k - 1 for n, k in zip(spatial, kshape)), dtype=x.dtype)
     xp[(slice(None),) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(spatial, kshape))] = x
     return xp
@@ -144,7 +137,7 @@ def _pad_input(x: np.ndarray, kshape: tuple[int, ...], mode: str) -> np.ndarray:
 _GEMM_MACS = 1 << 18
 
 
-def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], pad_mode: str, macs_per_col: int):
+def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
     """im2col in bands of consecutive voxels of the flattened spatial grid.
 
     Yields ``(span, cols)``: ``span`` slices the flattened grid and ``cols``
@@ -158,7 +151,7 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], pad_mode: str, macs_pe
     trailing block keeps ``macs_per_col`` times the band's columns within
     ``_GEMM_MACS``, as many indices of it as fit (at least one).
     """
-    xp = _pad_input(x, kshape, pad_mode)
+    xp = _pad_input(x, kshape)
     s = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp, x.shape[:1] + tuple(kshape) + x.shape[1:], s[:1] + s[1:] + s[1:], writeable=False)
@@ -176,7 +169,7 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], pad_mode: str, macs_pe
             yield slice((i * n + r) * row, (i * n + min(r + step, n)) * row), cols.reshape(k, -1)
 
 
-def _correlate(x: np.ndarray, w: np.ndarray, pad_mode: str) -> np.ndarray:
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Channelled 'same' cross-correlation, out[o] = sum_i x[i] * w[o,i].
 
     One GEMM per im2col band: the columns are laid out [C_in, *k] by
@@ -185,7 +178,7 @@ def _correlate(x: np.ndarray, w: np.ndarray, pad_mode: str) -> np.ndarray:
     """
     w2 = w.reshape(w.shape[0], -1)
     out = np.empty((w.shape[0], x[0].size), dtype=np.result_type(x, w))
-    for span, cols in _im2col_bands(x, w.shape[2:], pad_mode, w2.size):
+    for span, cols in _im2col_bands(x, w.shape[2:], w2.size):
         np.matmul(w2, cols, out=out[:, span])
     return out.reshape(w.shape[:1] + x.shape[1:])
 
@@ -198,17 +191,17 @@ def conv_nd(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     spatial shape.
     """
     _check_conv_shapes(x.data, w.data, b.data)
-    out = _correlate(x.data, w.data, "constant")
+    out = _correlate(x.data, w.data)
     out += b.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
     return Tensor(out)
 
 
-def conv_input_grad(g: np.ndarray, w: np.ndarray, pad_mode: str = "constant") -> np.ndarray:
+def conv_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`conv_nd` in the input argument (w fixed)."""
     nk = w.ndim - 2
     flip = tuple(slice(None, None, -1) for _ in range(nk))
     w_t = np.ascontiguousarray(np.swapaxes(w, 0, 1)[(slice(None), slice(None)) + flip])
-    return _correlate(g, w_t, pad_mode)
+    return _correlate(g, w_t)
 
 
 def conv_weight_grad(x: np.ndarray, g: np.ndarray, kshape: tuple[int, ...]) -> np.ndarray:
@@ -217,7 +210,7 @@ def conv_weight_grad(x: np.ndarray, g: np.ndarray, kshape: tuple[int, ...]) -> n
     [voxels, C_out] slice, transposed to [C_out, C_in, *k] at the end."""
     g2 = g.reshape(g.shape[0], -1)
     gw_t = None
-    for span, cols in _im2col_bands(x, kshape, "constant", g2.shape[0] * x.shape[0] * math.prod(kshape)):
+    for span, cols in _im2col_bands(x, kshape, g2.shape[0] * x.shape[0] * math.prod(kshape)):
         part = cols @ g2[:, span].T
         gw_t = part if gw_t is None else np.add(gw_t, part, out=gw_t)
     return np.ascontiguousarray(gw_t.T).reshape(g.shape[:1] + x.shape[:1] + tuple(kshape))

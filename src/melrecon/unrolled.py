@@ -4,8 +4,9 @@ memory-efficient engine needs.
 
 The regularizer is z = x + c*G(x) with G a conv/relu chain on the 2-channel
 real view of the complex image and c in (0, 1). Contraction of c*G is
-enforced by post-step weight projection (power-iteration norm bound), making
-the residual layer invertible by fixed-point iteration. The DC layer solves
+enforced by post-step weight projection against a certified norm bound
+from the convs' per-frequency transfer matrices, making the residual layer
+invertible by fixed-point iteration. The DC layer solves
 (A^H A + mu I) x = A^H y + mu z with CG and is inverted in closed form by
 one application of the normal operator.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tape, apply_op, register_op
 from .mri import EncodingOperator
-from .tensor import Tensor, conv_input_grad, _correlate
+from .tensor import Tensor, _GEMM_MACS
 
 __all__ = [
     "RegularizerParams",
@@ -263,41 +264,98 @@ def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
 # --- contraction enforcement ----------------------------------------------------
 
 
-def conv_operator_norm(w: Tensor, probe_shape=None, iters: int = 20, seed: int = 0) -> float:
-    """Spectral norm of the circular-padding linearization of one conv layer,
-    estimated by power iteration on M^T M."""
-    wd = w.data
-    nk = wd.ndim - 2
+# Frequencies per chunk of transfer matrices, at most: a 16 -> 16 chunk of
+# H(f) or of its Gram is then 32 x [16, 16] complex, 131 kB, so a
+# projection's working set stays well under a megabyte.
+_FREQ_CHUNK = 32
+
+
+def _transfer_grams(w: np.ndarray, probe_shape=None):
+    """Gram matrices of the conv's transfer matrices on the probe grid, in
+    chunks of frequencies.
+
+    Circular (wrap-padded) cross-correlation with ``w`` [C_out, C_in, *k] on
+    ``probe_shape`` (16x16 in 2D, 8x8x8 in 3D unless given) is
+    block-diagonal in the DFT basis (Sedghi, Gupta & Long, ICLR 2019): at
+    frequency f it acts as H(f) = sum_t w[:, :, t]
+    exp(-2 pi i sum_d f_d t_d / n_d), t the tap offset from the kernel
+    centre. Its singular values are those of all H(f) together. A real
+    kernel has H(-f) = conj(H(f)), so the real-FFT half-grid (last axis
+    0..n//2) holds every one of them. Yields the Gram on the smaller side,
+    H^H H or H H^H, [F, m, m] with m = min(C_out, C_in).
+
+    A chunk's H is one real GEMM, [cos; sin] of the tap phases times
+    ``w`` as [taps, C_out*C_in]. Chunks hold at most ``_FREQ_CHUNK``
+    frequencies and keep that GEMM within the conv's ``_GEMM_MACS``, so it
+    runs on the calling thread (a complex GEMM of this size wakes
+    OpenBLAS's worker threads).
+    """
+    c_out, c_in = w.shape[:2]
+    kshape = w.shape[2:]
     if probe_shape is None:
-        probe_shape = (16, 16) if nk == 2 else (8, 8, 8)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((wd.shape[1],) + tuple(probe_shape))
-    v /= np.linalg.norm(v)
+        probe_shape = (16, 16) if len(kshape) == 2 else (8, 8, 8)
+    taps = np.stack(np.meshgrid(*[np.arange(k) - k // 2 for k in kshape], indexing="ij"), -1).reshape(-1, len(kshape))
+    phase = -2 * np.pi * taps.T / np.asarray(probe_shape, dtype=float)[:, None]  # [ndim, taps]
+    w_t = w.reshape(c_out * c_in, -1).T
+    half = tuple(probe_shape[:-1]) + (probe_shape[-1] // 2 + 1,)
+    freqs = np.stack(np.meshgrid(*[np.arange(n) for n in half], indexing="ij"), -1).reshape(-1, len(half))
+    step = max(1, min(_FREQ_CHUNK, _GEMM_MACS // (2 * w.size)))
+    for lo in range(0, len(freqs), step):
+        ang = freqs[lo: lo + step] @ phase
+        n = len(ang)
+        cs = np.concatenate([np.cos(ang), np.sin(ang)]) @ w_t
+        h = np.empty((n, c_out, c_in), dtype=complex)
+        h.real[...], h.imag[...] = cs.reshape(2, n, c_out, c_in)
+        del cs
+        hh = np.conj(np.swapaxes(h, 1, 2))
+        g = hh @ h if c_in <= c_out else h @ hh
+        del h, hh  # only the Gram stays alive while the caller reduces it
+        yield g
+
+
+def conv_operator_norm(w: Tensor, probe_shape=None) -> float:
+    """Spectral norm of one conv layer as a circular conv on the probe grid
+    (16x16 in 2D, 8x8x8 in 3D unless given): sqrt of the largest eigenvalue
+    of the transfer matrices' Grams, raised by a relative 1e-12 so rounding
+    in ``eigvalsh`` cannot bring it below the exact norm."""
     lam = 0.0
-    for _ in range(iters):
-        u = _correlate(v, wd, "wrap")
-        v = conv_input_grad(u, wd, "wrap")
-        lam = float(np.linalg.norm(v))
-        if lam == 0.0:
-            return 0.0
-        v /= lam
-    return float(np.sqrt(lam))
+    for g in _transfer_grams(w.data, probe_shape):
+        lam = max(lam, float(np.linalg.eigvalsh(g)[:, -1].max()))
+    return float(np.sqrt(lam * (1 + 1e-12)))
 
 
-def lipschitz_bound(params: RegularizerParams, iters: int = 20) -> float:
-    """c * prod of per-layer conv spectral norms (ReLU is 1-Lipschitz)."""
-    prod = 1.0
-    for w in params.weights:
-        prod *= conv_operator_norm(w, iters=iters)
-    return params.contraction * prod
+def _frobenius_norm_bound(w: np.ndarray) -> float:
+    """sqrt(max_f ||G(f)||_F) >= the layer's norm on the default probe grid:
+    the Frobenius norm of a Hermitian PSD Gram bounds its top eigenvalue
+    (one step of Gram iteration, Delattre et al., ICML 2023). Costs no
+    eigendecomposition."""
+    fro2 = 0.0
+    for g in _transfer_grams(w):
+        fro2 = max(fro2, float((g.real ** 2 + g.imag ** 2).sum(axis=(1, 2)).max()))
+    return float(fro2 ** 0.25)
 
 
-def project_weights(params: RegularizerParams, threshold: float = 0.95, target: float = 0.9,
-                    iters: int = 20) -> RegularizerParams:
+def lipschitz_bound(params: RegularizerParams) -> float:
+    """c * prod of per-layer conv spectral norms (ReLU is 1-Lipschitz), each
+    :func:`conv_operator_norm` on the default probe grid. A 'same'
+    zero-padded conv on an image of up to probe - k + 1 voxels per axis is a
+    restriction of that circular conv, so the bound holds there; on larger
+    images it is not certified."""
+    return params.contraction * float(np.prod([conv_operator_norm(w) for w in params.weights]))
+
+
+def project_weights(params: RegularizerParams, threshold: float = 0.95, target: float = 0.9) -> RegularizerParams:
     """Rescale all conv weights uniformly so the residual-branch Lipschitz
     bound drops to ``target`` whenever it is at or above ``threshold``;
-    otherwise return the params unchanged (idempotent no-op)."""
-    bound = lipschitz_bound(params, iters=iters)
+    otherwise return the params unchanged (idempotent no-op).
+
+    First checks the cheap upper bound c * prod sqrt(max_f ||G(f)||_F);
+    only when that reaches ``threshold`` does it compute the exact
+    :func:`lipschitz_bound` and rescale by it."""
+    cert = params.contraction * float(np.prod([_frobenius_norm_bound(w.data) for w in params.weights]))
+    if cert < threshold:
+        return params
+    bound = lipschitz_bound(params)
     if bound < threshold:
         return params
     f = (target / bound) ** (1.0 / params.layers)

@@ -104,3 +104,26 @@ def conv_circular_norm_exact(w: np.ndarray, spatial: tuple[int, ...]) -> float:
         m = h[(slice(None), slice(None)) + f]
         smax = max(smax, float(np.linalg.svd(m, compute_uv=False)[0]))
     return smax
+
+
+def poisson_darts_scan(shape, calib, rng_order, min_dist, scale):
+    """One Poisson-disk dart-throwing pass that tests each candidate against
+    every accepted point; returns the accepted 0/1 mask."""
+    w = shape[1]
+    mask = np.zeros(shape)
+    mask[tuple(slice(n // 2 - c // 2, n // 2 - c // 2 + c) for n, c in zip(shape, calib))] = 1.0
+    pts = np.argwhere(mask > 0).astype(float)
+    ai, aj = pts[:, 0], pts[:, 1]
+    for flat in rng_order:
+        i, j = divmod(int(flat), w)
+        if mask[i, j]:
+            continue
+        d = min_dist[i, j] * scale
+        if ai.size:
+            dd = (ai - i) ** 2 + (aj - j) ** 2
+            if dd.min() < d * d:
+                continue
+        mask[i, j] = 1.0
+        ai = np.append(ai, i)
+        aj = np.append(aj, j)
+    return mask

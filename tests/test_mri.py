@@ -18,7 +18,7 @@ from melrecon.mri import (
 )
 from melrecon.tensor import Tensor, fft_centered, norm2
 
-from oracles import dense_matrix_of, dft_centered_direct
+from oracles import dense_matrix_of, dft_centered_direct, poisson_darts_scan
 
 
 def crandn(rng, *shape):
@@ -194,6 +194,38 @@ def test_poisson_calib_region_fully_sampled():
 def test_poisson_infeasible_calib():
     with pytest.raises(ValueError):
         make_poisson_disk_mask((16, 16), 8.0, calib=(16, 16), seed=0)
+
+
+@pytest.mark.parametrize(
+    "shape,calib,r0",
+    [
+        ((24, 24), (6, 6), 0.25),  # the training benchmark's grid
+        ((15, 17), (4, 4), 0.25),
+        ((20, 13), (20, 3), 0.5),  # calib spans the first axis
+        ((33, 21), (5, 21), 0.3),  # calib spans the second axis
+        ((16, 16), (16, 16), 0.25),  # calib is the whole grid
+        ((9, 31), (0, 0), 0.25),  # no calib
+    ],
+    ids=["train_grid", "odd", "calib_spans_rows", "calib_spans_cols", "calib_whole_grid", "no_calib"],
+)
+def test_poisson_darts_match_scan(shape, calib, r0):
+    rng = np.random.default_rng(sum(shape))
+    order = rng.permutation(shape[0] * shape[1])
+    min_dist = 1.0 + mri._radius_grid(shape) / r0
+    for radius in (1.5, 2.3, 3.0, 4.7, 8.0):
+        scale = radius / min_dist.max()
+        want = poisson_darts_scan(shape, calib, order, min_dist, scale)
+        assert np.array_equal(mri._poisson_darts(shape, calib, order, min_dist, scale), want)
+
+
+@pytest.mark.parametrize("shape,accel,calib,seed", [((24, 24), 3.0, (6, 6), 103), ((128, 128), 4.0, (8, 8), 109)],
+                         ids=["train_24x24_r3", "recon_128x128_r4"])
+def test_poisson_mask_matches_scan_passes(monkeypatch, shape, accel, calib, seed):
+    # the benchmark's mask configs, through every bisection step
+    got = make_poisson_disk_mask(shape, accel, calib=calib, seed=seed)
+    monkeypatch.setattr(mri, "_poisson_darts", poisson_darts_scan)
+    want = make_poisson_disk_mask(shape, accel, calib=calib, seed=seed)
+    assert np.array_equal(got.data, want.data)
 
 
 # --- k-t masks ------------------------------------------------------------------

@@ -219,14 +219,13 @@ def test_conv_bands_match_one_band(monkeypatch, spatial, kshape, band_macs, n_ba
     g = rng.standard_normal((3,) + spatial)
 
     def kernels():
-        return (conv_nd(Tensor(x), Tensor(w), Tensor(b)).data, conv_input_grad(g, w), conv_input_grad(g, w, "wrap"),
-                conv_weight_grad(x, g, kshape))
+        return (conv_nd(Tensor(x), Tensor(w), Tensor(b)).data, conv_input_grad(g, w), conv_weight_grad(x, g, kshape))
 
     monkeypatch.setattr(tensor_mod, "_GEMM_MACS", 1 << 62)
     whole = kernels()
     monkeypatch.setattr(tensor_mod, "_GEMM_MACS", band_macs)
     banded = kernels()
-    spans = [span for span, _ in tensor_mod._im2col_bands(x, kshape, "constant", w.size)]
+    spans = [span for span, _ in tensor_mod._im2col_bands(x, kshape, w.size)]
     assert len(spans) == n_bands
     assert np.array_equal(np.concatenate([np.arange(x[0].size)[s] for s in spans]), np.arange(x[0].size))
     want = conv_same_loops(x, w, b)
