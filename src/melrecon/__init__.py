@@ -5,16 +5,12 @@ layer inversion."""
 from .tensor import (
     Tensor,
     MemoryLedger,
-    fft_centered,
-    ifft_centered,
     conv_nd,
     relu,
     add,
     scale,
     complex_to_channels,
     channels_to_complex,
-    inner_product,
-    norm2,
     melt_read,
     melt_write,
 )

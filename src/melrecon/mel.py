@@ -87,14 +87,16 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
 
     Requires contractive (projected) weights; a fixed-point failure aborts
     with the offending unroll index rather than falling back to stored
-    activations. The sweep ends at a recovered x_0 whose true value,
-    A^H y, is known, so every call records the relative gap between them as
-    ``x0_drift`` (one extra adjoint). The drift is recorded, not enforced.
+    activations. A^H y is formed once, for every DC inversion and for the
+    end of the sweep: there the recovered x_0 is compared with its true
+    value, A^H y, and the relative gap is recorded as ``x0_drift``. The
+    drift is recorded, not enforced.
     """
     t0 = time.perf_counter()
     ledger = MemoryLedger()
 
     x_n = modl_forward(net, op, y)  # no gradients recorded
+    aty = op.adjoint(y)
 
     # seed gradient from the loss at the network output
     loss_tape = Tape(ledger)
@@ -107,7 +109,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     grads: dict[str, np.ndarray] = {}
     leaves = net.named_leaves()
     for n in range(net.n_unrolls - 1, -1, -1):
-        z = dc_invert(op, y, x_n, net.mu)
+        z = dc_invert(op, aty, x_n, net.mu)
         try:
             x_prev = regularizer_invert(net.reg, z, tol=invert_tol)
         except FixedPointDivergence as e:
@@ -129,7 +131,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
         tape.dispose()
         x_n = x_prev
 
-    x0 = op.adjoint(y).data
+    x0 = aty.data
     x0_drift = float(np.linalg.norm(x_n.data - x0) / max(np.linalg.norm(x0), 1e-300))
     return GradientResult(
         {k: Tensor(v) for k, v in grads.items()},

@@ -13,6 +13,13 @@ a_k = exp(2 pi i k m/n) exp(-2 pi i m^2/n) and b_j = exp(2 pi i j m/n)
 and b into one [H, W] image modulation once, at construction, so every
 application is a modulation, a plain FFT and a mask product.
 
+Each call holds one coil-sized [C, *image] temporary. The adjoint makes
+one masked copy of its k-space input and the normal operator reuses the
+forward's output; both then run the inverse FFT, the map product and the
+coil sum in place on that buffer. The coil sum uses
+sum_c conj(S_c) I_c = conj(sum_c S_c conj(I_c)), so no conjugate copy of
+the maps is made.
+
 Also here: Poisson-disk and k-t sampling-mask generators, smooth synthetic
 coil maps, ellipse phantoms, and dataset construction/persistence on top of
 the MELT tensor format.
@@ -97,9 +104,15 @@ class EncodingOperator:
     The centering of F is folded in at construction (see the module
     docstring): the output-side factor into a phased copy of the mask, the
     input-side factor into an [H, W] image modulation, so the operator keeps
-    O(H*W) state of its own and no copy of the coil maps. The mask is
-    snapshotted then; changing ``mask.data`` afterwards does not change the
-    operator. ``mask`` and ``sens`` stay public and unshifted.
+    O(H*W) state of its own (the factors, and on odd grids their
+    conjugates) and no copy of the coil maps. The mask is snapshotted then;
+    changing ``mask.data`` afterwards does not change the operator.
+    ``mask`` and ``sens`` stay public and unshifted.
+
+    ``_normal`` calls ``_forward`` and runs the adjoint's steps in place on
+    the buffer it returns, so one call holds one coil-sized temporary;
+    ``_adjoint`` holds its one masked copy of y. The coil sum is formed as
+    conj(sum_c S_c conj(I_c)), which equals sum_c conj(S_c) I_c exactly.
     """
 
     def __init__(self, mask: SamplingMask, sens: SensitivityMaps):
@@ -117,6 +130,9 @@ class EncodingOperator:
         (a_h, b_h), (a_w, b_w) = (_centering_factors(n) for n in self.image_shape[-2:])
         self._kmask = mask.data * np.outer(a_h, a_w)  # a (x) M, [*image]
         self._phase = np.outer(b_h, b_w)  # b, [H, W]
+        # ndarray.conj() of a real array is that array: no copy on even grids
+        self._kmask_conj = self._kmask.conj()
+        self._phase_conj = self._phase.conj()
 
     @property
     def coils(self) -> int:
@@ -135,13 +151,28 @@ class EncodingOperator:
         k *= self._kmask
         return k
 
+    def _adjoint_tail(self, k: np.ndarray) -> np.ndarray:
+        """A^H after its mask product, on coil k-space ``k`` already
+        multiplied by conj(a (x) M). Consumes ``k``: every coil-sized step
+        runs in place on it."""
+        img = sfft.ifftn(k, axes=_FFT_AXES, norm="ortho", overwrite_x=True)
+        np.conjugate(img, out=img)
+        img *= self._maps(img.ndim)
+        x = img.sum(axis=0)
+        np.conjugate(x, out=x)
+        x *= self._phase_conj
+        return x
+
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
-        img = sfft.ifftn(y * np.conj(self._kmask), axes=_FFT_AXES, norm="ortho", overwrite_x=True)
-        img *= np.conj(self._maps(img.ndim))
-        return np.conj(self._phase) * img.sum(axis=0)
+        return self._adjoint_tail(y * self._kmask_conj)
 
     def _normal(self, x: np.ndarray, mu: float) -> np.ndarray:
-        return self._adjoint(self._forward(x)) + mu * x
+        k = self._forward(x)
+        k *= self._kmask_conj  # not one |a (x) M|^2 product: keeps _adjoint(_forward(x))'s arithmetic
+        out = self._adjoint_tail(k)
+        del k  # the coil-sized buffer goes before mu * x is formed
+        out += mu * x
+        return out
 
     # wrapped contract surface
 

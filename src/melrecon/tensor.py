@@ -1,5 +1,5 @@
-"""One dense tensor type, centered unitary FFTs, N-d convolution, and
-byte-accurate allocation accounting.
+"""One dense tensor type, N-d convolution, and byte-accurate allocation
+accounting.
 
 Everything here is gradient-free. A :class:`Tensor` is a float64 or
 complex128 array (the dtype is the only real/complex distinction) with a
@@ -22,16 +22,12 @@ import numpy as np
 __all__ = [
     "Tensor",
     "MemoryLedger",
-    "fft_centered",
-    "ifft_centered",
     "conv_nd",
     "relu",
     "add",
     "scale",
     "complex_to_channels",
     "channels_to_complex",
-    "inner_product",
-    "norm2",
     "melt_write",
     "melt_read",
 ]
@@ -71,39 +67,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, alloc_id={self.alloc_id})"
-
-
-def _fft_axes(x: Tensor, dims) -> tuple[int, ...]:
-    if dims is None:
-        dims = tuple(range(x.data.ndim))
-    axes = tuple(int(d) for d in dims)
-    if not axes:
-        raise ValueError("fft dims must be non-empty")
-    for a in axes:
-        if a < -x.data.ndim or a >= x.data.ndim:
-            raise ValueError(f"fft axis {a} out of range for rank {x.data.ndim}")
-    return axes
-
-
-def fft_centered(x: Tensor, dims=None) -> Tensor:
-    """Centered orthonormal DFT over ``dims`` (all axes if None).
-
-    The convention is ifftshift -> fft(norm="ortho") -> fftshift, i.e. both
-    the image-space and k-space origins sit at index n//2. Unitary, so the
-    l2 norm is preserved and ``ifft_centered`` is the exact inverse/adjoint.
-    """
-    axes = _fft_axes(x, dims)
-    d = np.fft.ifftshift(x.data, axes=axes)
-    d = np.fft.fftn(d, axes=axes, norm="ortho")
-    return Tensor(np.fft.fftshift(d, axes=axes))
-
-
-def ifft_centered(x: Tensor, dims=None) -> Tensor:
-    """Inverse of :func:`fft_centered` (also its adjoint)."""
-    axes = _fft_axes(x, dims)
-    d = np.fft.ifftshift(x.data, axes=axes)
-    d = np.fft.ifftn(d, axes=axes, norm="ortho")
-    return Tensor(np.fft.fftshift(d, axes=axes))
 
 
 def _check_conv_shapes(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -242,18 +205,6 @@ def channels_to_complex(x: Tensor) -> Tensor:
     if x.shape[0] != 2:
         raise ValueError(f"expected 2 leading channels, got {x.shape[0]}")
     return Tensor(x.data[0] + 1j * x.data[1])
-
-
-def inner_product(x: Tensor, y: Tensor):
-    """<x, y> = sum(conj(x) * y); complex for complex tensors, float otherwise."""
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch in inner_product: {x.shape} vs {y.shape}")
-    v = np.vdot(x.data, y.data)
-    return complex(v) if np.iscomplexobj(x.data) or np.iscomplexobj(y.data) else float(v.real)
-
-
-def norm2(x: Tensor) -> float:
-    return float(np.linalg.norm(x.data.reshape(-1)))
 
 
 @dataclass

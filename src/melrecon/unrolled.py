@@ -184,11 +184,13 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
 def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: float,
                     n_iter: int, exit_rel: float = 1e-12, residuals: list | None = None) -> np.ndarray:
     """CG on (A^H A + mu I) x = rhs from x0; fixed iteration count with an
-    early exit at relative residual ``exit_rel``. Deterministic."""
-    x = np.array(x0)
+    early exit at relative residual ``exit_rel``. Deterministic. An all-zero
+    x0 starts from r = rhs without applying the normal operator; x, r and p
+    are updated in place."""
+    x = np.array(x0, dtype=np.complex128)
     rhs_norm = float(np.linalg.norm(rhs))
-    r = rhs - op._normal(x, mu)
-    p = np.array(r)
+    r = rhs - op._normal(x, mu) if x.any() else np.array(rhs, dtype=np.complex128)
+    p = r.copy()
     rs = float(np.vdot(r, r).real)
     if residuals is not None:
         residuals.append(np.sqrt(rs))
@@ -197,18 +199,26 @@ def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: f
             break
         mp = op._normal(p, mu)
         alpha = rs / float(np.vdot(p, mp).real)
-        x = x + alpha * p
-        r = r - alpha * mp
+        x += alpha * p
+        r -= alpha * mp
         rs_new = float(np.vdot(r, r).real)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
         if residuals is not None:
             residuals.append(np.sqrt(rs))
     return x
 
 
-def _dc_solve_forward(z: Tensor, op, y, mu, n_cg, exit_rel) -> Tensor:
-    rhs = op._adjoint(y) + mu * z.data
+def _check_aty(op: EncodingOperator, aty: Tensor, mu: float) -> None:
+    if mu <= 0:
+        raise ValueError(f"mu must be > 0, got {mu}")
+    if aty.shape != op.image_shape:
+        raise ValueError(f"A^H y shape {aty.shape} != operator image shape {op.image_shape}")
+
+
+def _dc_solve_forward(z: Tensor, op, aty, mu, n_cg, exit_rel) -> Tensor:
+    rhs = aty + mu * z.data
     return Tensor(cg_solve_normal(op, rhs, z.data, mu, n_cg, exit_rel=exit_rel))
 
 
@@ -219,25 +229,28 @@ def _dc_solve_vjp(saved, attrs, g):
 register_op("dc_solve", _dc_solve_forward, _dc_solve_vjp)
 
 
-def dc_forward(op: EncodingOperator, y: Tensor, z: Tensor, mu: float,
+def dc_forward(op: EncodingOperator, aty: Tensor, z: Tensor, mu: float,
                n_cg: int, tape: Tape | None = None, exit_rel: float = 1e-12) -> Tensor:
     """Data-consistency update: approximately solve
     (A^H A + mu I) x = A^H y + mu z by CG initialized at z.
 
-    On a tape this is a single implicit node that saves nothing; its VJP is
-    :func:`dc_vjp` in both gradient engines.
+    Takes the image A^H y (``op.adjoint(y)``), not the k-space data y, so a
+    caller that runs several DC layers on one case forms it once; any other
+    shape raises ``ValueError``. On a tape this is a single implicit node
+    that saves nothing; its VJP is :func:`dc_vjp` in both gradient engines.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    return _ap(tape, "dc_solve", z, op=op, y=y.data, mu=mu, n_cg=n_cg, exit_rel=exit_rel)
+    _check_aty(op, aty, mu)
+    return _ap(tape, "dc_solve", z, op=op, aty=aty.data, mu=mu, n_cg=n_cg, exit_rel=exit_rel)
 
 
-def dc_invert(op: EncodingOperator, y: Tensor, x_next: Tensor, mu: float) -> Tensor:
+def dc_invert(op: EncodingOperator, aty: Tensor, x_next: Tensor, mu: float) -> Tensor:
     """Exact inverse of the converged DC update:
-    z = (1/mu) * ((A^H A + mu I) x_next - A^H y)."""
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    return Tensor((op._normal(x_next.data, mu) - op._adjoint(y.data)) / mu)
+    z = (1/mu) * ((A^H A + mu I) x_next - A^H y).
+
+    Takes the image A^H y, as :func:`dc_forward` does; any other shape
+    raises ``ValueError``."""
+    _check_aty(op, aty, mu)
+    return Tensor((op._normal(x_next.data, mu) - aty.data) / mu)
 
 
 def dc_vjp(op: EncodingOperator, seed: Tensor, mu: float, n_cg: int,
@@ -252,12 +265,14 @@ def dc_vjp(op: EncodingOperator, seed: Tensor, mu: float, n_cg: int,
 def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
                  tape: Tape | None = None) -> Tensor:
     """N alternations of regularizer and DC from the zero-filled init
-    x_0 = A^H y. Recording is value-transparent: the taped and untaped paths
-    run the identical arithmetic."""
-    x = op.adjoint(y)
+    x_0 = A^H y. A^H y is formed once and is also the right-hand-side term
+    of every DC layer. Recording is value-transparent: the taped and untaped
+    paths run the identical arithmetic."""
+    aty = op.adjoint(y)
+    x = aty
     for _ in range(net.n_unrolls):
         z = regularizer_forward(net.reg, x, tape)
-        x = dc_forward(op, y, z, net.mu, net.n_cg, tape, exit_rel=net.cg_exit)
+        x = dc_forward(op, aty, z, net.mu, net.n_cg, tape, exit_rel=net.cg_exit)
     return x
 
 

@@ -7,6 +7,8 @@ paths it checks.
 
 import numpy as np
 
+from melrecon.tensor import Tensor
+
 
 def dft_centered_direct(x: np.ndarray, axes=None) -> np.ndarray:
     """Centered orthonormal DFT by direct O(n^2) summation per axis."""
@@ -20,6 +22,52 @@ def dft_centered_direct(x: np.ndarray, axes=None) -> np.ndarray:
         f = np.exp(-2j * np.pi * np.outer(k - c, k - c) / n) / np.sqrt(n)
         out = np.moveaxis(np.tensordot(f, np.moveaxis(out, ax, 0), axes=(1, 0)), 0, ax)
     return out
+
+
+def _fft_axes(x: Tensor, dims) -> tuple[int, ...]:
+    if dims is None:
+        dims = tuple(range(x.data.ndim))
+    axes = tuple(int(d) for d in dims)
+    if not axes:
+        raise ValueError("fft dims must be non-empty")
+    for a in axes:
+        if a < -x.data.ndim or a >= x.data.ndim:
+            raise ValueError(f"fft axis {a} out of range for rank {x.data.ndim}")
+    return axes
+
+
+def fft_centered(x: Tensor, dims=None) -> Tensor:
+    """Centered orthonormal DFT over ``dims`` (all axes if None), by numpy's
+    FFT between shifts: the shifted reference for the shift-free operator.
+
+    The convention is ifftshift -> fft(norm="ortho") -> fftshift, i.e. both
+    the image-space and k-space origins sit at index n//2. Unitary, so the
+    l2 norm is preserved and ``ifft_centered`` is the exact inverse/adjoint.
+    """
+    axes = _fft_axes(x, dims)
+    d = np.fft.ifftshift(x.data, axes=axes)
+    d = np.fft.fftn(d, axes=axes, norm="ortho")
+    return Tensor(np.fft.fftshift(d, axes=axes))
+
+
+def ifft_centered(x: Tensor, dims=None) -> Tensor:
+    """Inverse of :func:`fft_centered` (also its adjoint)."""
+    axes = _fft_axes(x, dims)
+    d = np.fft.ifftshift(x.data, axes=axes)
+    d = np.fft.ifftn(d, axes=axes, norm="ortho")
+    return Tensor(np.fft.fftshift(d, axes=axes))
+
+
+def inner_product(x: Tensor, y: Tensor):
+    """<x, y> = sum(conj(x) * y); complex for complex tensors, float otherwise."""
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch in inner_product: {x.shape} vs {y.shape}")
+    v = np.vdot(x.data, y.data)
+    return complex(v) if np.iscomplexobj(x.data) or np.iscomplexobj(y.data) else float(v.real)
+
+
+def norm2(x: Tensor) -> float:
+    return float(np.linalg.norm(x.data.reshape(-1)))
 
 
 def conv_same_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

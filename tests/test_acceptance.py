@@ -19,7 +19,7 @@ from melrecon.mri import (
     make_poisson_disk_mask,
     make_sensitivities,
 )
-from melrecon.tensor import Tensor, fft_centered
+from melrecon.tensor import Tensor
 from melrecon.train import AdamState, cg_sense, psnr, train_steps, zero_filled
 from melrecon.unrolled import (
     RegularizerParams,
@@ -34,7 +34,7 @@ from melrecon.unrolled import (
 )
 from melrecon.cli import max_feasible_unrolls
 
-from oracles import dense_matrix_of, dft_centered_direct, central_diff
+from oracles import dense_matrix_of, dft_centered_direct, central_diff, fft_centered
 
 
 def report(num: int, ok: bool, detail: str):
@@ -157,8 +157,8 @@ def test_criterion_4_inversion_fidelity():
         mu = 0.3
         y = Tensor(op._forward(crandn(rng, 12, 12)))
         z0 = Tensor(crandn(rng, 12, 12))
-        xx = dc_forward(op, y, z0, mu, n_cg=400, exit_rel=1e-14)
-        zb = dc_invert(op, y, xx, mu)
+        xx = dc_forward(op, op.adjoint(y), z0, mu, n_cg=400, exit_rel=1e-14)
+        zb = dc_invert(op, op.adjoint(y), xx, mu)
         worst_dc = max(worst_dc, float(np.linalg.norm(zb.data - z0.data) / np.linalg.norm(z0.data)))
     ok = worst_reg <= 1e-7 and worst_dc <= 1e-7
     report(4, ok,

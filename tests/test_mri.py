@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,9 @@ from melrecon.mri import (
     make_sensitivities,
     save_dataset,
 )
-from melrecon.tensor import Tensor, fft_centered, norm2
+from melrecon.tensor import Tensor
 
-from oracles import dense_matrix_of, dft_centered_direct, poisson_darts_scan
+from oracles import dense_matrix_of, dft_centered_direct, fft_centered, norm2, poisson_darts_scan
 
 
 def crandn(rng, *shape):
@@ -154,6 +156,47 @@ def test_operator_matches_direct_dft_off_even_grids(kind):
     lhs = np.vdot(v, y)
     rhs = np.vdot(op._adjoint(v), x)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("kind", ["even_24", "even_32x16", "kt_cine", "odd_odd", "even_odd"])
+def test_normal_equals_adjoint_of_forward(kind):
+    # the normal runs the adjoint's tail in place on the forward's output;
+    # on even grids the arithmetic is that of the two calls, bit for bit
+    rng = np.random.default_rng(11)
+    if kind == "kt_cine":
+        mask = make_kt_mask((16, 16), frames=4, accel=4.0, seed=12)
+    else:
+        shape = {"even_24": (24, 24), "even_32x16": (32, 16), "odd_odd": (15, 17), "even_odd": (16, 15)}[kind]
+        mask = SamplingMask((rng.random(shape) < 0.4).astype(float), 2.5, (0, 0))
+    op = EncodingOperator(mask, make_sensitivities(mask.shape[-2:], 3, seed=13))
+    x = crandn(rng, *mask.shape)
+    mu = 0.3
+    got = op._normal(x, mu)
+    want = op._adjoint(op._forward(x)) + mu * x
+    if kind in ("odd_odd", "even_odd"):
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method", ["_normal", "_adjoint"])
+def test_operator_call_holds_one_coil_sized_buffer(method):
+    # 128x128 with 8 coils: one [C, H, W] complex buffer is 2 MB; the call
+    # may add image-sized temporaries but no second coil-sized one
+    rng = np.random.default_rng(14)
+    mask = SamplingMask((rng.random((128, 128)) < 0.25).astype(float), 4.0, (0, 0))
+    op = EncodingOperator(mask, make_sensitivities((128, 128), 8, seed=15))
+    x = crandn(rng, 128, 128)
+    arg = (x, 0.05) if method == "_normal" else (op._forward(x),)
+    fn = getattr(op, method)
+    fn(*arg)  # warm the FFT plan cache
+    tracemalloc.start()
+    try:
+        fn(*arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 128 * 128 * 16
 
 
 # --- poisson-disk masks --------------------------------------------------------

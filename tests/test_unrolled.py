@@ -6,7 +6,7 @@ import pytest
 from melrecon import autodiff
 from melrecon.autodiff import Tape
 from melrecon.mri import EncodingOperator, SamplingMask, make_poisson_disk_mask, make_sensitivities
-from melrecon.tensor import Tensor, norm2
+from melrecon.tensor import Tensor
 from melrecon.unrolled import (
     FixedPointDivergence,
     RegularizerParams,
@@ -24,7 +24,7 @@ from melrecon.unrolled import (
     residual_branch,
 )
 
-from oracles import conv_circular_norm_exact, dense_matrix_of
+from oracles import conv_circular_norm_exact, dense_matrix_of, norm2
 
 
 def crandn(rng, *shape):
@@ -160,7 +160,7 @@ def test_dc_full_mask_closed_form():
     mu = 0.2
     y = Tensor(op._forward(crandn(rng, 8, 8)))
     z = Tensor(crandn(rng, 8, 8))
-    got = dc_forward(op, y, z, mu, n_cg=50)
+    got = dc_forward(op, op.adjoint(y), z, mu, n_cg=50)
     want = (op._adjoint(y.data) + mu * z.data) / (1 + mu)
     assert np.linalg.norm(got.data - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -170,7 +170,7 @@ def test_dc_consistent_fixed_point():
     op = random_op(seed=10)
     xstar = crandn(rng, 8, 8)
     y = Tensor(op._forward(xstar))
-    got = dc_forward(op, y, Tensor(xstar), mu=0.1, n_cg=50)
+    got = dc_forward(op, op.adjoint(y), Tensor(xstar), mu=0.1, n_cg=50)
     assert np.linalg.norm(got.data - xstar) <= 1e-10 * np.linalg.norm(xstar)
 
 
@@ -180,7 +180,7 @@ def test_dc_matches_dense_solve_30_iters():
     mu = 0.05
     y = Tensor(op._forward(crandn(rng, 8, 8)) * 0.7 + 0.1 * crandn(rng, 2, 8, 8) * op.mask.data)
     z = Tensor(crandn(rng, 8, 8))
-    got = dc_forward(op, y, z, mu, n_cg=30)
+    got = dc_forward(op, op.adjoint(y), z, mu, n_cg=30)
     n = dense_matrix_of(lambda v: op._normal(v, mu), (8, 8))
     rhs = (op._adjoint(y.data) + mu * z.data).reshape(-1)
     want = np.linalg.solve(n, rhs).reshape(8, 8)
@@ -215,8 +215,8 @@ def test_dc_invert_roundtrip_tight_cg():
     mu = 0.05
     y = Tensor(op._forward(crandn(rng, 8, 8)))
     z = Tensor(crandn(rng, 8, 8))
-    x = dc_forward(op, y, z, mu, n_cg=300)
-    back = dc_invert(op, y, x, mu)
+    x = dc_forward(op, op.adjoint(y), z, mu, n_cg=300)
+    back = dc_invert(op, op.adjoint(y), x, mu)
     assert np.linalg.norm(back.data - z.data) <= 5e-8 * np.linalg.norm(z.data)
 
 
@@ -226,7 +226,7 @@ def test_dc_invert_full_mask_closed_form():
     mu = 0.3
     y = Tensor(op._forward(crandn(rng, 8, 8)))
     xn = Tensor(crandn(rng, 8, 8))
-    got = dc_invert(op, y, xn, mu)
+    got = dc_invert(op, op.adjoint(y), xn, mu)
     want = ((1 + mu) * xn.data - op._adjoint(y.data)) / mu
     assert np.linalg.norm(got.data - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -236,7 +236,7 @@ def test_dc_invert_consistent_fixed_point():
     op = random_op(seed=16)
     xstar = crandn(rng, 8, 8)
     y = Tensor(op._forward(xstar))
-    z = dc_invert(op, y, Tensor(xstar), mu=0.1)
+    z = dc_invert(op, op.adjoint(y), Tensor(xstar), mu=0.1)
     assert np.linalg.norm(z.data - xstar) <= 1e-9 * np.linalg.norm(xstar)
 
 
@@ -244,7 +244,7 @@ def test_dc_invert_rejects_nonpositive_mu():
     op = full_op()
     t = Tensor(np.zeros((8, 8), dtype=complex))
     with pytest.raises(ValueError):
-        dc_invert(op, Tensor(np.zeros((2, 8, 8), dtype=complex)), t, mu=0.0)
+        dc_invert(op, Tensor(np.zeros((8, 8), dtype=complex)), t, mu=0.0)
 
 
 def test_dc_vjp_full_mask_scalar():
@@ -276,11 +276,43 @@ def test_dc_vjp_matches_directional_finite_difference():
     z = crandn(rng, 6, 6)
     v = crandn(rng, 6, 6)
     h = 1e-6
-    fp = dc_forward(op, y, Tensor(z + h * v), mu, n_cg=200).data
-    fm = dc_forward(op, y, Tensor(z - h * v), mu, n_cg=200).data
+    fp = dc_forward(op, op.adjoint(y), Tensor(z + h * v), mu, n_cg=200).data
+    fm = dc_forward(op, op.adjoint(y), Tensor(z - h * v), mu, n_cg=200).data
     jv = (fp - fm) / (2 * h)
     want = dc_vjp(op, Tensor(v), mu, n_cg=200).data
     assert np.linalg.norm(jv - want) <= 1e-5 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n_cg", [1, 3, 7])
+def test_dc_vjp_from_zero_applies_the_normal_n_cg_times(monkeypatch, n_cg):
+    # CG from x0 = 0 starts at r = rhs; only the iterations apply A^H A + mu I
+    rng = np.random.default_rng(19)
+    op = random_op(seed=20)
+    calls = []
+    real = EncodingOperator._normal
+
+    def spy(self, x, mu):
+        calls.append(np.array(x))
+        return real(self, x, mu)
+
+    monkeypatch.setattr(EncodingOperator, "_normal", spy)
+    dc_vjp(op, Tensor(crandn(rng, 8, 8)), 0.05, n_cg=n_cg)
+    assert len(calls) == n_cg
+    assert all(c.any() for c in calls)
+
+
+def test_dc_layers_reject_kspace_data():
+    # the DC layers take A^H y; k-space y would otherwise broadcast silently
+    rng = np.random.default_rng(21)
+    op = random_op(seed=22)
+    y = Tensor(op._forward(crandn(rng, 8, 8)))
+    z = Tensor(crandn(rng, 8, 8))
+    with pytest.raises(ValueError, match="A\\^H y shape"):
+        dc_forward(op, y, z, 0.1, n_cg=5)
+    with pytest.raises(ValueError, match="A\\^H y shape"):
+        dc_invert(op, y, z, 0.1)
+    with pytest.raises(ValueError, match="A\\^H y shape"):
+        dc_forward(op, Tensor(crandn(rng, 8, 6)), z, 0.1, n_cg=5)
 
 
 # --- full unrolled forward ----------------------------------------------------------
