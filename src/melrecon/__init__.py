@@ -20,7 +20,6 @@ from .mri import (
     Dataset,
     EncodingOperator,
     SamplingMask,
-    SensitivityMaps,
     build_dataset,
     load_dataset,
     make_kt_mask,
@@ -52,7 +51,6 @@ from .train import (
     save_checkpoint,
     ssim,
     train_loop,
-    zero_filled,
 )
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ import numpy as np
 
 from .mel import backprop_mel, backprop_standard, engine_report
 from .mri import DatasetConfig, build_dataset, load_dataset, make_poisson_disk_mask, make_sensitivities, EncodingOperator
-from .tensor import Tensor, melt_read, melt_write
-from .train import MetricsReport, TrainConfig, cg_sense, load_checkpoint, psnr, ssim, train_loop, zero_filled
+from .tensor import Tensor, atomic_write, melt_read, melt_write
+from .train import MetricsReport, TrainConfig, cg_sense, load_checkpoint, psnr, ssim, train_loop
 from .unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
 DEFAULT_CONFIG: dict = {
@@ -151,12 +151,12 @@ def write_pgm(path, mag: np.ndarray) -> None:
     lo, hi = float(mag.min()), float(mag.max())
     scaled = np.zeros_like(mag) if hi == lo else (mag - lo) / (hi - lo)
     u8 = (scaled * 255).round().astype(np.uint8)
-    with open(path, "wb") as f:
+    with atomic_write(path) as tmp, open(tmp, "wb") as f:
         f.write(f"P5\n{u8.shape[1]} {u8.shape[0]}\n255\n".encode())
         f.write(u8.tobytes())
 
 
-def cmd_recon(cfg: dict, checkpoint: str, split: str = "val", case_id: str | None = None) -> int:
+def cmd_recon(cfg: dict, checkpoint: str, split: str, case_id: str | None) -> int:
     net, meta = load_checkpoint(checkpoint)
     ds = load_dataset(cfg["data"])
     cases = ds.split(split)
@@ -187,14 +187,14 @@ def cmd_recon(cfg: dict, checkpoint: str, split: str = "val", case_id: str | Non
 def _recon_for_method(method: str, case, recon_dirs: dict):
     op = case.operator()
     if method == "zero_filled":
-        return zero_filled(op, case.y)
+        return op.adjoint(case.y)
     if method == "cg_sense":
         return cg_sense(op, case.y)
     root = Path(recon_dirs[method])
     return melt_read(root / f"{case.case_id}.melt")
 
 
-def cmd_eval(cfg: dict, methods: list[str], split: str = "val") -> int:
+def cmd_eval(cfg: dict, methods: list[str], split: str) -> int:
     ds = load_dataset(cfg["data"])
     cases = ds.split(split)
     if not cases:
@@ -223,7 +223,7 @@ def cmd_eval(cfg: dict, methods: list[str], split: str = "val") -> int:
             ps.append(psnr(rec, c.x))
             ss.append(ssim(rec, c.x))
         reports.append(MetricsReport(label, [c.case_id for c in cases], ps, ss))
-    with open(report_path, "w", newline="") as f:
+    with atomic_write(report_path) as tmp, open(tmp, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "case_id", "psnr_db", "ssim"])
         for rep in reports:
@@ -256,8 +256,8 @@ def bench_instance(cfg: dict):
     return op, reg, y, target
 
 
-def max_feasible_unrolls(points: list[tuple[int, int]], budget: float, cap: int = 64) -> int:
-    """Largest N whose affine-fit peak stays within the byte budget."""
+def max_feasible_unrolls(points: list[tuple[int, int]], budget: float) -> int:
+    """Largest N <= 64 whose affine-fit peak stays within the byte budget."""
     ns = np.array([p[0] for p in points], dtype=float)
     bs = np.array([p[1] for p in points], dtype=float)
     if len(points) >= 2 and np.ptp(ns) > 0:
@@ -266,9 +266,9 @@ def max_feasible_unrolls(points: list[tuple[int, int]], budget: float, cap: int 
         slope, intercept = 0.0, float(bs.max())
     if slope <= max(1e-9, 0.02 * bs.max() / max(ns.max(), 1)):
         # flat within measurement noise: depth-independent
-        return cap if bs.max() <= budget else 0
+        return 64 if bs.max() <= budget else 0
     n = int(math.floor((budget - intercept) / slope))
-    return max(0, min(cap, n))
+    return max(0, min(64, n))
 
 
 def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> int:
@@ -300,7 +300,8 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     csv_text = engine_report(results)
-    (out / "bench_memory.csv").write_text(csv_text)
+    with atomic_write(out / "bench_memory.csv") as tmp:
+        tmp.write_text(csv_text)
     print(csv_text, end="")
 
     if "standard" in engines and len(points["standard"]) >= 1:

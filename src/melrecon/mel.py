@@ -145,15 +145,14 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     )
 
 
-def engine_report(results: list[GradientResult], labels: list[str] | None = None) -> str:
+def engine_report(results: list[GradientResult]) -> str:
     """CSV rows (engine, N, slab shape, peak bytes, wall time, loss)."""
     if not results:
         raise ValueError("engine_report needs at least one result")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BENCH_CSV_HEADER)
-    for i, r in enumerate(results):
-        engine = labels[i] if labels else r.engine
+    for r in results:
         shape = "x".join(str(s) for s in r.shape)
-        writer.writerow([engine, r.n_unrolls, shape, r.peak_tape_bytes, f"{r.wall_time:.6f}", f"{r.loss_value:.12g}"])
+        writer.writerow([r.engine, r.n_unrolls, shape, r.peak_tape_bytes, f"{r.wall_time:.6f}", f"{r.loss_value:.12g}"])
     return buf.getvalue()

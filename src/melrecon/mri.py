@@ -4,7 +4,7 @@ The encoding operator is the multi-coil SENSE model: per coil, multiply by
 the sensitivity map, take the centered unitary FFT over the trailing two
 (in-plane) axes, and keep only the sampled k-space locations. Images are
 either [H, W] or [T, H, W] (leading time axis for cine); sensitivity maps
-are [C, H, W] and broadcast across time.
+are a complex [C, H, W] Tensor and broadcast across time.
 
 The centered FFT is applied without shifts. Along an axis of length n with
 m = n//2, the centered DFT is diag(a) . DFT . diag(b) with
@@ -28,18 +28,16 @@ the MELT tensor format.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 import scipy.fft as sfft
 
-from .tensor import Tensor, melt_read, melt_write
+from .tensor import Tensor, atomic_write, melt_read, melt_write
 
 __all__ = [
     "SamplingMask",
-    "SensitivityMaps",
     "EncodingOperator",
     "DatasetConfig",
     "Case",
@@ -71,15 +69,6 @@ class SamplingMask:
     @property
     def realized_acceleration(self) -> float:
         return self.data.size / max(1.0, float(self.data.sum()))
-
-
-@dataclass
-class SensitivityMaps:
-    maps: Tensor  # [C, H, W], SOS-normalized per voxel
-
-    @property
-    def coils(self) -> int:
-        return self.maps.shape[0]
 
 
 def _centering_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,14 +104,14 @@ class EncodingOperator:
     conj(sum_c S_c conj(I_c)), which equals sum_c conj(S_c) I_c exactly.
     """
 
-    def __init__(self, mask: SamplingMask, sens: SensitivityMaps):
+    def __init__(self, mask: SamplingMask, sens: Tensor):
         if mask.data.ndim not in (2, 3):
             raise ValueError(f"mask rank must be 2 or 3, got {mask.data.ndim}")
-        if sens.maps.data.ndim != 3:
+        if sens.data.ndim != 3:
             raise ValueError("sensitivity maps must be [C, H, W]")
-        if mask.data.shape[-2:] != sens.maps.shape[-2:]:
+        if mask.data.shape[-2:] != sens.shape[-2:]:
             raise ValueError(
-                f"mask grid {mask.data.shape[-2:]} does not match maps {sens.maps.shape[-2:]}"
+                f"mask grid {mask.data.shape[-2:]} does not match maps {sens.shape[-2:]}"
             )
         self.mask = mask
         self.sens = sens
@@ -136,13 +125,13 @@ class EncodingOperator:
 
     @property
     def coils(self) -> int:
-        return self.sens.coils
+        return self.sens.shape[0]
 
     # raw ndarray paths (used by CG loops where wrapper churn would dominate)
 
     def _maps(self, ndim: int) -> np.ndarray:
         """Coil maps shaped to broadcast against [C, *image] of rank ``ndim``."""
-        m = self.sens.maps.data
+        m = self.sens.data
         return m.reshape(m.shape[:1] + (1,) * (ndim - 3) + m.shape[1:])
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
@@ -295,7 +284,7 @@ def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0, r0:
     return SamplingMask(mask, float(accel), calib)
 
 
-def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0, r0: float = 0.5) -> SamplingMask:
+def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0) -> SamplingMask:
     """Variable-density k-t mask: per-frame ky-line selection with
     complementary golden-ratio offsets across frames; center line always on."""
     if frames < 1:
@@ -310,7 +299,7 @@ def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0, r0: fl
         raise ValueError(f"cannot realize R={accel} with {h} ky lines")
 
     dy = np.abs(np.arange(h) - h // 2) / max(1, h // 2)
-    dens = (1.0 + dy / r0) ** -2
+    dens = (1.0 + dy / 0.5) ** -2
     cdf = np.cumsum(dens) / dens.sum()
     rng = np.random.default_rng(seed)
     u0 = float(rng.random())
@@ -337,8 +326,8 @@ def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0, r0: fl
 # --- synthetic coils and phantoms -------------------------------------------
 
 
-def make_sensitivities(shape, coils: int, seed: int = 0) -> SensitivityMaps:
-    """Smooth complex Gaussian-lobe coil profiles, SOS-normalized."""
+def make_sensitivities(shape, coils: int, seed: int = 0) -> Tensor:
+    """Smooth complex Gaussian-lobe coil profiles [C, H, W], SOS-normalized."""
     if coils < 1:
         raise ValueError("coils must be >= 1")
     h, w = shape
@@ -356,7 +345,7 @@ def make_sensitivities(shape, coils: int, seed: int = 0) -> SensitivityMaps:
         maps[c] = mag * np.exp(1j * phase)
     sos = np.sqrt((np.abs(maps) ** 2).sum(axis=0))
     maps /= sos
-    return SensitivityMaps(Tensor(maps))
+    return Tensor(maps)
 
 
 def _raster_ellipse(yy, xx, cy, cx, ay, ax, theta):
@@ -446,7 +435,7 @@ class Case:
     x: Tensor
     y: Tensor
     mask: SamplingMask
-    sens: SensitivityMaps
+    sens: Tensor  # [C, H, W] coil maps
     seed: int
     sigma: float
 
@@ -510,13 +499,13 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         melt_write(cdir / "x.melt", c.x)
         melt_write(cdir / "y.melt", c.y)
         melt_write(cdir / "mask.melt", Tensor(c.mask.data))
-        melt_write(cdir / "sens.melt", c.sens.maps)
+        melt_write(cdir / "sens.melt", c.sens)
         manifest["cases"].append(
             {
                 "id": c.case_id,
                 "split": c.split,
                 "shape": list(c.x.shape),
-                "coils": c.sens.coils,
+                "coils": c.sens.shape[0],
                 "seed": c.seed,
                 "sigma": c.sigma,
                 "accel_target": c.mask.acceleration,
@@ -524,9 +513,8 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
                 "calib": list(c.mask.calib_region),
             }
         )
-    tmp = out / ".manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2))
-    os.replace(tmp, out / "manifest.json")
+    with atomic_write(out / "manifest.json") as tmp:
+        tmp.write_text(json.dumps(manifest, indent=2))
     return out
 
 
@@ -554,6 +542,6 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"{m['id']}: manifest shape {m['shape']} != tensor {x.shape}")
         mask = SamplingMask(mask_t.data, m["accel_target"], tuple(m["calib"]))
         cases.append(
-            Case(m["id"], m["split"], x, y, mask, SensitivityMaps(sens_t), m["seed"], m["sigma"])
+            Case(m["id"], m["split"], x, y, mask, sens_t, m["seed"], m["sigma"])
         )
     return Dataset(cfg, cases)

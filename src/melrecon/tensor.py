@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
@@ -236,6 +237,21 @@ class MemoryLedger:
         self.live_bytes -= n
 
 
+@contextmanager
+def atomic_write(path):
+    """Yield a sibling temp path for the new content of ``path``. It replaces
+    ``path`` in one rename when the block completes, so a reader never sees
+    a half-written file, and is removed when the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 # --- MELT binary tensor format -------------------------------------------
 #
 # magic 'MELT' | u8 version=1 | u8 dtype (0=real64, 1=complex128) | u8 rank |
@@ -250,22 +266,18 @@ _MAX_RANK = 5
 
 
 def melt_write(path, t: Tensor) -> None:
-    """Write ``t`` to a sibling temp file and rename it over ``path``, so a
-    reader never sees a half-written file."""
+    """Write ``t`` to ``path`` through :func:`atomic_write`."""
     rank = len(t.shape)
     if not 1 <= rank <= _MAX_RANK:
         raise ValueError(f"MELT supports rank 1..{_MAX_RANK}, got {rank}")
     dt = _DT_COMPLEX if np.iscomplexobj(t.data) else _DT_REAL
     dims = list(t.shape) + [1] * (_MAX_RANK - rank)
     payload = t.data.astype("<c16" if dt == _DT_COMPLEX else "<f8").tobytes(order="C")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    with open(tmp, "wb") as f:
+    with atomic_write(path) as tmp, open(tmp, "wb") as f:
         f.write(_MELT_MAGIC)
         f.write(struct.pack("<BBB", _MELT_VERSION, dt, rank))
         f.write(struct.pack("<5Q", *dims))
         f.write(payload)
-    os.replace(tmp, path)
 
 
 def melt_read(path) -> Tensor:

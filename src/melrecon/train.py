@@ -1,9 +1,9 @@
 """Training loop, metrics and baselines.
 
 Adam with bias correction followed by the contraction projection (the loss is
-the taped per-pixel ``l1`` op), pSNR/SSIM on magnitude images, zero-filled
-and l2-regularized CG-SENSE baselines, and directory-based checkpoints
-(manifest + MELT tensors).
+the taped per-pixel ``l1`` op), pSNR/SSIM on magnitude images, the
+l2-regularized CG-SENSE baseline, and directory-based checkpoints
+(manifest + MELT tensors). The zero-filled baseline is ``op.adjoint(y)``.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .mel import backprop_mel, backprop_standard
-from .mri import Dataset, EncodingOperator, load_dataset
-from .tensor import Tensor, melt_read, melt_write
+from .mri import EncodingOperator, load_dataset
+from .tensor import Tensor, atomic_write, melt_read, melt_write
 from .unrolled import (
     RegularizerParams,
     UnrolledNetParams,
@@ -37,7 +36,6 @@ __all__ = [
     "adam_step",
     "psnr",
     "ssim",
-    "zero_filled",
     "cg_sense",
     "train_loop",
     "train_steps",
@@ -50,13 +48,12 @@ LOG_CSV_HEADER = ["epoch", "step", "engine", "train_loss", "val_psnr", "val_ssim
 
 # --- optimizer -----------------------------------------------------------------
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's usual moment decays and epsilon
+
 
 @dataclass
 class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -76,18 +73,18 @@ def adam_step(state: AdamState, net: UnrolledNetParams, grads: dict[str, Tensor]
     Functional: returns (state', net') with fresh tensors.
     """
     t = state.t + 1
-    new = AdamState(state.lr, state.beta1, state.beta2, state.eps, t, {}, {})
+    new = AdamState(state.lr, t, {}, {})
     updated: dict[str, np.ndarray] = {}
     for name, tns in net.named_leaves():
         g = grads[name].data
         if g.shape != tns.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {tns.shape} for {name}")
-        m = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        mhat = m / (1 - state.beta1**t)
-        vhat = v / (1 - state.beta2**t)
+        m = _BETA1 * state.m[name] + (1 - _BETA1) * g
+        v = _BETA2 * state.v[name] + (1 - _BETA2) * g * g
+        mhat = m / (1 - _BETA1**t)
+        vhat = v / (1 - _BETA2**t)
         new.m[name], new.v[name] = m, v
-        updated[name] = tns.data - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        updated[name] = tns.data - state.lr * mhat / (np.sqrt(vhat) + _EPS)
 
     reg = net.reg
     ws = [Tensor(updated[f"w{i}"]) for i in range(reg.layers)]
@@ -114,25 +111,29 @@ def psnr(x: Tensor, ref: Tensor) -> float:
     return float(20 * np.log10(peak / rmse))
 
 
-def _ssim_2d(x: np.ndarray, ref: np.ndarray, drange: float, win: int, k1: float, k2: float) -> float:
-    c1, c2 = (k1 * drange) ** 2, (k2 * drange) ** 2
-    mx = uniform_filter(x, win)
-    mr = uniform_filter(ref, win)
+_SSIM_WIN, _SSIM_K1, _SSIM_K2 = 7, 0.01, 0.03  # window and constants of Wang et al. 2004
+
+
+def _ssim_2d(x: np.ndarray, ref: np.ndarray, drange: float) -> float:
+    from scipy.ndimage import uniform_filter  # a large import only SSIM needs: not at module level
+    c1, c2 = (_SSIM_K1 * drange) ** 2, (_SSIM_K2 * drange) ** 2
+    mx = uniform_filter(x, _SSIM_WIN)
+    mr = uniform_filter(ref, _SSIM_WIN)
     # sample (unbiased) second moments over each window
-    np_pix = win * win
+    np_pix = _SSIM_WIN * _SSIM_WIN
     cov_norm = np_pix / (np_pix - 1)
-    vx = (uniform_filter(x * x, win) - mx * mx) * cov_norm
-    vr = (uniform_filter(ref * ref, win) - mr * mr) * cov_norm
-    cxr = (uniform_filter(x * ref, win) - mx * mr) * cov_norm
+    vx = (uniform_filter(x * x, _SSIM_WIN) - mx * mx) * cov_norm
+    vr = (uniform_filter(ref * ref, _SSIM_WIN) - mr * mr) * cov_norm
+    cxr = (uniform_filter(x * ref, _SSIM_WIN) - mx * mr) * cov_norm
     num = (2 * mx * mr + c1) * (2 * cxr + c2)
     den = (mx * mx + mr * mr + c1) * (vx + vr + c2)
     s = num / den
-    pad = win // 2
+    pad = _SSIM_WIN // 2
     return float(s[pad:-pad, pad:-pad].mean())
 
 
-def ssim(x: Tensor, ref: Tensor, win: int = 7, k1: float = 0.01, k2: float = 0.03) -> float:
-    """Mean local SSIM on magnitude images (uniform window, dynamic range
+def ssim(x: Tensor, ref: Tensor) -> float:
+    """Mean local SSIM on magnitude images (uniform 7x7 window, dynamic range
     max|ref|); frames of a cine image are averaged."""
     if x.shape != ref.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {ref.shape}")
@@ -141,8 +142,8 @@ def ssim(x: Tensor, ref: Tensor, win: int = 7, k1: float = 0.01, k2: float = 0.0
     if drange == 0:
         raise ValueError("reference image is identically zero")
     if mx.ndim == 2:
-        return _ssim_2d(mx, mr, drange, win, k1, k2)
-    return float(np.mean([_ssim_2d(mx[t], mr[t], drange, win, k1, k2) for t in range(mx.shape[0])]))
+        return _ssim_2d(mx, mr, drange)
+    return float(np.mean([_ssim_2d(mx[t], mr[t], drange) for t in range(mx.shape[0])]))
 
 
 @dataclass
@@ -167,11 +168,6 @@ class MetricsReport:
 
 
 # --- baselines -------------------------------------------------------------------
-
-
-def zero_filled(op: EncodingOperator, y: Tensor) -> Tensor:
-    """A^H y."""
-    return op.adjoint(y)
 
 
 def cg_sense(op: EncodingOperator, y: Tensor, lam: float = 1e-3, iters: int = 30) -> Tensor:
@@ -263,24 +259,25 @@ def load_checkpoint(path) -> tuple[UnrolledNetParams, dict]:
 class TrainConfig:
     dataset_dir: str
     out_dir: str
-    epochs: int = 30
-    batch_size: int = 2
-    seed: int = 0
-    lr: float = 1e-3
-    n_unrolls: int = 5
-    n_cg: int = 10
-    mu: float = 0.3
-    contraction: float = 0.9
-    channels: int = 16
-    layers: int = 5
-    engine: str = "standard"  # standard | mel
-    invert_tol: float = 1e-10
-    val_every: int = 5
+    epochs: int
+    batch_size: int
+    seed: int
+    lr: float
+    n_unrolls: int
+    n_cg: int
+    mu: float
+    contraction: float
+    channels: int
+    layers: int
+    engine: str  # standard | mel
+    invert_tol: float
+    val_every: int
 
     def __post_init__(self):
         if self.engine not in ("standard", "mel"):
             raise ValueError(f"engine must be standard|mel, got {self.engine!r}")
-        for k in ("epochs", "batch_size", "lr", "n_unrolls", "n_cg", "mu", "channels", "layers", "val_every"):
+        for k in ("epochs", "batch_size", "lr", "n_unrolls", "n_cg", "mu", "channels", "layers",
+                  "invert_tol", "val_every"):
             if getattr(self, k) <= 0:
                 raise ValueError(f"{k} must be positive")
 
@@ -308,15 +305,13 @@ def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str, inv
     return net, adam, float(np.mean(losses)), peak
 
 
-def _validate(net: UnrolledNetParams, cases) -> tuple[float, float]:
+def _validate(net: UnrolledNetParams, cases) -> MetricsReport:
     ps, ss = [], []
     for c in cases:
-        op = c.operator()
-        rec = modl_forward(net, op, c.y)
+        rec = modl_forward(net, c.operator(), c.y)
         ps.append(psnr(rec, c.x))
         ss.append(ssim(rec, c.x))
-    finite = [p for p in ps if math.isfinite(p)]
-    return float(np.mean(finite if finite else ps)), float(np.mean(ss))
+    return MetricsReport("modl", [c.case_id for c in cases], ps, ss)
 
 
 @dataclass
@@ -328,11 +323,11 @@ class TrainResult:
     net: UnrolledNetParams
 
 
-def train_loop(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
+def train_loop(cfg: TrainConfig) -> TrainResult:
     """Deterministic training run: fixed shuffling stream from the seed,
     best-validation checkpoint retention, CSV log. The gradient engine is
     selectable with no other code-path change."""
-    ds = dataset if dataset is not None else load_dataset(cfg.dataset_dir)
+    ds = load_dataset(cfg.dataset_dir)
     train_cases = ds.split("train")
     val_cases = ds.split("val")
     if not train_cases or not val_cases:
@@ -370,7 +365,8 @@ def train_loop(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
             step += 1
         val_p, val_s = (math.nan, math.nan)
         if epoch % cfg.val_every == 0 or epoch == cfg.epochs:
-            val_p, val_s = _validate(net, val_cases)
+            rep = _validate(net, val_cases)
+            val_p, val_s = rep.mean_psnr, rep.mean_ssim
             if val_p > best:
                 best = val_p
                 save_checkpoint(ckpt_dir, net, seed=cfg.seed, step=step, extra={"val_psnr": val_p, "val_ssim": val_s})
@@ -382,7 +378,7 @@ def train_loop(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
         )
 
     log_path = out / "train_log.csv"
-    with open(log_path, "w", newline="") as f:
+    with atomic_write(log_path) as tmp, open(tmp, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(LOG_CSV_HEADER)
         w.writerows(rows)

@@ -75,10 +75,10 @@ class RegularizerParams:
         return self.weights[0].shape[0]
 
     @classmethod
-    def init(cls, channels: int = 16, layers: int = 5, kernel: int = 3, spatial_rank: int = 2,
+    def init(cls, channels: int = 16, layers: int = 5, spatial_rank: int = 2,
              contraction: float = 0.9, seed: int = 0, scale: float = 0.3) -> "RegularizerParams":
-        """He-style Gaussian init scaled down so the initial Lipschitz bound
-        is modest; the training loop projects after every step anyway."""
+        """He-style Gaussian init of 3-wide kernels, scaled down so the initial
+        Lipschitz bound is modest; the training loop projects after every step."""
         if layers < 2:
             raise ValueError("need at least 2 conv layers (2->ch, ch->2)")
         rng = np.random.default_rng(seed)
@@ -86,8 +86,8 @@ class RegularizerParams:
         dims_out = [channels] * (layers - 1) + [2]
         ws, bs = [], []
         for cin, cout in zip(dims, dims_out):
-            fan_in = cin * kernel**spatial_rank
-            w = rng.standard_normal((cout, cin) + (kernel,) * spatial_rank) * scale / np.sqrt(fan_in)
+            fan_in = cin * 3**spatial_rank
+            w = rng.standard_normal((cout, cin) + (3,) * spatial_rank) * scale / np.sqrt(fan_in)
             ws.append(Tensor(w))
             bs.append(Tensor(np.zeros(cout)))
         return cls(ws, bs, contraction)
@@ -153,8 +153,10 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
 
     Valid while c*G is a contraction (projected weights). Raises
     :class:`FixedPointDivergence` when the residual does not reach
-    ``tol * ||z||`` within ``max_iter`` iterations.
+    ``tol * ||z||`` within ``max_iter`` iterations; ``ValueError`` if tol <= 0.
     """
+    if not tol > 0:
+        raise ValueError(f"fixed-point tolerance must be > 0, got {tol}")
     zd = z.data
     znorm = float(np.linalg.norm(zd))
     if znorm == 0.0:
@@ -359,20 +361,23 @@ def lipschitz_bound(params: RegularizerParams) -> float:
     return params.contraction * float(np.prod([conv_operator_norm(w) for w in params.weights]))
 
 
-def project_weights(params: RegularizerParams, threshold: float = 0.95, target: float = 0.9) -> RegularizerParams:
+_PROJECT_THRESHOLD, _PROJECT_TARGET = 0.95, 0.9  # the target's margin spares a rescale every step
+
+
+def project_weights(params: RegularizerParams) -> RegularizerParams:
     """Rescale all conv weights uniformly so the residual-branch Lipschitz
-    bound drops to ``target`` whenever it is at or above ``threshold``;
-    otherwise return the params unchanged (idempotent no-op).
+    bound drops to 0.9 whenever it is at or above 0.95; otherwise return the
+    params unchanged (idempotent no-op).
 
     First checks the cheap upper bound c * prod sqrt(max_f ||G(f)||_F);
-    only when that reaches ``threshold`` does it compute the exact
+    only when that reaches the threshold does it compute the exact
     :func:`lipschitz_bound` and rescale by it."""
     cert = params.contraction * float(np.prod([_frobenius_norm_bound(w.data) for w in params.weights]))
-    if cert < threshold:
+    if cert < _PROJECT_THRESHOLD:
         return params
     bound = lipschitz_bound(params)
-    if bound < threshold:
+    if bound < _PROJECT_THRESHOLD:
         return params
-    f = (target / bound) ** (1.0 / params.layers)
+    f = (_PROJECT_TARGET / bound) ** (1.0 / params.layers)
     ws = [Tensor(w.data * f) for w in params.weights]
     return replace(params, weights=ws, biases=[b.copy() for b in params.biases])

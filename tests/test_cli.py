@@ -3,18 +3,45 @@ import json
 import math
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from melrecon import cli, train
 from melrecon.cli import DEFAULT_CONFIG, main
 from melrecon.tensor import melt_read, melt_write
 from melrecon.train import TrainConfig
 
+# config key -> TrainConfig field, for every field
+TRAIN_FIELD_OF_KEY = {
+    "data": "dataset_dir", "out": "out_dir", "epochs": "epochs", "batch_size": "batch_size", "seed": "seed",
+    "lr": "lr", "unrolls": "n_unrolls", "cg_iters": "n_cg", "mu": "mu", "contraction": "contraction",
+    "channels": "channels", "layers": "layers", "engine": "engine", "invert_tol": "invert_tol",
+    "val_every": "val_every",
+}
 
-def test_cli_default_mu_matches_train_config():
+
+def test_cmd_train_passes_every_training_key(monkeypatch):
+    got = []
+
+    def fake_train_loop(tc):
+        got.append(tc)
+        return SimpleNamespace(best_val_psnr=0.0, checkpoint_dir="ckpt", log_path="log")
+
+    monkeypatch.setattr(cli, "train_loop", fake_train_loop)
+    assert sorted(TRAIN_FIELD_OF_KEY.values()) == sorted(f.name for f in fields(TrainConfig))
+    # a distinct value per key, so two swapped keys fail too
+    distinct = {"data": "d", "out": "o", "epochs": 2, "batch_size": 3, "seed": 4, "lr": 0.25, "unrolls": 6,
+                "cg_iters": 7, "mu": 0.5, "contraction": 0.75, "channels": 8, "layers": 9, "engine": "mel",
+                "invert_tol": 1e-7, "val_every": 11}
+    configs = (dict(DEFAULT_CONFIG), {**DEFAULT_CONFIG, **distinct})
+    for cfg in configs:
+        assert cli.cmd_train(cfg) == 0
+    for cfg, tc in zip(configs, got, strict=True):
+        for key, name in TRAIN_FIELD_OF_KEY.items():
+            assert getattr(tc, name) == cfg[key], (key, name)
     # deep mel runs need mu around 0.3; the CLI must not default below it
-    mu_default = next(f.default for f in fields(TrainConfig) if f.name == "mu")
-    assert DEFAULT_CONFIG["mu"] == mu_default
+    assert got[0].mu == 0.3
 
 
 def tiny_config(tmp_path, **kw):
@@ -196,6 +223,23 @@ def test_failed_command_marks_output_invalid(trained, tmp_path, capsys):
     rc = run_cli("--config", str(cfg), "--out", str(out), "eval", "--method", "nonsense")
     assert rc == 1
     assert (out / "INVALID").exists()
+
+
+def test_failed_report_write_keeps_previous_report(trained, tmp_path, monkeypatch):
+    tmp, cfg, _ = trained
+    out = tmp_path / "metrics"
+    argv = ("--config", str(cfg), "--out", str(out), "eval", "--method", "zero_filled", "--method", "cg_sense")
+    assert run_cli(*argv) == 0
+    before = (out / "metrics_val.csv").read_bytes()
+
+    def rows_then_fail(self):
+        yield [self.method, "case0000", "1.0", "0.5"]
+        raise OSError("write failed")
+
+    monkeypatch.setattr(train.MetricsReport, "rows", rows_then_fail)
+    assert run_cli(*argv) == 1
+    assert (out / "metrics_val.csv").read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_successful_command_clears_stale_invalid(trained, tmp_path):

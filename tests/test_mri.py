@@ -9,7 +9,6 @@ from melrecon.mri import (
     DatasetConfig,
     EncodingOperator,
     SamplingMask,
-    SensitivityMaps,
     build_dataset,
     load_dataset,
     make_kt_mask,
@@ -46,7 +45,7 @@ def test_forward_full_mask_single_flat_coil_is_fft():
     rng = np.random.default_rng(0)
     x = Tensor(crandn(rng, 8, 8))
     mask = SamplingMask(np.ones((8, 8)), 1.0, (0, 0))
-    sens = SensitivityMaps(Tensor(np.ones((1, 8, 8), dtype=complex)))
+    sens = Tensor(np.ones((1, 8, 8), dtype=complex))
     op = EncodingOperator(mask, sens)
     y = op.forward(x)
     assert np.allclose(y.data[0], fft_centered(x).data, atol=1e-13)
@@ -150,7 +149,7 @@ def test_operator_matches_direct_dft_off_even_grids(kind):
     x = crandn(rng, *mask.shape)
     y = op._forward(x)
     for c in range(3):
-        want = mask.data * dft_centered_direct(sens.maps.data[c] * x, axes=(-2, -1))
+        want = mask.data * dft_centered_direct(sens.data[c] * x, axes=(-2, -1))
         assert np.abs(y[c] - want).max() <= 1e-12 * np.abs(want).max()
     v = crandn(rng, *y.shape)
     lhs = np.vdot(v, y)
@@ -307,18 +306,18 @@ def test_kt_frames_differ():
 
 def test_sens_single_coil_unit_magnitude():
     s = make_sensitivities((16, 16), 1, seed=0)
-    assert np.allclose(np.abs(s.maps.data[0]), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(s.data[0]), 1.0, atol=1e-12)
 
 
 def test_sens_sos_normalized():
     s = make_sensitivities((24, 24), 6, seed=1)
-    sos = (np.abs(s.maps.data) ** 2).sum(axis=0)
+    sos = (np.abs(s.data) ** 2).sum(axis=0)
     assert np.allclose(sos, 1.0, atol=1e-10)
 
 
 def test_sens_smooth():
     s = make_sensitivities((32, 32), 4, seed=2)
-    m = s.maps.data
+    m = s.data
     for ax in (1, 2):
         grad = np.abs(np.diff(m, axis=ax))
         assert grad.max() < 0.5
@@ -399,7 +398,7 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a.x.data, b.x.data)
         assert np.array_equal(a.y.data, b.y.data)
         assert np.array_equal(a.mask.data, b.mask.data)
-        assert np.array_equal(a.sens.maps.data, b.sens.maps.data)
+        assert np.array_equal(a.sens.data, b.sens.data)
 
 
 def test_interrupted_save_does_not_load_as_mixed_dataset(tmp_path, monkeypatch):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +23,14 @@ from melrecon.train import (
     ssim,
     train_loop,
     train_steps,
-    zero_filled,
 )
-from melrecon.unrolled import RegularizerParams, UnrolledNetParams, lipschitz_bound, project_weights
+from melrecon.unrolled import (
+    RegularizerParams,
+    UnrolledNetParams,
+    lipschitz_bound,
+    project_weights,
+    regularizer_invert,
+)
 
 from oracles import central_diff
 
@@ -190,6 +199,16 @@ def test_ssim_cine_averages_frames():
     assert s == pytest.approx(1.0, abs=1e-12)
 
 
+def test_import_does_not_load_scipy_ndimage():
+    # only ssim needs scipy.ndimage, and its import is a noticeable share of
+    # the package's start-up time
+    src = str(Path(train.__file__).resolve().parents[1])
+    code = "import sys, melrecon; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 # --- baselines -------------------------------------------------------------------
 
 
@@ -200,7 +219,7 @@ def test_baselines_full_mask_recover_truth():
     xstar = crandn(rng, 8, 8)
     op = EncodingOperator(SamplingMask(np.ones((8, 8)), 1.0, (0, 0)), make_sensitivities((8, 8), 2, seed=1))
     y = op.forward(Tensor(xstar))
-    zf = zero_filled(op, y)
+    zf = op.adjoint(y)
     assert np.linalg.norm(zf.data - xstar) <= 1e-10 * np.linalg.norm(xstar)
     lam = 1e-3
     cg = cg_sense(op, y, lam=lam, iters=50)
@@ -213,7 +232,7 @@ def test_cg_sense_beats_zero_filled_when_undersampled():
     ds = small_dataset(seed=10, accel=3.0, shape=(24, 24))
     for c in ds.split("val"):
         op = c.operator()
-        p_zf = psnr(zero_filled(op, c.y), c.x)
+        p_zf = psnr(op.adjoint(c.y), c.x)
         p_cg = psnr(cg_sense(op, c.y), c.x)
         assert p_cg >= p_zf
 
@@ -334,8 +353,8 @@ def test_train_loop_smoke_and_determinism(tmp_path):
     data_dir = save_dataset(ds, tmp_path / "data")
     cfg = TrainConfig(
         dataset_dir=str(data_dir), out_dir=str(tmp_path / "run_a"),
-        epochs=2, batch_size=2, seed=3, lr=1e-3,
-        n_unrolls=2, n_cg=10, mu=0.3, channels=4, layers=2, val_every=2,
+        epochs=2, batch_size=2, seed=3, lr=1e-3, n_unrolls=2, n_cg=10, mu=0.3,
+        contraction=0.9, channels=4, layers=2, engine="standard", invert_tol=1e-10, val_every=2,
     )
     res_a = train_loop(cfg)
     assert res_a.checkpoint_dir.exists() and res_a.log_path.exists()
@@ -348,8 +367,27 @@ def test_train_loop_smoke_and_determinism(tmp_path):
     assert res_a.best_val_psnr == res_b.best_val_psnr
 
 
+def train_config(**kw) -> TrainConfig:
+    cfg = dict(dataset_dir="x", out_dir="y", epochs=1, batch_size=1, seed=0, lr=1e-3, n_unrolls=1, n_cg=1,
+               mu=0.3, contraction=0.9, channels=4, layers=2, engine="standard", invert_tol=1e-10, val_every=1)
+    return TrainConfig(**{**cfg, **kw})
+
+
 def test_train_config_validation():
+    train_config()
     with pytest.raises(ValueError):
-        TrainConfig(dataset_dir="x", out_dir="y", engine="sgd")
+        train_config(engine="sgd")
     with pytest.raises(ValueError):
-        TrainConfig(dataset_dir="x", out_dir="y", epochs=0)
+        train_config(epochs=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10])
+def test_nonpositive_invert_tol_is_rejected(tol):
+    # a tolerance no fixed-point iteration can reach is a configuration error,
+    # not a FixedPointDivergence blamed on the contraction
+    with pytest.raises(ValueError, match="invert_tol"):
+        train_config(engine="mel", invert_tol=tol)
+    net = tiny_net(seed=6)
+    z = Tensor(crandn(np.random.default_rng(6), 8, 8))
+    with pytest.raises(ValueError, match="tolerance"):
+        regularizer_invert(net.reg, z, tol=tol)
