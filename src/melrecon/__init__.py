@@ -40,7 +40,7 @@ from .unrolled import (
     regularizer_forward,
     regularizer_invert,
 )
-from .mel import GradientResult, backprop_mel, backprop_standard, engine_report
+from .mel import GradientResult, backprop_mel, backprop_standard, engine_report, l1_loss
 from .train import (
     AdamState,
     TrainConfig,

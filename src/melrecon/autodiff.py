@@ -5,12 +5,17 @@ tensors each vector-Jacobian product will need (registered with the memory
 ledger), and can be disposed independently, which is what lets the
 memory-efficient engine build and discard one unroll's graph at a time.
 
-The op set is closed on purpose and is exactly what the unrolled network
-and its loss record: conv, relu, add, scale, complex/channel casts,
-per-pixel l1 loss, and the implicit data-consistency solve node
-(``dc_solve``) registered by the unrolled-network module. The encoding
+The op set is closed on purpose and is exactly what ``modl_forward``
+records: conv, relu, add, scale, complex/channel casts, and the implicit
+data-consistency solve node (``dc_solve``) registered by the
+unrolled-network module. The loss is not taped; its gradient is closed
+form and seeds :meth:`Tape.backward` at the network output. The encoding
 operator is never taped; it appears only inside ``dc_solve``. Each VJP is
 individually unit-testable.
+
+Each activation is held once: conv saves its input, relu saves its output
+(out > 0 exactly where in > 0), and the tape retains a tensor saved by
+several nodes once.
 
 Complex leaves follow the real-pair convention for real-valued losses:
 grad = dL/d(re) + i * dL/d(im).
@@ -36,7 +41,7 @@ from .tensor import (
     scale,
 )
 
-__all__ = ["Tape", "NodeRecord", "OpDef", "register_op", "apply_op", "l1_value"]
+__all__ = ["Tape", "NodeRecord", "OpDef", "register_op", "apply_op"]
 
 
 @dataclass
@@ -217,8 +222,8 @@ register_op(
 register_op(
     "relu",
     relu,
-    lambda saved, attrs, g: (g * (saved["x"].data > 0.0),),
-    saves=lambda inputs, out, attrs: {"x": inputs[0]},
+    lambda saved, attrs, g: (g * (saved["y"].data > 0.0),),
+    saves=lambda inputs, out, attrs: {"y": out},
 )
 
 register_op("add", add, lambda saved, attrs, g: (g, g))
@@ -240,30 +245,3 @@ register_op(
     channels_to_complex,
     lambda saved, attrs, g: (np.stack([g.real, g.imag]),),
 )
-
-
-def l1_value(x: np.ndarray, target: np.ndarray) -> float:
-    """Per-pixel l1 on the 2-channel real view: mean over pixels of
-    |re(x-t)| + |im(x-t)|."""
-    d = x - target
-    return float((np.abs(d.real) + np.abs(d.imag)).sum() / d.size)
-
-
-def _l1_forward(x: Tensor, target: np.ndarray) -> Tensor:
-    if x.shape != target.shape:
-        raise ValueError(f"shape mismatch in l1: {x.shape} vs {target.shape}")
-    return Tensor(l1_value(x.data, target))
-
-
-def _l1_saves(inputs, out, attrs):
-    d = inputs[0].data - attrs["target"]
-    # sign per real channel; exact zeros get subgradient 0
-    return {"sgn": Tensor(np.sign(d.real) + 1j * np.sign(d.imag))}
-
-
-def _vjp_l1(saved, attrs, g):
-    sgn = saved["sgn"].data
-    return (float(g) * sgn / sgn.size,)
-
-
-register_op("l1", _l1_forward, _vjp_l1, saves=_l1_saves)

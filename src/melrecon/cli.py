@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .mel import backprop_mel, backprop_standard, engine_report
+from .mel import engine_report
 from .mri import DatasetConfig, build_dataset, load_dataset, make_poisson_disk_mask, make_sensitivities, EncodingOperator
 from .tensor import Tensor, atomic_write, melt_read, melt_write
-from .train import MetricsReport, TrainConfig, cg_sense, load_checkpoint, psnr, ssim, train_loop
+from .train import MetricsReport, TrainConfig, _grad_eval, cg_sense, load_checkpoint, psnr, ssim, train_loop
 from .unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
 DEFAULT_CONFIG: dict = {
@@ -274,6 +274,9 @@ def max_feasible_unrolls(points: list[tuple[int, int]], budget: float) -> int:
 def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> int:
     if not unroll_list:
         raise ValueError("unroll list must be non-empty")
+    for engine in engines:
+        if engine not in ("standard", "mel"):
+            raise ValueError(f"unknown engine {engine!r}")
     op, reg, y, target = bench_instance(cfg)
     mu = float(cfg["bench_mu"])
     n_cg = int(cfg["bench_cg_iters"])
@@ -281,19 +284,14 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
 
     # warm-up so wall times exclude one-time allocation effects
     warm = UnrolledNetParams(reg, mu, min(unroll_list), n_cg)
-    backprop_standard(warm, op, y, target)
+    _grad_eval("standard", warm, op, y, target, invert_tol)
 
     results = []
     points: dict[str, list[tuple[int, int]]] = {e: [] for e in engines}
     for n in unroll_list:
         net = UnrolledNetParams(reg, mu, n, n_cg)
         for engine in engines:
-            if engine == "standard":
-                r = backprop_standard(net, op, y, target)
-            elif engine == "mel":
-                r = backprop_mel(net, op, y, target, invert_tol=invert_tol)
-            else:
-                raise ValueError(f"unknown engine {engine!r}")
+            r = _grad_eval(engine, net, op, y, target, invert_tol)
             results.append(r)
             points[engine].append((n, r.peak_tape_bytes))
 

@@ -3,6 +3,9 @@
 ``backprop_standard`` records every unroll on one tape and backpropagates
 once, so tape-retained activation bytes grow linearly with the unroll count.
 
+Both engines seed the backward sweep with :func:`l1_loss`'s closed-form
+gradient at the network output; the loss itself is never taped.
+
 ``backprop_mel`` never records the forward pass. It runs it plain, seeds the
 loss gradient at the output, then walks the unrolls in reverse: algebraically
 invert the DC layer to recover z, fixed-point-invert the residual
@@ -44,7 +47,7 @@ from .unrolled import (
     regularizer_invert,
 )
 
-__all__ = ["GradientResult", "backprop_standard", "backprop_mel", "engine_report"]
+__all__ = ["GradientResult", "l1_loss", "backprop_standard", "backprop_mel", "engine_report"]
 
 BENCH_CSV_HEADER = ["engine", "n_unrolls", "shape", "peak_bytes", "wall_time_s", "loss"]
 
@@ -63,6 +66,18 @@ class GradientResult:
     x0_drift: float | None = None  # mel only: ||x0_hat - A^H y|| / ||A^H y||
 
 
+def l1_loss(x: Tensor, target: Tensor) -> tuple[float, Tensor]:
+    """Per-pixel l1 on the 2-channel real view, mean over pixels of
+    |re(x-t)| + |im(x-t)|, and its gradient w.r.t. x in the real-pair
+    convention: (sgn re + i sgn im) / size, with subgradient 0 at exact
+    zeros."""
+    if x.shape != target.shape:
+        raise ValueError(f"shape mismatch in l1: {x.shape} vs {target.shape}")
+    d = x.data - target.data
+    value = float((np.abs(d.real) + np.abs(d.imag)).sum() / d.size)
+    return value, Tensor((np.sign(d.real) + 1j * np.sign(d.imag)) / d.size)
+
+
 def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
                       target: Tensor) -> GradientResult:
     """Full-graph backprop: all unrolls recorded on a single tape."""
@@ -72,12 +87,12 @@ def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     for _, t in leaves:
         tape.watch(t)
     x = modl_forward(net, op, y, tape=tape)
-    loss = tape.record("l1", x, target=target.data)
-    gm = tape.backward(loss, Tensor(1.0), [t for _, t in leaves])
+    loss_value, q = l1_loss(x, target)
+    gm = tape.backward(x, q, [t for _, t in leaves])
     grads = {name: gm[t.alloc_id] for name, t in leaves}
     peak = tape.ledger.peak_bytes
     tape.dispose()
-    return GradientResult(grads, loss.item(), peak, time.perf_counter() - t0,
+    return GradientResult(grads, loss_value, peak, time.perf_counter() - t0,
                           "standard", net.n_unrolls, op.image_shape)
 
 
@@ -97,14 +112,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
 
     x_n = modl_forward(net, op, y)  # no gradients recorded
     aty = op.adjoint(y)
-
-    # seed gradient from the loss at the network output
-    loss_tape = Tape(ledger)
-    loss_tape.watch(x_n)
-    loss = loss_tape.record("l1", x_n, target=target.data)
-    q = loss_tape.backward(loss, Tensor(1.0), [x_n])[x_n.alloc_id]
-    loss_value = loss.item()
-    loss_tape.dispose()
+    loss_value, q = l1_loss(x_n, target)
 
     grads: dict[str, np.ndarray] = {}
     leaves = net.named_leaves()

@@ -235,13 +235,19 @@ def _poisson_darts(shape, calib, rng_order, min_dist, scale):
     return mask
 
 
-def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0, r0: float = 0.25) -> SamplingMask:
+# Density falloff radius of the Poisson-disk masks, as a fraction of the
+# k-space half-width
+_DENSITY_R0 = 0.25
+
+
+def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0) -> SamplingMask:
     """Variable-density Poisson-disk mask by dart throwing.
 
     The minimum distance grows with k-space radius as (1 + r/r0), i.e.
-    density ~ (1 + r/r0)^-2. A global distance scale is calibrated by
-    bisection so the realized sample count lands a little under the
-    total/accel budget (within the +-15% policy). Deterministic per seed.
+    density ~ (1 + r/r0)^-2 with r0 = ``_DENSITY_R0``. A global distance
+    scale is calibrated by bisection so the realized sample count lands a
+    little under the total/accel budget (within the +-15% policy).
+    Deterministic per seed.
     """
     if len(shape) != 2:
         raise ValueError("poisson-disk mask is 2D")
@@ -260,7 +266,7 @@ def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0, r0:
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(total)
-    min_dist = 1.0 + _radius_grid(shape) / r0
+    min_dist = 1.0 + _radius_grid(shape) / _DENSITY_R0
 
     lo_count, hi_count = 0.87 * budget, 0.99 * budget
     lo_s, hi_s = 0.05, 8.0
@@ -425,7 +431,6 @@ class DatasetConfig:
     n_val: int = 2
     n_test: int = 2
     seed: int = 0
-    density_r0: float = 0.25
 
 
 @dataclass
@@ -466,7 +471,7 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
             x = make_phantom(cfg.shape, kind=cfg.kind, seed=cseed, frames=cfg.frames)
             sens = make_sensitivities(cfg.shape, cfg.coils, seed=cseed + 1)
             if cfg.mask_kind == "poisson":
-                mask = make_poisson_disk_mask(cfg.shape, cfg.accel, cfg.calib, seed=cseed + 2, r0=cfg.density_r0)
+                mask = make_poisson_disk_mask(cfg.shape, cfg.accel, cfg.calib, seed=cseed + 2)
             elif cfg.mask_kind == "kt":
                 mask = make_kt_mask(cfg.shape, cfg.frames, cfg.accel, seed=cseed + 2)
             else:
@@ -524,6 +529,10 @@ def load_dataset(path) -> Dataset:
     if manifest.get("format") != "melrecon-dataset":
         raise ValueError(f"{path}: not a dataset directory")
     cfg_d = manifest["config"]
+    # manifests written before the density radius became a constant store it
+    r0 = cfg_d.pop("density_r0", _DENSITY_R0)
+    if r0 != _DENSITY_R0:
+        raise ValueError(f"{path}: density_r0 {r0} is not supported (only {_DENSITY_R0})")
     cfg = DatasetConfig(
         **{
             **cfg_d,

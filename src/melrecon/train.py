@@ -1,7 +1,7 @@
 """Training loop, metrics and baselines.
 
 Adam with bias correction followed by the contraction projection (the loss is
-the taped per-pixel ``l1`` op), pSNR/SSIM on magnitude images, the
+the per-pixel :func:`~melrecon.mel.l1_loss`), pSNR/SSIM on magnitude images, the
 l2-regularized CG-SENSE baseline, and directory-based checkpoints
 (manifest + MELT tensors). The zero-filled baseline is ``op.adjoint(y)``.
 """

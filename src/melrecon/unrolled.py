@@ -148,35 +148,35 @@ def regularizer_forward(params: RegularizerParams, x: Tensor, tape: Tape | None 
 
 
 def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
-                       max_iter: int = 50, trace: list | None = None) -> Tensor:
+                       max_iter: int = 50) -> Tensor:
     """Invert z = x + c*G(x) by fixed-point iteration x_{k+1} = z - c*G(x_k).
 
-    Valid while c*G is a contraction (projected weights). Raises
-    :class:`FixedPointDivergence` when the residual does not reach
-    ``tol * ||z||`` within ``max_iter`` iterations; ``ValueError`` if tol <= 0.
+    Valid while c*G is a contraction (projected weights). The residual is
+    measured against ``tol`` times ||z||, or times ||c*G(0)|| when z = 0;
+    if both are 0, G(0) = 0 and x = 0 is returned as the exact preimage.
+    Raises :class:`FixedPointDivergence` when the residual does not reach
+    that within ``max_iter`` iterations; ``ValueError`` if tol <= 0.
     """
     if not tol > 0:
         raise ValueError(f"fixed-point tolerance must be > 0, got {tol}")
     zd = z.data
-    znorm = float(np.linalg.norm(zd))
-    if znorm == 0.0:
-        return Tensor(np.zeros_like(zd))
     x = zd
     gx = residual_branch(params, z).data
+    scale = float(np.linalg.norm(zd)) or float(np.linalg.norm(gx))
+    if scale == 0.0:
+        return Tensor(np.zeros_like(zd))
     for _ in range(max_iter):
         x_new = zd - gx
         gx_new = residual_branch(params, Tensor(x_new)).data
         # residual of x_new: ||x_new + cG(x_new) - z|| = ||cG(x_new) - cG(x)||
         res = float(np.linalg.norm(gx_new - gx))
         x, gx = x_new, gx_new
-        if trace is not None:
-            trace.append((np.array(x), res))
-        if res <= tol * znorm:
+        if res <= tol * scale:
             return Tensor(x)
     raise FixedPointDivergence(
         f"fixed-point inversion did not reach {tol:g} within {max_iter} iterations "
-        f"(relative residual {res / znorm:.3e})",
-        residual=res / znorm,
+        f"(relative residual {res / scale:.3e})",
+        residual=res / scale,
     )
 
 
@@ -184,7 +184,7 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
 
 
 def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: float,
-                    n_iter: int, exit_rel: float = 1e-12, residuals: list | None = None) -> np.ndarray:
+                    n_iter: int, exit_rel: float = 1e-12) -> np.ndarray:
     """CG on (A^H A + mu I) x = rhs from x0; fixed iteration count with an
     early exit at relative residual ``exit_rel``. Deterministic. An all-zero
     x0 starts from r = rhs without applying the normal operator; x, r and p
@@ -194,8 +194,6 @@ def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: f
     r = rhs - op._normal(x, mu) if x.any() else np.array(rhs, dtype=np.complex128)
     p = r.copy()
     rs = float(np.vdot(r, r).real)
-    if residuals is not None:
-        residuals.append(np.sqrt(rs))
     for _ in range(n_iter):
         if np.sqrt(rs) <= exit_rel * rhs_norm:
             break
@@ -207,8 +205,6 @@ def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: f
         p *= rs_new / rs
         p += r
         rs = rs_new
-        if residuals is not None:
-            residuals.append(np.sqrt(rs))
     return x
 
 

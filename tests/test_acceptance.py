@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from melrecon.mel import backprop_mel, backprop_standard
+from melrecon.mel import backprop_mel, backprop_standard, l1_loss
 from melrecon.mri import (
     DatasetConfig,
     EncodingOperator,
@@ -137,6 +137,18 @@ def test_criterion_8_feasibility_frontier(bench_rows):
            f"under budget 2x standard-N=2 peak: max feasible unrolls mel={feas_mel} (>=8), standard={feas_std} (<=4)")
 
 
+def test_mel_ledger_holds_each_activation_once(bench_rows):
+    # one unroll's tape: the conv weights, the four 16-channel relu outputs
+    # (each also the next conv's input, held once) and the first conv's
+    # 2-channel input; biases, the loss and the DC solve save nothing
+    h, w = 24, 24
+    weights = sum(g.data.nbytes for name, g in bench_rows[("mel", 2)].grads.items() if name.startswith("w"))
+    expected = weights + 4 * 16 * h * w * 8 + 2 * h * w * 8
+    assert expected == 364_032
+    for n in (2, 4, 8, 10):
+        assert bench_rows[("mel", n)].peak_tape_bytes == expected
+
+
 # --- criterion 4: inversion fidelity ----------------------------------------------
 
 
@@ -174,7 +186,6 @@ def test_criterion_5_gradient_vs_finite_differences():
     n_params = sum(t.data.size for _, t in net.named_leaves())
     assert n_params <= 200
     rs = backprop_standard(net, op, y, target)
-    from melrecon.autodiff import l1_value
 
     worst = 0.0
     for name, leaf in net.named_leaves():
@@ -183,7 +194,7 @@ def test_criterion_5_gradient_vs_finite_differences():
             _leaf.data[...] = arr
             out = modl_forward(net, op, y)
             _leaf.data[...] = saved
-            return l1_value(out.data, target.data)
+            return l1_loss(out, target)[0]
 
         fd = central_diff(loss_of, leaf.data.copy(), h=1e-6)
         got = rs.grads[name].data

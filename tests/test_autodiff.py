@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from melrecon.autodiff import Tape, apply_op
+from melrecon.mel import l1_loss
 from melrecon.tensor import MemoryLedger, Tensor, add, conv_nd
 
 from oracles import central_diff
@@ -42,7 +43,7 @@ def test_tape_appends_one_node_per_op():
 
 def test_retained_bytes_hand_count():
     # conv saves x (1x4x4 = 128 B) and w (1x1x3x3 = 72 B); relu saves its
-    # input (128 B); add saves nothing. Total 328 bytes.
+    # output (128 B); add saves nothing. Total 328 bytes.
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((1, 4, 4)))
     w = Tensor(rng.standard_normal((1, 1, 3, 3)))
@@ -57,12 +58,27 @@ def test_retained_bytes_hand_count():
     assert led.live_bytes == 328
 
 
+def test_relu_output_feeding_conv_is_held_once():
+    # conv saves x (128 B) and w0 (72 B); relu saves its output (128 B),
+    # which the second conv saves again as its input, counted once; w1 72 B.
+    # Total 400 bytes; a relu saving its input would hold 128 B more.
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((1, 4, 4)))
+    w0, w1 = Tensor(rng.standard_normal((1, 1, 3, 3))), Tensor(rng.standard_normal((1, 1, 3, 3)))
+    b = Tensor(np.zeros(1))
+    tape = Tape()
+    tape.watch(x)
+    h = tape.record("relu", tape.record("conv", x, w0, b))
+    tape.record("conv", h, w1, b)
+    assert tape.ledger.live_bytes == 400
+
+
 def test_bare_tape_reports_peak_through_own_ledger():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((1, 4, 4)))
     tape = Tape()
     tape.watch(x)
-    tape.record("relu", tape.record("relu", x))  # two saved inputs, 128 B each
+    tape.record("relu", tape.record("relu", x))  # two saved outputs, 128 B each
     assert tape.ledger.live_bytes == 256
     tape.dispose()
     assert tape.ledger.live_bytes == 0
@@ -174,27 +190,28 @@ def test_conv_input_and_bias_grads_match_finite_differences():
 
 def test_complex_composite_matches_finite_differences():
     # l1(x + a*ch2c(conv(relu(conv(c2ch(x)))))): every cast, conv, relu,
-    # scale and add on one chain; complex leaf checked channel-wise against
-    # the real-pair convention.
+    # scale and add on one chain, seeded with the l1 loss's closed-form
+    # gradient; complex leaf checked channel-wise against the real-pair
+    # convention.
     rng = np.random.default_rng(5)
     xa = crandn(rng, 4, 4)
     w0, b0 = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5), Tensor(rng.standard_normal(3))
     w1, b1 = Tensor(rng.standard_normal((2, 3, 3, 3)) * 0.5), Tensor(rng.standard_normal(2))
-    target = crandn(rng, 4, 4)
+    target = Tensor(crandn(rng, 4, 4))
 
     def fwd(x, op):
         h = op("relu", op("conv", op("c2ch", x), w0, b0))
         g = op("ch2c", op("conv", h, w1, b1))
-        return op("l1", op("add", x, op("scale", g, a=1.3)), target=target)
+        return op("add", x, op("scale", g, a=1.3))
 
     def loss_channels(ch):
-        return fwd(Tensor(ch[0] + 1j * ch[1]), apply_op).item()
+        return l1_loss(fwd(Tensor(ch[0] + 1j * ch[1]), apply_op), target)[0]
 
     x = Tensor(xa)
     tape = Tape()
     tape.watch(x)
     out = fwd(x, tape.record)
-    g = tape.backward(out, Tensor(1.0), [x])[x.alloc_id].data
+    g = tape.backward(out, l1_loss(out, target)[1], [x])[x.alloc_id].data
 
     ch = np.stack([xa.real, xa.imag])
     fd = central_diff(loss_channels, ch.copy())

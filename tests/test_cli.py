@@ -292,6 +292,15 @@ def test_bench_memory_budget_feasibility(trained, tmp_path, capsys):
     assert feas["standard"] <= 4
 
 
+def test_bench_memory_rejects_unknown_engine_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_grad_eval", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "bench_instance", lambda cfg: calls.append(cfg))
+    with pytest.raises(ValueError, match="bogus"):
+        cli.cmd_bench_memory({}, [2], ["standard", "bogus"])
+    assert calls == []
+
+
 def test_recon_single_case(trained, tmp_path):
     tmp, cfg, ckpt = trained
     manifest = json.loads((tmp / "data" / "manifest.json").read_text())

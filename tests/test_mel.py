@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from melrecon import mel, unrolled
-from melrecon.mel import BENCH_CSV_HEADER, backprop_mel, backprop_standard, engine_report
+from melrecon.mel import BENCH_CSV_HEADER, backprop_mel, backprop_standard, engine_report, l1_loss
 from melrecon.mri import EncodingOperator, make_poisson_disk_mask, make_sensitivities
 from melrecon.tensor import Tensor
 from melrecon.unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
@@ -83,11 +83,10 @@ def test_standard_matches_finite_differences_n2():
             saved = _leaf.data.copy()
             _leaf.data[...] = arr
             from melrecon.unrolled import modl_forward
-            from melrecon.autodiff import l1_value
 
             out = modl_forward(net, op, y)
             _leaf.data[...] = saved
-            return l1_value(out.data, target.data)
+            return l1_loss(out, target)[0]
 
         fd = central_diff(loss_of, leaf.data.copy(), h=1e-6)
         got = rs.grads[name].data
@@ -165,9 +164,9 @@ def test_mel_backward_solves_at_net_cg_exit(monkeypatch):
     seen = []
     real_cg = unrolled.cg_solve_normal
 
-    def spy(op, rhs, x0, mu, n_iter, exit_rel=1e-12, residuals=None):
+    def spy(op, rhs, x0, mu, n_iter, exit_rel=1e-12):
         seen.append(exit_rel)
-        return real_cg(op, rhs, x0, mu, n_iter, exit_rel=exit_rel, residuals=residuals)
+        return real_cg(op, rhs, x0, mu, n_iter, exit_rel=exit_rel)
 
     monkeypatch.setattr(unrolled, "cg_solve_normal", spy)
     backprop_mel(net, op, y, target)

@@ -438,3 +438,18 @@ def test_load_rejects_manifest_tensor_mismatch(tmp_path):
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
         load_dataset(root)
+
+
+def test_load_accepts_legacy_density_r0_only_at_its_constant_value(tmp_path):
+    # manifests written while the density radius was a config field store it
+    import json
+
+    root = save_dataset(build_dataset(small_cfg()), tmp_path / "d")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["config"]["density_r0"] = 0.25
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    assert load_dataset(root).config == build_dataset(small_cfg()).config
+    manifest["config"]["density_r0"] = 0.5
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="density_r0"):
+        load_dataset(root)
