@@ -4,7 +4,6 @@ layer inversion."""
 
 from .tensor import (
     Tensor,
-    MemoryLedger,
     conv_nd,
     relu,
     add,

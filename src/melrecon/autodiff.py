@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over a closed tensor-op set.
 
 Graphs are explicitly scoped: a :class:`Tape` records operations, holds the
-tensors each vector-Jacobian product will need (registered with the memory
-ledger), and can be disposed independently, which is what lets the
-memory-efficient engine build and discard one unroll's graph at a time.
+tensors each vector-Jacobian product will need and counts their bytes, and
+can be disposed independently, which is what lets the memory-efficient
+engine build and discard one unroll's graph at a time.
 
 The op set is closed on purpose and is exactly what ``modl_forward``
 records: conv, relu, add, scale, complex/channel casts, and the implicit
@@ -14,7 +14,7 @@ operator is never taped; it appears only inside ``dc_solve``. Each VJP is
 individually unit-testable.
 
 Each activation is held once: conv saves its input, relu saves its output
-(out > 0 exactly where in > 0), and the tape retains a tensor saved by
+(out > 0 exactly where in > 0), and the tape counts a tensor saved by
 several nodes once.
 
 Complex leaves follow the real-pair convention for real-valued losses:
@@ -29,7 +29,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .tensor import (
-    MemoryLedger,
     Tensor,
     add,
     channels_to_complex,
@@ -78,18 +77,18 @@ class NodeRecord:
 class Tape:
     """Append-only Wengert list over the registered op set.
 
-    One tape is one graph lifetime: single-writer, single-reader. ``dispose``
-    releases every saved tensor from the ledger and makes the tape unusable
-    (idempotently). Tapes of one gradient evaluation share a ledger; a tape
-    built without one gets its own.
+    One tape is one graph lifetime: single-writer, single-reader.
+    ``saved_bytes`` is the tape ledger: the ``nbytes`` of every tensor a
+    node saves, each allocation counted once. It only grows while the tape
+    records. ``dispose`` drops the saved tensors, sets it to 0 and makes the
+    tape unusable (idempotently).
     """
 
-    def __init__(self, ledger: MemoryLedger | None = None):
+    def __init__(self):
         self.nodes: list[NodeRecord] = []
-        self.ledger = MemoryLedger() if ledger is None else ledger
+        self.saved_bytes = 0
         self._node_of: dict[int, int] = {}
-        self._retained: list[int] = []
-        self._retained_set: set[int] = set()
+        self._saved_ids: set[int] = set()
         self._disposed = False
 
     # -- graph construction ---------------------------------------------
@@ -107,11 +106,9 @@ class Tape:
         return idx
 
     def _retain(self, t: Tensor) -> None:
-        if t.alloc_id in self._retained_set:
-            return
-        self._retained_set.add(t.alloc_id)
-        self._retained.append(t.alloc_id)
-        self.ledger.retain(t)
+        if t.alloc_id not in self._saved_ids:
+            self._saved_ids.add(t.alloc_id)
+            self.saved_bytes += t.nbytes
 
     def watch(self, t: Tensor) -> Tensor:
         """Mark ``t`` as a leaf (parameter or input) of this graph."""
@@ -188,15 +185,11 @@ class Tape:
     # -- lifetime ---------------------------------------------------------
 
     def dispose(self) -> None:
-        """Release all saved tensors; the tape is unusable afterwards."""
-        if self._disposed:
-            return
-        for alloc_id in self._retained:
-            self.ledger.release(alloc_id)
+        """Drop all saved tensors; the tape is unusable afterwards."""
         self.nodes.clear()
         self._node_of.clear()
-        self._retained.clear()
-        self._retained_set.clear()
+        self._saved_ids.clear()
+        self.saved_bytes = 0
         self._disposed = True
 
 

@@ -195,21 +195,23 @@ def _recon_for_method(method: str, case, recon_dirs: dict):
 
 
 def cmd_eval(cfg: dict, methods: list[str], split: str) -> int:
+    recon_dirs = {}
+    labels = []
+    for m in methods:
+        label, is_dir, path = m.partition("=")
+        if is_dir:
+            if label in ("zero_filled", "cg_sense"):
+                raise ValueError(f"method {m!r}: label {label!r} names a built-in baseline")
+            recon_dirs[label] = path
+        elif m not in ("zero_filled", "cg_sense"):
+            raise ValueError(f"unknown method {m!r} (use zero_filled, cg_sense, or label=recon_dir)")
+        if label in labels:
+            raise ValueError(f"method label {label!r} given twice")
+        labels.append(label)
     ds = load_dataset(cfg["data"])
     cases = ds.split(split)
     if not cases:
         raise ValueError(f"no cases in split {split!r}")
-    recon_dirs = {}
-    labels = []
-    for m in methods:
-        if "=" in m:
-            label, path = m.split("=", 1)
-            recon_dirs[label] = path
-            labels.append(label)
-        elif m in ("zero_filled", "cg_sense"):
-            labels.append(m)
-        else:
-            raise ValueError(f"unknown method {m!r} (use zero_filled, cg_sense, or label=recon_dir)")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"metrics_{split}.csv"

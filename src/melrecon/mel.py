@@ -1,7 +1,9 @@
 """The two gradient engines over the unrolled forward pass.
 
 ``backprop_standard`` records every unroll on one tape and backpropagates
-once, so tape-retained activation bytes grow linearly with the unroll count.
+once, so the tape's saved bytes grow linearly with the unroll count.
+``peak_tape_bytes`` is the largest tape an engine keeps alive: that one
+tape's ``saved_bytes`` here, the largest unroll tape's in mel.
 
 Both engines seed the backward sweep with :func:`l1_loss`'s closed-form
 gradient at the network output; the loss itself is never taped.
@@ -11,12 +13,13 @@ loss gradient at the output, then walks the unrolls in reverse: algebraically
 invert the DC layer to recover z, fixed-point-invert the residual
 regularizer to recover the unroll's input, rebuild just that unroll's
 regularizer graph, backpropagate the gradient at z through it, and dispose
-the tape. Peak retained bytes stay at one unroll's worth regardless of depth,
-at the price of the recompute work. The fixed-point inversion runs the same
-:func:`residual_branch` as the forward pass and the rebuild, so it inverts
-exactly the function that was run. The sweep keeps no iterate; its only
-check is the free one at the end, where the recovered x_0 is compared with
-its known value A^H y and the gap is returned as ``x0_drift``.
+the tape before the next is built. The peak is therefore one unroll's saved
+bytes regardless of depth, at the price of the recompute work. The
+fixed-point inversion runs the same :func:`residual_branch` as the forward
+pass and the rebuild, so it inverts exactly the function that was run. The
+sweep keeps no iterate; its only check is the free one at the end, where
+the recovered x_0 is compared with its known value A^H y and the gap is
+returned as ``x0_drift``.
 
 The DC layer is never rebuilt: its taped node saves nothing and its VJP is
 closed form (:func:`dc_vjp`), so mel applies that VJP to the incoming image
@@ -36,7 +39,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .mri import EncodingOperator
-from .tensor import MemoryLedger, Tensor
+from .tensor import Tensor
 from .unrolled import (
     FixedPointDivergence,
     UnrolledNetParams,
@@ -90,7 +93,7 @@ def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     loss_value, q = l1_loss(x, target)
     gm = tape.backward(x, q, [t for _, t in leaves])
     grads = {name: gm[t.alloc_id] for name, t in leaves}
-    peak = tape.ledger.peak_bytes
+    peak = tape.saved_bytes
     tape.dispose()
     return GradientResult(grads, loss_value, peak, time.perf_counter() - t0,
                           "standard", net.n_unrolls, op.image_shape)
@@ -108,7 +111,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     drift is recorded, not enforced.
     """
     t0 = time.perf_counter()
-    ledger = MemoryLedger()
+    peak = 0
 
     x_n = modl_forward(net, op, y)  # no gradients recorded
     aty = op.adjoint(y)
@@ -125,8 +128,8 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
                 f"unroll {n}: {e}", residual=e.residual, unroll=n
             ) from None
 
-        gz = dc_vjp(op, q, net.mu, net.n_cg, exit_rel=net.cg_exit)
-        tape = Tape(ledger)
+        gz = dc_vjp(op, q, net.mu, net.n_cg)
+        tape = Tape()
         tape.watch(x_prev)
         for _, t in leaves:
             tape.watch(t)
@@ -136,6 +139,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
         for name, t in leaves:
             g = gm[t.alloc_id].data
             grads[name] = grads[name] + g if name in grads else g
+        peak = max(peak, tape.saved_bytes)
         tape.dispose()
         x_n = x_prev
 
@@ -144,7 +148,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     return GradientResult(
         {k: Tensor(v) for k, v in grads.items()},
         loss_value,
-        ledger.peak_bytes,
+        peak,
         time.perf_counter() - t0,
         "mel",
         net.n_unrolls,

@@ -1,10 +1,9 @@
-"""One dense tensor type, N-d convolution, and byte-accurate allocation
-accounting.
+"""One dense tensor type and N-d convolution.
 
 Everything here is gradient-free. A :class:`Tensor` is a float64 or
 complex128 array (the dtype is the only real/complex distinction) with a
-unique allocation id, so the memory ledger and the tape can track and
-release payloads by identity. The ``MELT`` binary format used for datasets,
+unique allocation id, so a tape can find its nodes and count each saved
+payload once by identity. The ``MELT`` binary format used for datasets,
 checkpoints and reconstructions also lives here.
 """
 
@@ -14,7 +13,6 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
 
@@ -22,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "MemoryLedger",
     "conv_nd",
     "relu",
     "add",
@@ -57,11 +54,6 @@ class Tensor:
     @property
     def nbytes(self) -> int:
         return self.data.nbytes
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError("item() requires a single-element tensor")
-        return float(self.data.reshape(-1)[0])
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
@@ -206,35 +198,6 @@ def channels_to_complex(x: Tensor) -> Tensor:
     if x.shape[0] != 2:
         raise ValueError(f"expected 2 leading channels, got {x.shape[0]}")
     return Tensor(x.data[0] + 1j * x.data[1])
-
-
-@dataclass
-class MemoryLedger:
-    """Byte-accurate record of tape-retained tensor payloads.
-
-    ``live_bytes`` is the sum of currently retained allocations and
-    ``peak_bytes`` its running maximum; each allocation is counted once, by
-    ``nbytes``, from ``retain`` to ``release``. Single-writer: one ledger
-    per gradient evaluation, shared by every tape that evaluation builds.
-    """
-
-    live_bytes: int = 0
-    peak_bytes: int = 0
-    _held: dict[int, int] = field(default_factory=dict, repr=False)
-
-    def retain(self, t: Tensor) -> None:
-        if t.alloc_id in self._held:
-            raise ValueError(f"alloc_id {t.alloc_id} retained twice")
-        n = t.nbytes
-        self._held[t.alloc_id] = n
-        self.live_bytes += n
-        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-
-    def release(self, alloc_id: int) -> None:
-        if alloc_id not in self._held:
-            raise ValueError(f"release of unknown alloc_id {alloc_id}")
-        n = self._held.pop(alloc_id)
-        self.live_bytes -= n
 
 
 @contextmanager

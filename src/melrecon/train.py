@@ -201,7 +201,6 @@ def save_checkpoint(out_dir, net: UnrolledNetParams, seed: int = 0, step: int = 
         "mu": net.mu,
         "n_unrolls": net.n_unrolls,
         "n_cg": net.n_cg,
-        "cg_exit": net.cg_exit,
         "contraction": reg.contraction,
         "channels": reg.channels,
         "layers": reg.layers,
@@ -231,6 +230,10 @@ def load_checkpoint(path) -> tuple[UnrolledNetParams, dict]:
     meta = json.loads((root / "manifest.json").read_text())
     if meta.get("format") != "melrecon-checkpoint":
         raise ValueError(f"{path}: not a checkpoint directory")
+    # manifests written before the CG exit became a constant store the 1e-12
+    # the CLI always wrote
+    if meta.get("cg_exit", 1e-12) != 1e-12:
+        raise ValueError(f"{path}: cg_exit {meta['cg_exit']} is not supported (only 1e-12)")
     layers, ch = meta["layers"], meta["channels"]
     if layers < 2:
         raise ValueError(f"{path}: manifest layers {layers} < 2")
@@ -249,7 +252,7 @@ def load_checkpoint(path) -> tuple[UnrolledNetParams, dict]:
         ws.append(w)
         bs.append(b)
     reg = RegularizerParams(ws, bs, meta["contraction"])
-    return UnrolledNetParams(reg, meta["mu"], meta["n_unrolls"], meta["n_cg"], meta["cg_exit"]), meta
+    return UnrolledNetParams(reg, meta["mu"], meta["n_unrolls"], meta["n_cg"]), meta
 
 
 # --- training loop -----------------------------------------------------------------

@@ -112,7 +112,6 @@ class UnrolledNetParams:
     mu: float
     n_unrolls: int
     n_cg: int
-    cg_exit: float = 1e-12  # early-exit relative residual of the DC solve
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -155,10 +154,13 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
     measured against ``tol`` times ||z||, or times ||c*G(0)|| when z = 0;
     if both are 0, G(0) = 0 and x = 0 is returned as the exact preimage.
     Raises :class:`FixedPointDivergence` when the residual does not reach
-    that within ``max_iter`` iterations; ``ValueError`` if tol <= 0.
+    that within ``max_iter`` iterations; ``ValueError`` if tol <= 0 or
+    max_iter < 1.
     """
     if not tol > 0:
         raise ValueError(f"fixed-point tolerance must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     zd = z.data
     x = zd
     gx = residual_branch(params, z).data
@@ -183,19 +185,25 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
 # --- data consistency ---------------------------------------------------------
 
 
+# Relative residual at which every CG solve stops before ``n_iter``
+# iterations: near float64 rounding, so the exit only ends a solve that has
+# nothing left to gain.
+_CG_FLOOR = 1e-15
+
+
 def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: float,
-                    n_iter: int, exit_rel: float = 1e-12) -> np.ndarray:
-    """CG on (A^H A + mu I) x = rhs from x0; fixed iteration count with an
-    early exit at relative residual ``exit_rel``. Deterministic. An all-zero
-    x0 starts from r = rhs without applying the normal operator; x, r and p
-    are updated in place."""
+                    n_iter: int) -> np.ndarray:
+    """CG on (A^H A + mu I) x = rhs from x0: ``n_iter`` iterations, or fewer
+    once ||r|| <= ``_CG_FLOOR`` * ||rhs||. Deterministic. An all-zero x0
+    starts from r = rhs without applying the normal operator; x, r and p are
+    updated in place."""
     x = np.array(x0, dtype=np.complex128)
     rhs_norm = float(np.linalg.norm(rhs))
     r = rhs - op._normal(x, mu) if x.any() else np.array(rhs, dtype=np.complex128)
     p = r.copy()
     rs = float(np.vdot(r, r).real)
     for _ in range(n_iter):
-        if np.sqrt(rs) <= exit_rel * rhs_norm:
+        if np.sqrt(rs) <= _CG_FLOOR * rhs_norm:
             break
         mp = op._normal(p, mu)
         alpha = rs / float(np.vdot(p, mp).real)
@@ -215,20 +223,20 @@ def _check_aty(op: EncodingOperator, aty: Tensor, mu: float) -> None:
         raise ValueError(f"A^H y shape {aty.shape} != operator image shape {op.image_shape}")
 
 
-def _dc_solve_forward(z: Tensor, op, aty, mu, n_cg, exit_rel) -> Tensor:
+def _dc_solve_forward(z: Tensor, op, aty, mu, n_cg) -> Tensor:
     rhs = aty + mu * z.data
-    return Tensor(cg_solve_normal(op, rhs, z.data, mu, n_cg, exit_rel=exit_rel))
+    return Tensor(cg_solve_normal(op, rhs, z.data, mu, n_cg))
 
 
 def _dc_solve_vjp(saved, attrs, g):
-    return (dc_vjp(attrs["op"], Tensor(g), attrs["mu"], attrs["n_cg"], attrs["exit_rel"]).data,)
+    return (dc_vjp(attrs["op"], Tensor(g), attrs["mu"], attrs["n_cg"]).data,)
 
 
 register_op("dc_solve", _dc_solve_forward, _dc_solve_vjp)
 
 
 def dc_forward(op: EncodingOperator, aty: Tensor, z: Tensor, mu: float,
-               n_cg: int, tape: Tape | None = None, exit_rel: float = 1e-12) -> Tensor:
+               n_cg: int, tape: Tape | None = None) -> Tensor:
     """Data-consistency update: approximately solve
     (A^H A + mu I) x = A^H y + mu z by CG initialized at z.
 
@@ -238,7 +246,7 @@ def dc_forward(op: EncodingOperator, aty: Tensor, z: Tensor, mu: float,
     that saves nothing; its VJP is :func:`dc_vjp` in both gradient engines.
     """
     _check_aty(op, aty, mu)
-    return _ap(tape, "dc_solve", z, op=op, aty=aty.data, mu=mu, n_cg=n_cg, exit_rel=exit_rel)
+    return _ap(tape, "dc_solve", z, op=op, aty=aty.data, mu=mu, n_cg=n_cg)
 
 
 def dc_invert(op: EncodingOperator, aty: Tensor, x_next: Tensor, mu: float) -> Tensor:
@@ -251,13 +259,12 @@ def dc_invert(op: EncodingOperator, aty: Tensor, x_next: Tensor, mu: float) -> T
     return Tensor((op._normal(x_next.data, mu) - aty.data) / mu)
 
 
-def dc_vjp(op: EncodingOperator, seed: Tensor, mu: float, n_cg: int,
-           exit_rel: float = 1e-12) -> Tensor:
+def dc_vjp(op: EncodingOperator, seed: Tensor, mu: float, n_cg: int) -> Tensor:
     """Gradient of dc_forward w.r.t. z applied to ``seed``, by the
     implicit-function rule: mu * (A^H A + mu I)^-1 seed (self-adjoint). This
     is the VJP of the taped ``dc_solve`` node and the one the mel sweep
     applies directly."""
-    return Tensor(mu * cg_solve_normal(op, seed.data, np.zeros_like(seed.data), mu, n_cg, exit_rel=exit_rel))
+    return Tensor(mu * cg_solve_normal(op, seed.data, np.zeros_like(seed.data), mu, n_cg))
 
 
 def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
@@ -270,7 +277,7 @@ def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     x = aty
     for _ in range(net.n_unrolls):
         z = regularizer_forward(net.reg, x, tape)
-        x = dc_forward(op, aty, z, net.mu, net.n_cg, tape, exit_rel=net.cg_exit)
+        x = dc_forward(op, aty, z, net.mu, net.n_cg, tape)
     return x
 
 

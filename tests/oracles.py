@@ -91,16 +91,6 @@ def conv_same_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_prefix_sum(deltas) -> int:
-    """Peak of the running sum of signed byte deltas (ledger replay)."""
-    peak = 0
-    run = 0
-    for d in deltas:
-        run += d
-        peak = max(peak, run)
-    return peak
-
-
 def central_diff(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite-difference gradient of scalar f at real array x."""
     g = np.zeros_like(x, dtype=np.float64)

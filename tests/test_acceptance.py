@@ -47,12 +47,12 @@ def crandn(rng, *shape):
 
 
 def random_instance(seed, shape=(16, 16), coils=2, n_unrolls=2, mu=0.3, n_cg=80,
-                    cg_exit=1e-15, channels=8, layers=3, scale=3.0):
+                    channels=8, layers=3, scale=3.0):
     rng = np.random.default_rng(seed)
     mask = make_poisson_disk_mask(shape, 2.0, calib=(4, 4), seed=seed)
     op = EncodingOperator(mask, make_sensitivities(shape, coils, seed=seed + 1))
     reg = project_weights(RegularizerParams.init(channels=channels, layers=layers, seed=seed + 2, scale=scale))
-    net = UnrolledNetParams(reg, mu, n_unrolls, n_cg, cg_exit=cg_exit)
+    net = UnrolledNetParams(reg, mu, n_unrolls, n_cg)
     y = Tensor(op._forward(crandn(rng, *shape)))
     target = Tensor(crandn(rng, *shape) * 0.5)
     return net, op, y, target
@@ -99,7 +99,7 @@ def test_criterion_1_engine_equivalence():
 @pytest.fixture(scope="module")
 def bench_rows():
     net0, op, y, target = random_instance(2000, shape=(24, 24), coils=2, n_unrolls=2,
-                                          mu=0.3, n_cg=20, cg_exit=1e-12, channels=16, layers=5)
+                                          mu=0.3, n_cg=20, channels=16, layers=5)
     backprop_standard(net0, op, y, target)  # warm-up
     rows = {}
     t0 = time.perf_counter()
@@ -149,6 +149,19 @@ def test_mel_ledger_holds_each_activation_once(bench_rows):
         assert bench_rows[("mel", n)].peak_tape_bytes == expected
 
 
+def test_standard_ledger_holds_every_unroll(bench_rows):
+    # the standard tape holds the conv weights once, shared by all unrolls,
+    # plus each unroll's activations as mel's one tape holds them; mel's
+    # peak is therefore the standard tape of one unroll
+    h, w = 24, 24
+    weights = sum(g.data.nbytes for name, g in bench_rows[("mel", 2)].grads.items() if name.startswith("w"))
+    per_unroll = 4 * 16 * h * w * 8 + 2 * h * w * 8
+    assert (weights, per_unroll) == (59_904, 304_128)
+    for n in (2, 4, 8, 10):
+        assert bench_rows[("standard", n)].peak_tape_bytes == weights + n * per_unroll
+        assert bench_rows[("mel", n)].peak_tape_bytes == weights + per_unroll
+
+
 # --- criterion 4: inversion fidelity ----------------------------------------------
 
 
@@ -169,7 +182,7 @@ def test_criterion_4_inversion_fidelity():
         mu = 0.3
         y = Tensor(op._forward(crandn(rng, 12, 12)))
         z0 = Tensor(crandn(rng, 12, 12))
-        xx = dc_forward(op, op.adjoint(y), z0, mu, n_cg=400, exit_rel=1e-14)
+        xx = dc_forward(op, op.adjoint(y), z0, mu, n_cg=400)
         zb = dc_invert(op, op.adjoint(y), xx, mu)
         worst_dc = max(worst_dc, float(np.linalg.norm(zb.data - z0.data) / np.linalg.norm(z0.data)))
     ok = worst_reg <= 1e-7 and worst_dc <= 1e-7
@@ -182,7 +195,7 @@ def test_criterion_4_inversion_fidelity():
 
 def test_criterion_5_gradient_vs_finite_differences():
     net, op, y, target = random_instance(4000, shape=(6, 6), coils=2, n_unrolls=2,
-                                         mu=0.3, n_cg=120, cg_exit=1e-15, channels=2, layers=2, scale=1.0)
+                                         mu=0.3, n_cg=120, channels=2, layers=2, scale=1.0)
     n_params = sum(t.data.size for _, t in net.named_leaves())
     assert n_params <= 200
     rs = backprop_standard(net, op, y, target)

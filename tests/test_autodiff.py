@@ -5,7 +5,7 @@ import pytest
 
 from melrecon.autodiff import Tape, apply_op
 from melrecon.mel import l1_loss
-from melrecon.tensor import MemoryLedger, Tensor, add, conv_nd
+from melrecon.tensor import Tensor, add, conv_nd
 
 from oracles import central_diff
 
@@ -48,14 +48,13 @@ def test_retained_bytes_hand_count():
     x = Tensor(rng.standard_normal((1, 4, 4)))
     w = Tensor(rng.standard_normal((1, 1, 3, 3)))
     b = Tensor(np.zeros(1))
-    led = MemoryLedger()
-    tape = Tape(ledger=led)
+    tape = Tape()
     tape.watch(x)
     tape.watch(w)
     h = tape.record("conv", x, w, b)
     h = tape.record("relu", h)
     tape.record("add", h, x)
-    assert led.live_bytes == 328
+    assert tape.saved_bytes == 328
 
 
 def test_relu_output_feeding_conv_is_held_once():
@@ -70,7 +69,7 @@ def test_relu_output_feeding_conv_is_held_once():
     tape.watch(x)
     h = tape.record("relu", tape.record("conv", x, w0, b))
     tape.record("conv", h, w1, b)
-    assert tape.ledger.live_bytes == 400
+    assert tape.saved_bytes == 400
 
 
 def test_bare_tape_reports_peak_through_own_ledger():
@@ -79,10 +78,7 @@ def test_bare_tape_reports_peak_through_own_ledger():
     tape = Tape()
     tape.watch(x)
     tape.record("relu", tape.record("relu", x))  # two saved outputs, 128 B each
-    assert tape.ledger.live_bytes == 256
-    tape.dispose()
-    assert tape.ledger.live_bytes == 0
-    assert tape.ledger.peak_bytes == 256
+    assert tape.saved_bytes == 256
 
 
 def test_record_on_disposed_tape_fails():
@@ -304,34 +300,16 @@ def test_unreached_leaf_gets_zero_gradient():
 
 def test_dispose_releases_ledger():
     rng = np.random.default_rng(11)
-    led = MemoryLedger()
-    before = led.live_bytes
-    tape = Tape(ledger=led)
+    tape = Tape()
     x = Tensor(rng.standard_normal((1, 4, 4)))
     tape.watch(x)
     tape.record("relu", tape.record("relu", x))
-    assert led.live_bytes > before
+    assert tape.saved_bytes == 256
     tape.dispose()
-    assert led.live_bytes == before
+    assert tape.saved_bytes == 0 and not tape.nodes
     tape.dispose()  # idempotent
-    assert led.live_bytes == before
-
-
-def test_sequential_scoped_tapes_peak_is_single_graph():
-    rng = np.random.default_rng(12)
-    led = MemoryLedger()
-
-    def one_graph():
-        tape = Tape(ledger=led)
-        x = Tensor(rng.standard_normal((1, 8, 8)))
-        tape.watch(x)
-        h = x
-        for _ in range(3):
-            h = tape.record("relu", h)
-        single = led.live_bytes
-        tape.dispose()
-        return single
-
-    singles = [one_graph() for _ in range(6)]
-    assert led.live_bytes == 0
-    assert led.peak_bytes == max(singles)  # not the sum
+    assert tape.saved_bytes == 0
+    for call in (lambda: tape.watch(x), lambda: tape.record("relu", x),
+                 lambda: tape.backward(x, x, [x])):
+        with pytest.raises(ValueError, match="disposed"):
+            call()

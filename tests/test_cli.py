@@ -205,6 +205,19 @@ def test_eval_ground_truth_against_itself(trained):
     assert float(case_row[3]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("methods", [("zero_filled=RECON",), ("cg_sense=RECON",),
+                                     ("mine=RECON", "mine=RECON"), ("zero_filled", "zero_filled")])
+def test_eval_rejects_colliding_labels_before_loading_data(trained, tmp_path, monkeypatch, capsys, methods):
+    tmp, cfg, _ = trained
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("dataset loaded"))
+    argv = [a for m in methods for a in ("--method", m.replace("RECON", str(tmp / "recon")))]
+    out = tmp_path / "metrics"
+    assert run_cli("--config", str(cfg), "--out", str(out), "eval", *argv) == 1
+    err = capsys.readouterr().err
+    assert "baseline" in err or "given twice" in err
+    assert not (out / "metrics_val.csv").exists()
+
+
 def test_recon_architecture_mismatch_fails(trained, tmp_path, capsys):
     tmp, cfg, ckpt = trained
     other = tmp_path / "cine"

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from melrecon import mel, unrolled
+from melrecon import mel
 from melrecon.mel import BENCH_CSV_HEADER, backprop_mel, backprop_standard, engine_report, l1_loss
 from melrecon.mri import EncodingOperator, make_poisson_disk_mask, make_sensitivities
 from melrecon.tensor import Tensor
@@ -122,7 +122,7 @@ def test_mel_recompute_fidelity_zero_weights(monkeypatch):
         [Tensor(np.zeros(b.shape)) for b in net.reg.biases],
         net.reg.contraction,
     )
-    net = UnrolledNetParams(zero_reg, net.mu, net.n_unrolls, 200, cg_exit=1e-15)
+    net = UnrolledNetParams(zero_reg, net.mu, net.n_unrolls, 200)
     r, errs = recovered_input_errors(monkeypatch, net, op, y, target, invert_tol=1e-13)
     assert len(errs) == 3
     assert max(errs) <= 1e-10
@@ -155,23 +155,6 @@ def test_mel_aborts_on_broken_contraction():
     with pytest.raises(FixedPointDivergence) as exc:
         backprop_mel(net, op, y, target, invert_tol=1e-10)
     assert exc.value.unroll is not None
-
-
-def test_mel_backward_solves_at_net_cg_exit(monkeypatch):
-    # every CG solve of the mel engine, forward and VJP, honours net.cg_exit
-    net, op, y, target = make_instance(12, n_unrolls=2)
-    net = replace(net, cg_exit=1e-6)
-    seen = []
-    real_cg = unrolled.cg_solve_normal
-
-    def spy(op, rhs, x0, mu, n_iter, exit_rel=1e-12):
-        seen.append(exit_rel)
-        return real_cg(op, rhs, x0, mu, n_iter, exit_rel=exit_rel)
-
-    monkeypatch.setattr(unrolled, "cg_solve_normal", spy)
-    backprop_mel(net, op, y, target)
-    assert set(seen) == {net.cg_exit}
-    assert len(seen) == 2 * net.n_unrolls  # one forward and one VJP solve per unroll
 
 
 # --- memory accounting ------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from melrecon import tensor as tensor_mod
 from melrecon.tensor import (
-    MemoryLedger,
     Tensor,
     add,
     channels_to_complex,
@@ -24,7 +23,6 @@ from oracles import (
     fft_centered,
     ifft_centered,
     inner_product,
-    max_prefix_sum,
     norm2,
 )
 
@@ -295,58 +293,6 @@ def test_inner_product_and_norm():
     ip = inner_product(x, x)
     assert abs(ip - norm2(x) ** 2) <= 1e-12 * abs(ip)
     assert abs(ip.imag) <= 1e-12
-
-
-# --- memory ledger -----------------------------------------------------------
-
-
-def test_ledger_retain_bytes():
-    led = MemoryLedger()
-    t = Tensor(np.zeros((8, 8), dtype=complex))
-    led.retain(t)
-    assert led.live_bytes == 1024  # 64 samples x 16 bytes
-    assert led.peak_bytes == 1024
-
-
-def test_ledger_retain_release_conserves():
-    led = MemoryLedger()
-    a = Tensor(np.zeros(10))
-    before = led.live_bytes
-    led.retain(a)
-    led.release(a.alloc_id)
-    assert led.live_bytes == before
-
-
-def test_ledger_peak_is_max_prefix_sum():
-    rng = np.random.default_rng(11)
-    led = MemoryLedger()
-    live = []
-    deltas = []
-    for step in range(60):
-        if live and rng.random() < 0.45:
-            t = live.pop(rng.integers(len(live)))
-            led.release(t.alloc_id)
-            deltas.append(-t.nbytes)
-        else:
-            t = Tensor(np.zeros(int(rng.integers(1, 200))))
-            led.retain(t)
-            live.append(t)
-            deltas.append(t.nbytes)
-    want = max_prefix_sum(deltas)
-    assert led.peak_bytes == want
-    for t in live:
-        led.release(t.alloc_id)
-    assert led.live_bytes == 0
-
-
-def test_ledger_errors():
-    led = MemoryLedger()
-    t = Tensor(np.zeros(4))
-    led.retain(t)
-    with pytest.raises(ValueError):
-        led.retain(t)
-    with pytest.raises(ValueError):
-        led.release(999999)
 
 
 # --- MELT format --------------------------------------------------------------

@@ -281,6 +281,21 @@ def test_checkpoint_save_recovers_interrupted_swap(tmp_path, monkeypatch):
     assert load_checkpoint(tmp_path / "ck")[1]["step"] == 1
 
 
+def test_load_checkpoint_accepts_only_the_written_cg_exit(tmp_path):
+    # manifests from before the CG exit became a constant store 1e-12
+    net = tiny_net(seed=15)
+    save_checkpoint(tmp_path / "ck", net)
+    manifest = tmp_path / "ck" / "manifest.json"
+    meta = json.loads(manifest.read_text())
+    assert "cg_exit" not in meta
+    manifest.write_text(json.dumps({**meta, "cg_exit": 1e-12}))
+    back, _ = load_checkpoint(tmp_path / "ck")
+    assert (back.mu, back.n_unrolls, back.n_cg) == (net.mu, net.n_unrolls, net.n_cg)
+    manifest.write_text(json.dumps({**meta, "cg_exit": 1e-6}))
+    with pytest.raises(ValueError, match="cg_exit"):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_load_checkpoint_rejects_tampered_manifest(tmp_path):
     save_checkpoint(tmp_path / "ck", tiny_net(seed=14, channels=4, layers=3))
     manifest = tmp_path / "ck" / "manifest.json"

@@ -141,6 +141,12 @@ def test_invert_geometric_convergence():
     assert all(res[i + 1] <= res[i] * 1.0000001 for i in range(len(res) - 1))
 
 
+def test_invert_rejects_max_iter_below_one():
+    z = Tensor(np.ones((8, 8), dtype=complex))
+    with pytest.raises(ValueError, match="max_iter"):
+        regularizer_invert(projected_params(seed=5), z, max_iter=0)
+
+
 def test_invert_divergence_raises():
     # blow up the weights so c*G is expansive
     p = RegularizerParams.init(channels=8, layers=3, seed=6, scale=2.0)
@@ -232,6 +238,21 @@ def test_cg_error_monotone_and_residual_decays():
         res = [np.linalg.norm(rhs - op._normal(x, mu)) for x in xs]  # true residuals
         assert res[-1] <= 1e-6 * res[0]
         assert all(res[i + 1] <= res[i] * 1.5 for i in range(len(res) - 1))
+
+
+def test_cg_stops_at_residual_floor():
+    # a full mask makes A^H A = I, so one step solves the system up to
+    # rounding; an undersampled one converges well within 500 iterations.
+    # Both solves then stop at the floor instead of running n_iter steps.
+    rng = np.random.default_rng(16)
+    for op, mu, most in ((full_op(), 0.2, 1), (random_op(seed=10), 0.05, 100)):
+        calls = []
+        normal = op._normal
+        op._normal = lambda v, m: calls.append(1) or normal(v, m)
+        rhs = crandn(rng, 8, 8)
+        x = cg_solve_normal(op, rhs, np.zeros_like(rhs), mu, 500)
+        assert len(calls) <= most
+        assert np.linalg.norm(rhs - normal(x, mu)) <= 1e-13 * np.linalg.norm(rhs)
 
 
 def test_dc_invert_roundtrip_tight_cg():
