@@ -18,7 +18,6 @@ from .mri import (
     DatasetConfig,
     Dataset,
     EncodingOperator,
-    SamplingMask,
     build_dataset,
     load_dataset,
     make_kt_mask,
@@ -39,7 +38,7 @@ from .unrolled import (
     regularizer_forward,
     regularizer_invert,
 )
-from .mel import GradientResult, backprop_mel, backprop_standard, engine_report, l1_loss
+from .mel import GradientResult, backprop_mel, backprop_standard, l1_loss
 from .train import (
     AdamState,
     TrainConfig,

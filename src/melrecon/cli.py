@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mel import engine_report
-from .mri import DatasetConfig, build_dataset, load_dataset, make_poisson_disk_mask, make_sensitivities, EncodingOperator
+from .mri import (DatasetConfig, EncodingOperator, build_dataset, load_dataset, make_poisson_disk_mask,
+                  make_sensitivities, realized_acceleration)
 from .tensor import Tensor, atomic_write, melt_read, melt_write
 from .train import MetricsReport, TrainConfig, _grad_eval, cg_sense, load_checkpoint, psnr, ssim, train_loop
 from .unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
@@ -117,7 +117,7 @@ def cmd_gen_data(cfg: dict) -> int:
     ds = build_dataset(_dataset_config(cfg))
     out = save_dataset(ds, cfg["data"])
     for c in ds.cases:
-        print(f"{c.case_id} split={c.split} realized_R={c.mask.realized_acceleration:.3f}")
+        print(f"{c.case_id} split={c.split} realized_R={realized_acceleration(c.mask):.3f}")
     print(f"dataset written to {out}")
     return 0
 
@@ -259,23 +259,23 @@ def bench_instance(cfg: dict):
 
 
 def max_feasible_unrolls(points: list[tuple[int, int]], budget: float) -> int:
-    """Largest N <= 64 whose affine-fit peak stays within the byte budget."""
-    ns = np.array([p[0] for p in points], dtype=float)
-    bs = np.array([p[1] for p in points], dtype=float)
-    if len(points) >= 2 and np.ptp(ns) > 0:
-        slope, intercept = np.polyfit(ns, bs, 1)
-    else:
-        slope, intercept = 0.0, float(bs.max())
-    if slope <= max(1e-9, 0.02 * bs.max() / max(ns.max(), 1)):
-        # flat within measurement noise: depth-independent
-        return 64 if bs.max() <= budget else 0
-    n = int(math.floor((budget - intercept) / slope))
+    """Largest N <= 64 whose peak stays within the byte budget, on the line
+    through the smallest-N and largest-N (N, peak bytes) points. The tape
+    ledger is exactly affine in N, so two points fix it; fewer than two
+    distinct N raise ValueError."""
+    (n_lo, b_lo), (n_hi, b_hi) = min(points), max(points)
+    if n_hi == n_lo:
+        raise ValueError("the feasibility frontier needs two distinct unroll counts")
+    slope = (b_hi - b_lo) / (n_hi - n_lo)
+    if slope <= 0:  # depth-independent
+        return 64 if b_hi <= budget else 0
+    n = math.floor((budget - b_lo) / slope) + n_lo
     return max(0, min(64, n))
 
 
 def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> int:
-    if not unroll_list:
-        raise ValueError("unroll list must be non-empty")
+    if not unroll_list or not engines:
+        raise ValueError("unroll and engine lists must be non-empty")
     for engine in engines:
         if engine not in ("standard", "mel"):
             raise ValueError(f"unknown engine {engine!r}")
@@ -288,33 +288,34 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
     warm = UnrolledNetParams(reg, mu, min(unroll_list), n_cg)
     _grad_eval("standard", warm, op, y, target, invert_tol)
 
-    results = []
+    shape = "x".join(str(s) for s in op.image_shape)
+    rows = [["engine", "n_unrolls", "shape", "peak_bytes", "wall_time_s", "loss"]]
     points: dict[str, list[tuple[int, int]]] = {e: [] for e in engines}
     for n in unroll_list:
         net = UnrolledNetParams(reg, mu, n, n_cg)
         for engine in engines:
             r = _grad_eval(engine, net, op, y, target, invert_tol)
-            results.append(r)
+            rows.append([engine, n, shape, r.peak_tape_bytes, f"{r.wall_time:.6f}", f"{r.loss_value:.12g}"])
             points[engine].append((n, r.peak_tape_bytes))
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    csv_text = engine_report(results)
-    with atomic_write(out / "bench_memory.csv") as tmp:
-        tmp.write_text(csv_text)
-    print(csv_text, end="")
+    with atomic_write(out / "bench_memory.csv") as tmp, open(tmp, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
-    if "standard" in engines and len(points["standard"]) >= 1:
-        n_min = min(n for n, _ in points["standard"])
-        base = dict(points["standard"])[n_min]
-        budget = float(cfg["bench_budget_factor"]) * base
+    if "standard" in engines:
+        n_min = min(unroll_list)
+        budget = float(cfg["bench_budget_factor"]) * dict(points["standard"])[n_min]
         print(f"budget = {cfg['bench_budget_factor']} x standard N={n_min} peak = {budget:.0f} bytes")
-        for engine in engines:
-            feas = max_feasible_unrolls(points[engine], budget)
-            print(f"max feasible unrolls within budget [{engine}]: {feas}")
+        if len(set(unroll_list)) < 2:
+            print("feasibility frontier: needs two unroll counts")
+        else:
+            for engine in engines:
+                feas = max_feasible_unrolls(points[engine], budget)
+                print(f"max feasible unrolls within budget [{engine}]: {feas}")
     if "standard" in engines and "mel" in engines:
-        std = {n: b for n, b in points["standard"]}
-        mel_b = {n: b for n, b in points["mel"]}
+        std, mel_b = dict(points["standard"]), dict(points["mel"])
         n_lo, n_hi = min(std), max(std)
         if n_hi > n_lo:
             std_growth = std[n_hi] / std[n_lo]

@@ -26,12 +26,15 @@ closed form (:func:`dc_vjp`), so mel applies that VJP to the incoming image
 gradient directly. Both engines therefore use the same implicit DC VJP, and
 their gradients agree up to fixed-point/CG tolerances rather than differing
 by CG-trace effects.
+
+Each engine returns a :class:`GradientResult` holding only what it
+measured: the gradients, the loss, the peak tape bytes, the wall time and,
+for mel, ``x0_drift``. The ``bench-memory`` command writes its table from
+these and from its own arguments.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 
@@ -50,22 +53,18 @@ from .unrolled import (
     regularizer_invert,
 )
 
-__all__ = ["GradientResult", "l1_loss", "backprop_standard", "backprop_mel", "engine_report"]
-
-BENCH_CSV_HEADER = ["engine", "n_unrolls", "shape", "peak_bytes", "wall_time_s", "loss"]
+__all__ = ["GradientResult", "l1_loss", "backprop_standard", "backprop_mel"]
 
 
 @dataclass
 class GradientResult:
-    """Gradients plus the bookkeeping the benchmarks report."""
+    """What one gradient evaluation measured. The engine, the unroll count
+    and the image shape are the caller's arguments and are not repeated."""
 
     grads: dict[str, Tensor]
     loss_value: float
     peak_tape_bytes: int
     wall_time: float
-    engine: str
-    n_unrolls: int
-    shape: tuple[int, ...]
     x0_drift: float | None = None  # mel only: ||x0_hat - A^H y|| / ||A^H y||
 
 
@@ -95,8 +94,7 @@ def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     grads = {name: gm[t.alloc_id] for name, t in leaves}
     peak = tape.saved_bytes
     tape.dispose()
-    return GradientResult(grads, loss_value, peak, time.perf_counter() - t0,
-                          "standard", net.n_unrolls, op.image_shape)
+    return GradientResult(grads, loss_value, peak, time.perf_counter() - t0)
 
 
 def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
@@ -145,26 +143,5 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
 
     x0 = aty.data
     x0_drift = float(np.linalg.norm(x_n.data - x0) / max(np.linalg.norm(x0), 1e-300))
-    return GradientResult(
-        {k: Tensor(v) for k, v in grads.items()},
-        loss_value,
-        peak,
-        time.perf_counter() - t0,
-        "mel",
-        net.n_unrolls,
-        op.image_shape,
-        x0_drift=x0_drift,
-    )
-
-
-def engine_report(results: list[GradientResult]) -> str:
-    """CSV rows (engine, N, slab shape, peak bytes, wall time, loss)."""
-    if not results:
-        raise ValueError("engine_report needs at least one result")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BENCH_CSV_HEADER)
-    for r in results:
-        shape = "x".join(str(s) for s in r.shape)
-        writer.writerow([r.engine, r.n_unrolls, shape, r.peak_tape_bytes, f"{r.wall_time:.6f}", f"{r.loss_value:.12g}"])
-    return buf.getvalue()
+    return GradientResult({k: Tensor(v) for k, v in grads.items()}, loss_value, peak,
+                          time.perf_counter() - t0, x0_drift)

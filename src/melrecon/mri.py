@@ -22,7 +22,10 @@ the maps is made.
 
 Also here: Poisson-disk and k-t sampling-mask generators, smooth synthetic
 coil maps, ellipse phantoms, and dataset construction/persistence on top of
-the MELT tensor format.
+the MELT tensor format. A mask is a float64 0/1 Tensor on the image grid,
+as the coil maps are a complex Tensor; :func:`realized_acceleration` reads
+its R. A dataset manifest holds the config once, and per case only its
+id, split, image shape, coil count, seed and realized R.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ import scipy.fft as sfft
 from .tensor import Tensor, atomic_write, melt_read, melt_write
 
 __all__ = [
-    "SamplingMask",
     "EncodingOperator",
     "DatasetConfig",
     "Case",
     "Dataset",
     "make_poisson_disk_mask",
     "make_kt_mask",
+    "realized_acceleration",
     "make_sensitivities",
     "make_phantom",
     "build_dataset",
@@ -52,23 +55,6 @@ __all__ = [
 ]
 
 _FFT_AXES = (-2, -1)  # in-plane axes of image and k-space arrays
-
-
-@dataclass
-class SamplingMask:
-    """Binary k-space indicator with a fully sampled calibration center."""
-
-    data: np.ndarray  # float64 0/1, [H, W] or [T, H, W]
-    acceleration: float  # target R
-    calib_region: tuple[int, ...]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def realized_acceleration(self) -> float:
-        return self.data.size / max(1.0, float(self.data.sum()))
 
 
 def _centering_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +90,7 @@ class EncodingOperator:
     conj(sum_c S_c conj(I_c)), which equals sum_c conj(S_c) I_c exactly.
     """
 
-    def __init__(self, mask: SamplingMask, sens: Tensor):
+    def __init__(self, mask: Tensor, sens: Tensor):
         if mask.data.ndim not in (2, 3):
             raise ValueError(f"mask rank must be 2 or 3, got {mask.data.ndim}")
         if sens.data.ndim != 3:
@@ -240,7 +226,7 @@ def _poisson_darts(shape, calib, rng_order, min_dist, scale):
 _DENSITY_R0 = 0.25
 
 
-def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0) -> SamplingMask:
+def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0) -> Tensor:
     """Variable-density Poisson-disk mask by dart throwing.
 
     The minimum distance grows with k-space radius as (1 + r/r0), i.e.
@@ -255,7 +241,7 @@ def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0) -> 
         raise ValueError(f"acceleration must be >= 1, got {accel}")
     total = int(np.prod(shape))
     if accel <= 1.0 + 1e-12:
-        return SamplingMask(np.ones(shape), 1.0, tuple(calib))
+        return Tensor(np.ones(shape))
     budget = total / accel
     calib = tuple(int(c) for c in calib)
     if any(c > n for c, n in zip(calib, shape)):
@@ -287,10 +273,10 @@ def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0) -> 
     realized = total / mask.sum()
     if abs(realized - accel) > 0.15 * accel:
         raise ValueError(f"could not realize R={accel} (got {realized:.2f})")
-    return SamplingMask(mask, float(accel), calib)
+    return Tensor(mask)
 
 
-def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0) -> SamplingMask:
+def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0) -> Tensor:
     """Variable-density k-t mask: per-frame ky-line selection with
     complementary golden-ratio offsets across frames; center line always on."""
     if frames < 1:
@@ -299,7 +285,7 @@ def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0) -> Sam
     if accel < 1:
         raise ValueError(f"acceleration must be >= 1, got {accel}")
     if accel <= 1.0 + 1e-12:
-        return SamplingMask(np.ones((frames, h, w)), 1.0, (1, w))
+        return Tensor(np.ones((frames, h, w)))
     n_keep = max(1, round(h / accel))
     if abs(h / n_keep - accel) > 0.15 * accel:
         raise ValueError(f"cannot realize R={accel} with {h} ky lines")
@@ -326,7 +312,12 @@ def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0) -> Sam
             # the comb line nearest the center is the most redundant one
             lines[min(range(n_keep), key=lambda t: abs(lines[t] - center))] = center
         mask[f, sorted(lines), :] = 1.0
-    return SamplingMask(mask, float(accel), (1, w))
+    return Tensor(mask)
+
+
+def realized_acceleration(mask: Tensor) -> float:
+    """Grid points per sampled point of a 0/1 mask."""
+    return mask.data.size / max(1.0, float(mask.data.sum()))
 
 
 # --- synthetic coils and phantoms -------------------------------------------
@@ -419,18 +410,18 @@ def make_phantom(shape, kind: str = "static2d", seed: int = 0, frames: int = 1, 
 
 @dataclass
 class DatasetConfig:
-    shape: tuple[int, int] = (32, 32)
-    coils: int = 4
-    accel: float = 4.0
+    shape: tuple[int, int]
+    coils: int
+    accel: float
+    calib: tuple[int, int]
+    noise_sigma: float  # relative to max |y|
+    n_train: int
+    n_val: int
+    n_test: int
+    seed: int
     mask_kind: str = "poisson"  # poisson | kt
     kind: str = "static2d"  # static2d | cine
     frames: int = 1
-    calib: tuple[int, int] = (6, 6)
-    noise_sigma: float = 0.0  # relative to max |y|
-    n_train: int = 8
-    n_val: int = 2
-    n_test: int = 2
-    seed: int = 0
 
 
 @dataclass
@@ -439,10 +430,9 @@ class Case:
     split: str
     x: Tensor
     y: Tensor
-    mask: SamplingMask
+    mask: Tensor  # float64 0/1 on the image grid
     sens: Tensor  # [C, H, W] coil maps
     seed: int
-    sigma: float
 
     def operator(self) -> EncodingOperator:
         return EncodingOperator(self.mask, self.sens)
@@ -477,15 +467,13 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
             else:
                 raise ValueError(f"unknown mask kind {cfg.mask_kind!r}")
             op = EncodingOperator(mask, sens)
-            y = op._forward(x.data)
+            y = op.forward(x).data  # checked: a mask that does not fit the phantom raises here
             if cfg.noise_sigma > 0:
                 nrng = np.random.default_rng(cseed + 3)
                 s = cfg.noise_sigma * np.abs(y).max()
                 noise = (nrng.standard_normal(y.shape) + 1j * nrng.standard_normal(y.shape)) / np.sqrt(2)
                 y = (y + s * noise) * mask.data
-            cases.append(
-                Case(f"case{idx:04d}", split, x, Tensor(y), mask, sens, cseed, cfg.noise_sigma)
-            )
+            cases.append(Case(f"case{idx:04d}", split, x, Tensor(y), mask, sens, cseed))
             idx += 1
     return Dataset(cfg, cases)
 
@@ -503,7 +491,7 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
         cdir.mkdir(exist_ok=True)
         melt_write(cdir / "x.melt", c.x)
         melt_write(cdir / "y.melt", c.y)
-        melt_write(cdir / "mask.melt", Tensor(c.mask.data))
+        melt_write(cdir / "mask.melt", c.mask)
         melt_write(cdir / "sens.melt", c.sens)
         manifest["cases"].append(
             {
@@ -512,10 +500,7 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
                 "shape": list(c.x.shape),
                 "coils": c.sens.shape[0],
                 "seed": c.seed,
-                "sigma": c.sigma,
-                "accel_target": c.mask.acceleration,
-                "accel_realized": c.mask.realized_acceleration,
-                "calib": list(c.mask.calib_region),
+                "accel_realized": realized_acceleration(c.mask),
             }
         )
     with atomic_write(out / "manifest.json") as tmp:
@@ -545,12 +530,11 @@ def load_dataset(path) -> Dataset:
         cdir = root / m["id"]
         x = melt_read(cdir / "x.melt")
         y = melt_read(cdir / "y.melt")
-        mask_t = melt_read(cdir / "mask.melt")
-        sens_t = melt_read(cdir / "sens.melt")
+        mask = melt_read(cdir / "mask.melt")
+        sens = melt_read(cdir / "sens.melt")
         if tuple(m["shape"]) != x.shape:
             raise ValueError(f"{m['id']}: manifest shape {m['shape']} != tensor {x.shape}")
-        mask = SamplingMask(mask_t.data, m["accel_target"], tuple(m["calib"]))
-        cases.append(
-            Case(m["id"], m["split"], x, y, mask, sens_t, m["seed"], m["sigma"])
-        )
+        # older manifests also carry per-case sigma, accel_target and calib,
+        # which restate the config; they are not read
+        cases.append(Case(m["id"], m["split"], x, y, mask, sens, m["seed"]))
     return Dataset(cfg, cases)

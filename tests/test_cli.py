@@ -11,6 +11,7 @@ from melrecon import cli, train
 from melrecon.cli import DEFAULT_CONFIG, main
 from melrecon.tensor import melt_read, melt_write
 from melrecon.train import TrainConfig
+from melrecon.unrolled import UnrolledNetParams
 
 # config key -> TrainConfig field, for every field
 TRAIN_FIELD_OF_KEY = {
@@ -124,6 +125,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     p.write_text(json.dumps({"image_sizes": 16}))
     assert run_cli("--config", str(p), "gen-data") == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kw", [dict(mask="kt", kind="static2d"), dict(mask="poisson", kind="cine", frames=3)],
+                         ids=["kt_static2d", "poisson_cine"])
+def test_gen_data_rejects_mask_that_does_not_fit_the_images(tmp_path, capsys, kw):
+    cfg = tiny_config(tmp_path, **kw)
+    assert run_cli("--config", str(cfg), "gen-data") == 1
+    assert "shape" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 def test_paths_resolve_relative_to_config(tmp_path):
@@ -276,6 +286,47 @@ def test_bench_memory_two_rows(trained, tmp_path, capsys):
     rows = list(csv.reader((out / "bench_memory.csv").open()))
     assert len(rows) == 3  # header + standard + mel
     assert {r[0] for r in rows[1:]} == {"standard", "mel"}
+
+
+def test_bench_memory_rows_are_direct_gradient_evaluations(trained, tmp_path):
+    tmp, cfg, _ = trained
+    out = tmp_path / "bench_rows"
+    assert run_cli("--config", str(cfg), "--out", str(out), "bench-memory", "--unroll-list", "2,3") == 0
+    rows = list(csv.reader((out / "bench_memory.csv").open()))
+    assert rows[0] == ["engine", "n_unrolls", "shape", "peak_bytes", "wall_time_s", "loss"]
+    c = cli.load_config(str(cfg), {})
+    op, reg, y, target = cli.bench_instance(c)
+    assert [(r[0], r[1]) for r in rows[1:]] == [("standard", "2"), ("mel", "2"), ("standard", "3"), ("mel", "3")]
+    for engine, n, shape, peak, wall, loss in rows[1:]:
+        net = UnrolledNetParams(reg, float(c["bench_mu"]), int(n), int(c["bench_cg_iters"]))
+        r = train._grad_eval(engine, net, op, y, target, float(c["invert_tol"]))
+        assert shape == "16x16"
+        assert int(peak) == r.peak_tape_bytes
+        assert float(wall) > 0
+        assert loss == f"{r.loss_value:.12g}"
+
+
+def test_bench_memory_one_unroll_count_gives_no_frontier(trained, tmp_path, capsys):
+    # one point cannot fix the ledger's slope, so no frontier is reported
+    tmp, cfg, _ = trained
+    rc = run_cli("--config", str(cfg), "--out", str(tmp_path / "b"), "bench-memory", "--unroll-list", "2")
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "needs two unroll counts" in text
+    assert "max feasible unrolls" not in text
+
+
+def test_frontier_is_the_line_through_the_extreme_points():
+    # the tiny CLI bench instance: standard 1,152 + N * 12,288 B, mel 13,440 B
+    std = [(n, 1_152 + n * 12_288) for n in (2, 3, 5)]
+    budget = 2.0 * std[0][1]
+    assert budget == 51_456
+    assert cli.max_feasible_unrolls(std, budget) == 4
+    assert cli.max_feasible_unrolls([(2, 13_440), (5, 13_440)], budget) == 64
+    assert cli.max_feasible_unrolls([(2, 60_000), (5, 60_000)], budget) == 0
+    for pts in ([(2, 25_728)], [(4, 1), (4, 2)]):
+        with pytest.raises(ValueError, match="two distinct unroll counts"):
+            cli.max_feasible_unrolls(pts, budget)
 
 
 def test_bench_memory_standard_strictly_increasing(trained, tmp_path):

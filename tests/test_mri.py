@@ -8,13 +8,13 @@ from melrecon.mri import (
     Dataset,
     DatasetConfig,
     EncodingOperator,
-    SamplingMask,
     build_dataset,
     load_dataset,
     make_kt_mask,
     make_phantom,
     make_poisson_disk_mask,
     make_sensitivities,
+    realized_acceleration,
     save_dataset,
 )
 from melrecon.tensor import Tensor
@@ -27,7 +27,7 @@ def crandn(rng, *shape):
 
 
 def full_op(shape, coils=1, seed=0):
-    mask = SamplingMask(np.ones(shape), 1.0, (0, 0))
+    mask = Tensor(np.ones(shape))
     sens = make_sensitivities(shape[-2:], coils, seed=seed)
     return EncodingOperator(mask, sens)
 
@@ -44,7 +44,7 @@ def random_op(rng, shape=(8, 8), coils=2, accel=2.0):
 def test_forward_full_mask_single_flat_coil_is_fft():
     rng = np.random.default_rng(0)
     x = Tensor(crandn(rng, 8, 8))
-    mask = SamplingMask(np.ones((8, 8)), 1.0, (0, 0))
+    mask = Tensor(np.ones((8, 8)))
     sens = Tensor(np.ones((1, 8, 8), dtype=complex))
     op = EncodingOperator(mask, sens)
     y = op.forward(x)
@@ -143,7 +143,7 @@ def test_operator_matches_direct_dft_off_even_grids(kind):
         mask = make_kt_mask((15, 16), frames=3, accel=3.0, seed=9)
     else:
         shape = (15, 17) if kind == "odd_odd" else (16, 15)
-        mask = SamplingMask((rng.random(shape) < 0.5).astype(float), 2.0, (0, 0))
+        mask = Tensor((rng.random(shape) < 0.5).astype(float))
     sens = make_sensitivities(mask.shape[-2:], 3, seed=10)
     op = EncodingOperator(mask, sens)
     x = crandn(rng, *mask.shape)
@@ -166,7 +166,7 @@ def test_normal_equals_adjoint_of_forward(kind):
         mask = make_kt_mask((16, 16), frames=4, accel=4.0, seed=12)
     else:
         shape = {"even_24": (24, 24), "even_32x16": (32, 16), "odd_odd": (15, 17), "even_odd": (16, 15)}[kind]
-        mask = SamplingMask((rng.random(shape) < 0.4).astype(float), 2.5, (0, 0))
+        mask = Tensor((rng.random(shape) < 0.4).astype(float))
     op = EncodingOperator(mask, make_sensitivities(mask.shape[-2:], 3, seed=13))
     x = crandn(rng, *mask.shape)
     mu = 0.3
@@ -183,7 +183,7 @@ def test_operator_call_holds_one_coil_sized_buffer(method):
     # 128x128 with 8 coils: one [C, H, W] complex buffer is 2 MB; the call
     # may add image-sized temporaries but no second coil-sized one
     rng = np.random.default_rng(14)
-    mask = SamplingMask((rng.random((128, 128)) < 0.25).astype(float), 4.0, (0, 0))
+    mask = Tensor((rng.random((128, 128)) < 0.25).astype(float))
     op = EncodingOperator(mask, make_sensitivities((128, 128), 8, seed=15))
     x = crandn(rng, 128, 128)
     arg = (x, 0.05) if method == "_normal" else (op._forward(x),)
@@ -223,7 +223,7 @@ def test_poisson_deterministic():
 @pytest.mark.parametrize("accel,seed", [(2.0, 0), (4.0, 1), (6.0, 2), (8.0, 3)])
 def test_poisson_realized_acceleration_within_15pct(accel, seed):
     m = make_poisson_disk_mask((48, 48), accel, calib=(6, 6), seed=seed)
-    assert abs(m.realized_acceleration - accel) <= 0.15 * accel
+    assert abs(realized_acceleration(m) - accel) <= 0.15 * accel
     assert set(np.unique(m.data)) <= {0.0, 1.0}
 
 
@@ -288,7 +288,7 @@ def test_kt_deterministic_and_realized_r():
     a = make_kt_mask((32, 16), frames=6, accel=4.0, seed=2)
     b = make_kt_mask((32, 16), frames=6, accel=4.0, seed=2)
     assert np.array_equal(a.data, b.data)
-    assert abs(a.realized_acceleration - 4.0) <= 0.15 * 4.0
+    assert abs(realized_acceleration(a) - 4.0) <= 0.15 * 4.0
 
 
 def test_kt_center_line_every_frame():
@@ -360,7 +360,8 @@ def test_phantom_rejects_small_grid():
 
 
 def small_cfg(**kw):
-    base = dict(shape=(16, 16), coils=2, accel=2.0, calib=(4, 4), n_train=2, n_val=1, n_test=1, seed=42)
+    base = dict(shape=(16, 16), coils=2, accel=2.0, calib=(4, 4), noise_sigma=0.0, n_train=2, n_val=1, n_test=1,
+                seed=42)
     base.update(kw)
     return DatasetConfig(**base)
 
@@ -438,6 +439,26 @@ def test_load_rejects_manifest_tensor_mismatch(tmp_path):
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
         load_dataset(root)
+
+
+def test_load_ignores_per_case_config_keys_of_older_manifests(tmp_path):
+    # manifests written while cases restated the config carry per-case
+    # sigma, accel_target and calib; they load bit-identically
+    import json
+
+    ds = build_dataset(small_cfg(noise_sigma=1e-3))
+    root = save_dataset(ds, tmp_path / "d")
+    manifest = json.loads((root / "manifest.json").read_text())
+    assert not {"sigma", "accel_target", "calib"} & set(manifest["cases"][0])
+    for m in manifest["cases"]:
+        m.update(sigma=1e-3, accel_target=2.0, calib=[4, 4])
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    back = load_dataset(root)
+    assert back.config == ds.config
+    for a, b in zip(ds.cases, back.cases, strict=True):
+        assert (a.case_id, a.split, a.seed) == (b.case_id, b.split, b.seed)
+        for f in ("x", "y", "mask", "sens"):
+            assert np.array_equal(getattr(a, f).data, getattr(b, f).data)
 
 
 def test_load_accepts_legacy_density_r0_only_at_its_constant_value(tmp_path):

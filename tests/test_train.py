@@ -40,7 +40,7 @@ def crandn(rng, *shape):
 
 
 def small_dataset(seed=0, n_train=2, accel=2.0, shape=(16, 16)):
-    cfg = DatasetConfig(shape=shape, coils=2, accel=accel, calib=(4, 4),
+    cfg = DatasetConfig(shape=shape, coils=2, accel=accel, calib=(4, 4), noise_sigma=0.0,
                         n_train=n_train, n_val=1, n_test=1, seed=seed)
     return build_dataset(cfg)
 
@@ -209,11 +209,11 @@ def test_import_does_not_load_scipy_ndimage():
 
 
 def test_baselines_full_mask_recover_truth():
-    from melrecon.mri import EncodingOperator, SamplingMask, make_sensitivities
+    from melrecon.mri import EncodingOperator, make_sensitivities
 
     rng = np.random.default_rng(9)
     xstar = crandn(rng, 8, 8)
-    op = EncodingOperator(SamplingMask(np.ones((8, 8)), 1.0, (0, 0)), make_sensitivities((8, 8), 2, seed=1))
+    op = EncodingOperator(Tensor(np.ones((8, 8))), make_sensitivities((8, 8), 2, seed=1))
     y = op.forward(Tensor(xstar))
     zf = op.adjoint(y)
     assert np.linalg.norm(zf.data - xstar) <= 1e-10 * np.linalg.norm(xstar)

@@ -5,7 +5,7 @@ import pytest
 
 from melrecon import autodiff
 from melrecon.autodiff import Tape
-from melrecon.mri import EncodingOperator, SamplingMask, make_poisson_disk_mask, make_sensitivities
+from melrecon.mri import EncodingOperator, make_poisson_disk_mask, make_sensitivities
 from melrecon.tensor import Tensor
 from melrecon.unrolled import (
     FixedPointDivergence,
@@ -46,7 +46,7 @@ def projected_params(seed=0, channels=8, layers=3, scale=3.0):
 
 
 def full_op(shape=(8, 8), coils=2, seed=0):
-    mask = SamplingMask(np.ones(shape), 1.0, (0, 0))
+    mask = Tensor(np.ones(shape))
     return EncodingOperator(mask, make_sensitivities(shape, coils, seed=seed))
 
 
