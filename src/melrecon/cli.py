@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -289,13 +290,20 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
     _grad_eval("standard", warm, op, y, target, invert_tol)
 
     shape = "x".join(str(s) for s in op.image_shape)
-    rows = [["engine", "n_unrolls", "shape", "peak_bytes", "wall_time_s", "loss"]]
+    rows = [["engine", "n_unrolls", "shape", "peak_bytes", "heap_peak_bytes", "wall_time_s", "loss"]]
     points: dict[str, list[tuple[int, int]]] = {e: [] for e in engines}
     for n in unroll_list:
         net = UnrolledNetParams(reg, mu, n, n_cg)
         for engine in engines:
             r = _grad_eval(engine, net, op, y, target, invert_tol)
-            rows.append([engine, n, shape, r.peak_tape_bytes, f"{r.wall_time:.6f}", f"{r.loss_value:.12g}"])
+            # the heap peak comes from a second call: tracing slows one 3-4x
+            tracemalloc.start()
+            try:
+                _grad_eval(engine, net, op, y, target, invert_tol)
+                heap = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            rows.append([engine, n, shape, r.peak_tape_bytes, heap, f"{r.wall_time:.6f}", f"{r.loss_value:.12g}"])
             points[engine].append((n, r.peak_tape_bytes))
 
     out = Path(cfg["out"])

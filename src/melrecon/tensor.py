@@ -13,7 +13,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from itertools import count
+from itertools import count, product
 from pathlib import Path
 
 import numpy as np
@@ -77,20 +77,20 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray, b: np.ndarray):
             raise ValueError(f"kernel extents must be odd, got {w.shape[2:]}")
 
 
-def _pad_input(x: np.ndarray, kshape: tuple[int, ...]) -> np.ndarray:
-    """Zero-pad the spatial axes by k//2 on each side. Built by hand:
-    ``np.pad``'s fixed cost is about a quarter of a small conv."""
-    spatial = x.shape[1:]
-    xp = np.zeros(x.shape[:1] + tuple(n + k - 1 for n, k in zip(spatial, kshape)), dtype=x.dtype)
-    xp[(slice(None),) + tuple(slice(k // 2, k // 2 + n) for n, k in zip(spatial, kshape))] = x
-    return xp
-
-
 # Multiply-adds per conv GEMM at most. OpenBLAS runs a GEMM this small on
 # the calling thread; a larger one it hands to worker threads, whose hand-off
 # and busy-waiting cost more than they save at these sizes and make a conv's
 # time depend on whether another core is free at that moment.
 _GEMM_MACS = 1 << 18
+
+# Bytes of zero-padded input a conv holds at once. Its im2col bands are cut
+# from one reused slab that covers a run of consecutive axis-0 indices plus
+# the kernel's halo, not from a padded copy of the whole input. The padded
+# input of every training conv fits in one slab; at 16 channels of 128x128 a
+# slab holds 13 of the 128 rows, 250 KB where the whole padded copy took
+# 2.16 MB. A slab never holds less than one axis-0 index, or one band when
+# bands run along axis 0, even where that exceeds this budget.
+_SLAB_BYTES = 1 << 18
 
 
 def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
@@ -98,31 +98,69 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
 
     Yields ``(span, cols)``: ``span`` slices the flattened grid and ``cols``
     [C_in*prod(k), len(span)] holds its columns, rows laid out [C_in, *k]:
-    cols[(i, *d), p] = xpad[i, *(p + d)] for every kernel offset d. Each band
-    is one copy of a read-only strided view of the padded input; the view
-    stays in bounds because p + d <= n + k - 2, the last padded index.
+    cols[(i, *d), p] = xpad[i, *(p + d)] for every kernel offset d, where
+    xpad is x zero-padded by k//2 on each side.
 
     A band is a run of indices along one spatial axis, with all of the
     trailing axes and one index of each leading axis: the first axis whose
     trailing block keeps ``macs_per_col`` times the band's columns within
     ``_GEMM_MACS``, as many indices of it as fit (at least one).
+
+    xpad is never built whole. The bands are copied from read-only strided
+    views of a slab, the rows [a, a + m + k0 - 1) of xpad that a run [a, a + m)
+    of axis-0 indices reads, refilled for each run. A slab holds at most
+    ``_SLAB_BYTES`` (see there) and, when the bands run along axis 0, a whole
+    number of bands, so the partition and every GEMM are those of one slab
+    over all of xpad. Each view stays in its slab, since p + d <= m + k0 - 2
+    along axis 0 and n + k - 2 along the others, and halo rows past either
+    end of axis 0 read as zeros. Every band is copied into one reused
+    buffer, so ``cols`` is valid only until the next band is yielded: a
+    conv holds one slab and one band buffer beside its input and output.
     """
-    xp = _pad_input(x, kshape)
-    s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, x.shape[:1] + tuple(kshape) + x.shape[1:], s[:1] + s[1:] + s[1:], writeable=False)
-    spatial = x.shape[1:]
+    c, spatial = x.shape[0], x.shape[1:]
     ax = 0
     while ax < len(spatial) - 1 and macs_per_col * math.prod(spatial[ax + 1:]) > _GEMM_MACS:
         ax += 1
-    row, n = math.prod(spatial[ax + 1:]), spatial[ax]
+    row = math.prod(spatial[ax + 1:])
     step = max(1, _GEMM_MACS // (macs_per_col * row))
+
+    n0, halo = spatial[0], kshape[0] - 1
+    plane = tuple([n + q - 1 for n, q in zip(spatial[1:], kshape[1:])])
+    rows = max(1, _SLAB_BYTES // (c * math.prod(plane) * x.itemsize) - halo)
+    if ax == 0 and rows < n0:
+        rows = max(step, rows - rows % step)
+    rows = min(rows, n0)
+    slab = np.zeros((c, rows + halo) + plane, dtype=x.dtype)
+    s = slab.strides
+    # numpy refuses a shape and strides that would reach past the buffer
+    view = np.ndarray((c,) + tuple(kshape) + (rows,) + spatial[1:], x.dtype,
+                      memoryview(slab).toreadonly(), 0, s[:1] + s[1:] + s[1:])
+    inner = tuple([slice(q // 2, q // 2 + n) for n, q in zip(spatial[1:], kshape[1:])])
     lead = (slice(None),) * (1 + len(kshape))
-    k = x.shape[0] * math.prod(kshape)
-    for i, outer in enumerate(np.ndindex(spatial[:ax])):
-        for r in range(0, n, step):
-            cols = np.ascontiguousarray(view[lead + outer + (slice(r, r + step),)])
-            yield slice((i * n + r) * row, (i * n + min(r + step, n)) * row), cols.reshape(k, -1)
+    k = c * math.prod(kshape)
+    buf = np.empty(k * min(step, spatial[ax]) * row, dtype=x.dtype)
+    into = {}  # band width -> the prefix of buf shaped as such a band, and as [k, voxels]
+    for a in range(0, n0, rows):
+        m = min(rows, n0 - a)
+        top = a - kshape[0] // 2  # the x row that slab row 0 holds
+        lo, hi = max(top, 0), min(top + m + halo, n0)
+        # rows before x's first stay zero from np.zeros, as top only grows;
+        # rows past its last may hold x from an earlier run
+        if rows < n0:
+            slab[:, hi - top:m + halo] = 0
+        slab[(slice(None), slice(lo - top, hi - top)) + inner] = x[:, lo:hi]
+        local = (m,) + spatial[1:]
+        n, base = local[ax], a * math.prod(spatial[1:])
+        for i, outer in enumerate(product(*map(range, local[:ax]))):
+            for r in range(0, n, step):
+                e = min(r + step, n)
+                band = view[lead + outer + (slice(r, e),)]
+                if e - r not in into:
+                    t = buf[:band.size].reshape(band.shape)
+                    into[e - r] = t, t.reshape(k, -1)
+                t, cols = into[e - r]
+                t[...] = band
+                yield slice(base + (i * n + r) * row, base + (i * n + e) * row), cols
 
 
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -293,15 +293,16 @@ def test_bench_memory_rows_are_direct_gradient_evaluations(trained, tmp_path):
     out = tmp_path / "bench_rows"
     assert run_cli("--config", str(cfg), "--out", str(out), "bench-memory", "--unroll-list", "2,3") == 0
     rows = list(csv.reader((out / "bench_memory.csv").open()))
-    assert rows[0] == ["engine", "n_unrolls", "shape", "peak_bytes", "wall_time_s", "loss"]
+    assert rows[0] == ["engine", "n_unrolls", "shape", "peak_bytes", "heap_peak_bytes", "wall_time_s", "loss"]
     c = cli.load_config(str(cfg), {})
     op, reg, y, target = cli.bench_instance(c)
     assert [(r[0], r[1]) for r in rows[1:]] == [("standard", "2"), ("mel", "2"), ("standard", "3"), ("mel", "3")]
-    for engine, n, shape, peak, wall, loss in rows[1:]:
+    for engine, n, shape, peak, heap, wall, loss in rows[1:]:
         net = UnrolledNetParams(reg, float(c["bench_mu"]), int(n), int(c["bench_cg_iters"]))
         r = train._grad_eval(engine, net, op, y, target, float(c["invert_tol"]))
         assert shape == "16x16"
         assert int(peak) == r.peak_tape_bytes
+        assert int(heap) >= int(peak)  # the traced call allocates all the tape holds, and more
         assert float(wall) > 0
         assert loss == f"{r.loss_value:.12g}"
 

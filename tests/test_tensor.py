@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,83 @@ def test_conv_bands_match_one_band(monkeypatch, spatial, kshape, band_macs, n_ba
     for got, ref in zip(banded, whole):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class _AxisZeroReads(np.ndarray):
+    """An input that records each run of axis-0 indices read from it."""
+
+    def __getitem__(self, key):
+        self.runs.append(key[1])
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize(
+    "spatial,kshape,band_macs,slab_rows,n_slabs",
+    [
+        ((9, 6), (1, 1), 6, 2, 5),  # one voxel per band, slabs of 2, 2, 2, 2, 1 rows
+        ((11, 7), (3, 3), 54 * 3, 4, 3),  # runs of three voxels of each row, slabs of 4, 4, 3 rows
+        ((6, 5), (5, 5), 150, 1, 6),  # one-row slabs, four of them with halo rows past an edge
+        ((11, 7), (5, 5), 150 * 7 * 2, 5, 3),  # two rows per band: slabs of 4, 4, 3 rows
+        ((10, 7), (3, 5), 90 * 7 * 3, 7, 2),  # three rows per band: slabs of 6 and 4 rows
+        ((5, 4, 6), (3, 3, 3), 162 * 6 * 2, 2, 3),  # two rows of each frame per band
+        ((5, 4, 6), (3, 3, 3), 162 * 24 * 2, 2, 3),  # two frames per band
+    ],
+    ids=["2d_1x1", "2d_3x3", "2d_5x5_one_row", "2d_5x5_rows", "2d_3x5_rows", "3d_rows", "3d_frames"],
+)
+def test_conv_slabs_match_one_slab(monkeypatch, spatial, kshape, band_macs, slab_rows, n_slabs):
+    # 2 -> 3 channels; a slab of r axis-0 indices holds r + k0 - 1 padded planes
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2,) + spatial)
+    w = rng.standard_normal((3, 2) + kshape)
+    b = rng.standard_normal(3)
+    g = rng.standard_normal((3,) + spatial)
+    plane_bytes = 2 * math.prod(n + k - 1 for n, k in zip(spatial[1:], kshape[1:])) * x.itemsize
+
+    def run():
+        reads = x.view(_AxisZeroReads)
+        reads.runs = []
+        spans = [(s.start, s.stop) for s, _ in tensor_mod._im2col_bands(reads, kshape, w.size)]
+        fwd = conv_nd(Tensor(x), Tensor(w), Tensor(b)).data
+        return len(reads.runs), spans, fwd, conv_input_grad(g, w), conv_weight_grad(x, g, kshape)
+
+    monkeypatch.setattr(tensor_mod, "_GEMM_MACS", band_macs)
+    one = run()
+    monkeypatch.setattr(tensor_mod, "_SLAB_BYTES", (slab_rows + kshape[0] - 1) * plane_bytes)
+    slabs = run()
+    assert (one[0], slabs[0]) == (1, n_slabs)
+    assert slabs[1] == one[1]
+    for got, ref in zip(slabs[2:], one[2:]):
+        assert np.array_equal(got, ref)
+    want = conv_same_loops(x, w, b)
+    assert np.max(np.abs(slabs[2] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv_holds_one_slab_not_a_padded_copy():
+    # 16 -> 16 channels of 128x128, the recon-large regularizer's conv. Its
+    # padded input would take 2.16 MB, more than eight slab budgets.
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((16, 128, 128))
+    w = rng.standard_normal((16, 16, 3, 3))
+    g = rng.standard_normal((16, 128, 128))
+    xt, wt, bt = Tensor(x), Tensor(w), Tensor(np.zeros(16))
+    band = max(cols.nbytes for _, cols in tensor_mod._im2col_bands(x, (3, 3), w.size))
+    held = tensor_mod._SLAB_BYTES + band
+    assert held < x.nbytes / 5
+
+    peak, out = _traced_peak(lambda: conv_nd(xt, wt, bt))
+    assert peak - out.nbytes <= held
+    peak, gw = _traced_peak(lambda: conv_weight_grad(x, g, (3, 3)))
+    # the running sum and one band's product are each the size of the result
+    assert peak - 3 * gw.nbytes <= held
 
 
 def test_conv_linearity():
