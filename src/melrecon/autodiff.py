@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over a closed tensor-op set.
 
-Graphs are explicitly scoped: a :class:`Tape` records operations, holds the
-tensors each vector-Jacobian product will need and counts their bytes, and
-can be disposed independently, which is what lets the memory-efficient
-engine build and discard one unroll's graph at a time.
+A :class:`Tape` is a scope: it records operations, holds the tensors each
+vector-Jacobian product will need and counts their bytes. Its leaves are
+the inputs it did not produce, and its graph goes with it, which lets the
+memory-efficient engine build and drop one unroll's graph at a time.
 
 The op set is closed on purpose and is exactly what ``modl_forward``
 records: conv, relu, add, scale, complex/channel casts, and the implicit
@@ -77,11 +77,11 @@ class NodeRecord:
 class Tape:
     """Append-only Wengert list over the registered op set.
 
-    One tape is one graph lifetime: single-writer, single-reader.
+    One tape is one graph lifetime: single-writer, single-reader. An input
+    it did not produce becomes a ``leaf`` node when an op first reads it.
     ``saved_bytes`` is the tape ledger: the ``nbytes`` of every tensor a
     node saves, each allocation counted once. It only grows while the tape
-    records. ``dispose`` drops the saved tensors, sets it to 0 and makes the
-    tape unusable (idempotently).
+    records; the saved tensors go with the tape.
     """
 
     def __init__(self):
@@ -89,7 +89,6 @@ class Tape:
         self.saved_bytes = 0
         self._node_of: dict[int, int] = {}
         self._saved_ids: set[int] = set()
-        self._disposed = False
 
     # -- graph construction ---------------------------------------------
 
@@ -102,7 +101,7 @@ class Tape:
     def _ensure_node(self, t: Tensor) -> int:
         idx = self._node_of.get(t.alloc_id)
         if idx is None:
-            idx = self._add_node("const", (), {}, {}, t)
+            idx = self._add_node("leaf", (), {}, {}, t)
         return idx
 
     def _retain(self, t: Tensor) -> None:
@@ -110,19 +109,9 @@ class Tape:
             self._saved_ids.add(t.alloc_id)
             self.saved_bytes += t.nbytes
 
-    def watch(self, t: Tensor) -> Tensor:
-        """Mark ``t`` as a leaf (parameter or input) of this graph."""
-        if self._disposed:
-            raise ValueError("watch on a disposed tape")
-        if t.alloc_id not in self._node_of:
-            self._add_node("leaf", (), {}, {}, t)
-        return t
-
     def record(self, kind: str, *inputs: Tensor, **attrs) -> Tensor:
         """Execute ``kind`` and append its node; output values are identical
         to the untaped op."""
-        if self._disposed:
-            raise ValueError("record on a disposed tape")
         op = _OPS[kind]
         out = op.forward(*inputs, **attrs)
         input_ids = [self._ensure_node(t) for t in inputs]
@@ -137,11 +126,10 @@ class Tape:
     def backward(self, output: Tensor, seed: Tensor, leaves) -> dict[int, Tensor]:
         """Vector-Jacobian products of ``output`` seeded with ``seed``.
 
-        Returns a gradient map keyed by leaf alloc_id; every requested leaf
-        is present (zeros when the output does not depend on it).
+        Returns a gradient map keyed by alloc_id with every requested tensor,
+        which must be an op's output or input on this tape (zeros when the
+        output does not depend on it).
         """
-        if self._disposed:
-            raise ValueError("backward on a disposed tape")
         out_idx = self._node_of.get(output.alloc_id)
         if out_idx is None:
             raise ValueError("output is not on this tape")
@@ -163,7 +151,7 @@ class Tape:
         for idx in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[idx]
             g = adj.get(idx) if idx in keep else adj.pop(idx, None)
-            if g is None or node.op_kind in ("leaf", "const"):
+            if g is None or node.op_kind == "leaf":
                 continue
             grads = _OPS[node.op_kind].vjp(node.saved, node.attrs, g)
             for in_idx, gi in zip(node.input_ids, grads):
@@ -181,16 +169,6 @@ class Tape:
                 g = np.zeros(t.shape, dtype=t.data.dtype)
             result[t.alloc_id] = Tensor(g)
         return result
-
-    # -- lifetime ---------------------------------------------------------
-
-    def dispose(self) -> None:
-        """Drop all saved tensors; the tape is unusable afterwards."""
-        self.nodes.clear()
-        self._node_of.clear()
-        self._saved_ids.clear()
-        self.saved_bytes = 0
-        self._disposed = True
 
 
 # --- core op registrations ---------------------------------------------------

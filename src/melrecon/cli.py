@@ -22,7 +22,7 @@ from .mri import (DatasetConfig, EncodingOperator, build_dataset, load_dataset, 
                   make_sensitivities, realized_acceleration)
 from .tensor import Tensor, atomic_write, melt_read, melt_write
 from .train import MetricsReport, TrainConfig, _grad_eval, cg_sense, load_checkpoint, psnr, ssim, train_loop
-from .unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
+from .unrolled import DEFAULT_INVERT_TOL, RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
 DEFAULT_CONFIG: dict = {
     # dataset
@@ -48,7 +48,7 @@ DEFAULT_CONFIG: dict = {
     "channels": 16,
     "layers": 5,
     "engine": "standard",
-    "invert_tol": 1e-10,
+    "invert_tol": DEFAULT_INVERT_TOL,
     "val_every": 1,
     # bench
     "bench_size": 24,
@@ -201,6 +201,8 @@ def cmd_eval(cfg: dict, methods: list[str], split: str) -> int:
     for m in methods:
         label, is_dir, path = m.partition("=")
         if is_dir:
+            if not label or not path:
+                raise ValueError(f"method {m!r}: label=recon_dir needs a non-empty label and directory")
             if label in ("zero_filled", "cg_sense"):
                 raise ValueError(f"method {m!r}: label {label!r} names a built-in baseline")
             recon_dirs[label] = path
@@ -232,10 +234,8 @@ def cmd_eval(cfg: dict, methods: list[str], split: str) -> int:
         for rep in reports:
             for row in rep.rows():
                 w.writerow(row)
-            finite = [p for p in rep.psnr_db if math.isfinite(p)]
-            mean_p = rep.mean_psnr
-            std_p = float(np.std(finite)) if finite else 0.0
-            w.writerow([rep.method, "mean", "inf" if math.isinf(mean_p) else f"{mean_p:.4f}", f"{rep.mean_ssim:.6f}"])
+            std_p = float(np.std(rep.scored_psnr)) if rep.scored_psnr else 0.0
+            w.writerow([rep.method, "mean", f"{rep.mean_psnr:.4f}", f"{rep.mean_ssim:.6f}"])
             w.writerow([rep.method, "std", f"{std_p:.4f}", f"{np.std(rep.ssim_val):.6f}"])
     for rep in reports:
         print(f"{rep.method}: mean pSNR {rep.mean_psnr:.3f} dB, mean SSIM {rep.mean_ssim:.4f}")

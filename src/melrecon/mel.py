@@ -12,14 +12,14 @@ gradient at the network output; the loss itself is never taped.
 loss gradient at the output, then walks the unrolls in reverse: algebraically
 invert the DC layer to recover z, fixed-point-invert the residual
 regularizer to recover the unroll's input, rebuild just that unroll's
-regularizer graph, backpropagate the gradient at z through it, and dispose
-the tape before the next is built. The peak is therefore one unroll's saved
-bytes regardless of depth, at the price of the recompute work. The
-fixed-point inversion runs the same :func:`residual_branch` as the forward
-pass and the rebuild, so it inverts exactly the function that was run. The
-sweep keeps no iterate; its only check is the free one at the end, where
-the recovered x_0 is compared with its known value A^H y and the gap is
-returned as ``x0_drift``.
+regularizer graph on a tape that lives only inside :func:`_unroll_vjp`,
+and backpropagate the gradient at z through it. The peak is therefore one
+unroll's saved bytes regardless of depth, at the price of the recompute
+work. The fixed-point inversion runs the same :func:`residual_branch` as
+the forward pass and the rebuild, so it inverts exactly the function that
+was run. The sweep keeps no iterate; its only check is the free one at the
+end, where the recovered x_0 is compared with its known value A^H y and the
+gap is returned as ``x0_drift``.
 
 The DC layer is never rebuilt: its taped node saves nothing and its VJP is
 closed form (:func:`dc_vjp`), so mel applies that VJP to the incoming image
@@ -44,7 +44,9 @@ from .autodiff import Tape
 from .mri import EncodingOperator
 from .tensor import Tensor
 from .unrolled import (
+    DEFAULT_INVERT_TOL,
     FixedPointDivergence,
+    RegularizerParams,
     UnrolledNetParams,
     dc_invert,
     dc_vjp,
@@ -86,19 +88,24 @@ def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     t0 = time.perf_counter()
     tape = Tape()
     leaves = net.named_leaves()
-    for _, t in leaves:
-        tape.watch(t)
     x = modl_forward(net, op, y, tape=tape)
     loss_value, q = l1_loss(x, target)
     gm = tape.backward(x, q, [t for _, t in leaves])
     grads = {name: gm[t.alloc_id] for name, t in leaves}
-    peak = tape.saved_bytes
-    tape.dispose()
-    return GradientResult(grads, loss_value, peak, time.perf_counter() - t0)
+    return GradientResult(grads, loss_value, tape.saved_bytes, time.perf_counter() - t0)
+
+
+def _unroll_vjp(reg: RegularizerParams, x: Tensor, gz: Tensor, leaves):
+    """Rebuild one unroll from its input ``x`` on a fresh tape, backpropagate
+    ``gz`` to ``x`` and ``leaves``, and return the gradients and the tape's
+    saved bytes. The tape, and the unroll's graph with it, goes on return."""
+    tape = Tape()
+    z = regularizer_forward(reg, x, tape=tape)
+    return tape.backward(z, gz, [x] + [t for _, t in leaves]), tape.saved_bytes
 
 
 def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
-                 target: Tensor, invert_tol: float = 1e-10) -> GradientResult:
+                 target: Tensor, invert_tol: float = DEFAULT_INVERT_TOL) -> GradientResult:
     """Memory-efficient backprop by layer inversion, one unroll at a time.
 
     Requires contractive (projected) weights; a fixed-point failure aborts
@@ -127,18 +134,12 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
             ) from None
 
         gz = dc_vjp(op, q, net.mu, net.n_cg)
-        tape = Tape()
-        tape.watch(x_prev)
-        for _, t in leaves:
-            tape.watch(t)
-        z_re = regularizer_forward(net.reg, x_prev, tape=tape)
-        gm = tape.backward(z_re, gz, [x_prev] + [t for _, t in leaves])
+        gm, saved_bytes = _unroll_vjp(net.reg, x_prev, gz, leaves)
         q = gm[x_prev.alloc_id]
         for name, t in leaves:
             g = gm[t.alloc_id].data
             grads[name] = grads[name] + g if name in grads else g
-        peak = max(peak, tape.saved_bytes)
-        tape.dispose()
+        peak = max(peak, saved_bytes)
         x_n = x_prev
 
     x0 = aty.data

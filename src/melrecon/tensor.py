@@ -264,6 +264,7 @@ _MELT_VERSION = 1
 _DT_REAL = 0
 _DT_COMPLEX = 1
 _MAX_RANK = 5
+_MELT_HEADER = len(_MELT_MAGIC) + 3 + 8 * _MAX_RANK  # 47 bytes before the payload
 
 
 def melt_write(path, t: Tensor) -> None:
@@ -285,6 +286,8 @@ def melt_read(path) -> Tensor:
     raw = Path(path).read_bytes()
     if raw[:4] != _MELT_MAGIC:
         raise ValueError(f"{path}: not a MELT file")
+    if len(raw) < _MELT_HEADER:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {_MELT_HEADER}-byte MELT header")
     version, dt, rank = struct.unpack_from("<BBB", raw, 4)
     if version != _MELT_VERSION:
         raise ValueError(f"{path}: unsupported MELT version {version}")
@@ -298,8 +301,8 @@ def melt_read(path) -> Tensor:
         raise ValueError(f"{path}: unused trailing dims must be 1")
     n = int(np.prod(shape))
     dtype = np.dtype("<c16") if dt == _DT_COMPLEX else np.dtype("<f8")
-    expected = 47 + n * dtype.itemsize
+    expected = _MELT_HEADER + n * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: payload size {len(raw)} != expected {expected}")
-    data = np.frombuffer(raw, dtype=dtype, count=n, offset=47).reshape(shape)
+    data = np.frombuffer(raw, dtype=dtype, count=n, offset=_MELT_HEADER).reshape(shape)
     return Tensor(data)

@@ -22,6 +22,7 @@ from .mel import backprop_mel, backprop_standard
 from .mri import EncodingOperator, load_dataset
 from .tensor import Tensor, atomic_write, melt_read, melt_write
 from .unrolled import (
+    DEFAULT_INVERT_TOL,
     RegularizerParams,
     UnrolledNetParams,
     cg_solve_normal,
@@ -154,9 +155,15 @@ class MetricsReport:
     ssim_val: list[float]
 
     @property
+    def scored_psnr(self) -> list[float]:
+        """The pSNRs that are not exact matches (+inf). A NaN, from a
+        diverged reconstruction, stays, so the mean and std carry it."""
+        return [p for p in self.psnr_db if p != math.inf]
+
+    @property
     def mean_psnr(self) -> float:
-        finite = [p for p in self.psnr_db if math.isfinite(p)]
-        return float(np.mean(finite)) if finite else math.inf
+        scored = self.scored_psnr
+        return float(np.mean(scored)) if scored else math.inf
 
     @property
     def mean_ssim(self) -> float:
@@ -164,7 +171,7 @@ class MetricsReport:
 
     def rows(self):
         for cid, p, s in zip(self.case_ids, self.psnr_db, self.ssim_val):
-            yield [self.method, cid, "inf" if math.isinf(p) else f"{p:.4f}", f"{s:.6f}"]
+            yield [self.method, cid, f"{p:.4f}", f"{s:.6f}"]
 
 
 # --- baselines -------------------------------------------------------------------
@@ -291,7 +298,8 @@ def _grad_eval(engine: str, net, op, y, target, invert_tol):
     return backprop_mel(net, op, y, target, invert_tol=invert_tol)
 
 
-def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str, invert_tol: float = 1e-10):
+def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str,
+                invert_tol: float = DEFAULT_INVERT_TOL):
     """One optimizer step on a batch of (op, y, target) triples; gradients
     are averaged over the batch. Returns (net', adam', mean loss, peak bytes)."""
     acc: dict[str, np.ndarray] = {}
@@ -329,7 +337,8 @@ class TrainResult:
 def train_loop(cfg: TrainConfig) -> TrainResult:
     """Deterministic training run: fixed shuffling stream from the seed,
     best-validation checkpoint retention, CSV log. The gradient engine is
-    selectable with no other code-path change."""
+    selectable with no other code-path change. Raises ``ValueError`` after
+    writing the log when no validation gave a pSNR above -inf."""
     ds = load_dataset(cfg.dataset_dir)
     train_cases = ds.split("train")
     val_cases = ds.split("val")
@@ -366,7 +375,7 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
             losses.append(loss)
             peak = max(peak, pk)
             step += 1
-        val_p, val_s = (math.nan, math.nan)
+        val_p = val_s = None  # no validation this epoch: blank log cells
         if epoch % cfg.val_every == 0 or epoch == cfg.epochs:
             rep = _validate(net, val_cases)
             val_p, val_s = rep.mean_psnr, rep.mean_ssim
@@ -375,8 +384,8 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
                 save_checkpoint(ckpt_dir, net, seed=cfg.seed, step=step, extra={"val_psnr": val_p, "val_ssim": val_s})
         rows.append(
             [epoch, step, cfg.engine, f"{np.mean(losses):.8g}",
-             "" if math.isnan(val_p) else f"{val_p:.4f}",
-             "" if math.isnan(val_s) else f"{val_s:.6f}",
+             "" if val_p is None else f"{val_p:.4f}",
+             "" if val_s is None else f"{val_s:.6f}",
              peak, f"{time.perf_counter() - t_epoch:.3f}"]
         )
 
@@ -385,4 +394,6 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
         w = csv.writer(f)
         w.writerow(LOG_CSV_HEADER)
         w.writerows(rows)
+    if best == -math.inf:
+        raise ValueError(f"no validation gave a pSNR above -inf; no checkpoint written, log at {log_path}")
     return TrainResult(ckpt_dir, log_path, rows, best, net)

@@ -22,6 +22,7 @@ from .mri import EncodingOperator
 from .tensor import Tensor, _GEMM_MACS
 
 __all__ = [
+    "DEFAULT_INVERT_TOL",
     "RegularizerParams",
     "UnrolledNetParams",
     "FixedPointDivergence",
@@ -146,7 +147,10 @@ def regularizer_forward(params: RegularizerParams, x: Tensor, tape: Tape | None 
     return _ap(tape, "add", x, residual_branch(params, x, tape))
 
 
-def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = 1e-10,
+DEFAULT_INVERT_TOL = 1e-10  # fixed-point tolerance of the engines, train_steps and the CLI
+
+
+def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = DEFAULT_INVERT_TOL,
                        max_iter: int = 50) -> Tensor:
     """Invert z = x + c*G(x) by fixed-point iteration x_{k+1} = z - c*G(x_k).
 

@@ -5,8 +5,10 @@ criteria (6, 7) build small datasets and train end-to-end; the whole module
 takes a few minutes on one CPU core.
 """
 
+import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +163,28 @@ def test_standard_ledger_holds_every_unroll(bench_rows):
     for n in (2, 4, 8, 10):
         assert bench_rows[("standard", n)].peak_tape_bytes == weights + n * per_unroll
         assert bench_rows[("mel", n)].peak_tape_bytes == weights + per_unroll
+
+
+def test_measured_heap_follows_the_ledger_in_depth():
+    # the ledger counts what a tape saves; this checks that a dropped tape's
+    # arrays are really freed. On the criteria 2/8 instance the measured
+    # heap peak of mel stays flat in depth while standard's grows.
+    net0, op, y, target = random_instance(2000, shape=(24, 24), coils=2, n_unrolls=2,
+                                          mu=0.3, n_cg=20, channels=16, layers=5)
+    backprop_standard(net0, op, y, target)  # warm-up
+    peak = {}
+    for engine, backprop in (("standard", backprop_standard), ("mel", backprop_mel)):
+        for n in (2, 10):
+            net = UnrolledNetParams(net0.reg, 0.3, n, 20)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                backprop(net, op, y, target)
+                peak[engine, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peak["mel", 10] <= 1.1 * peak["mel", 2], peak
+    assert peak["standard", 10] >= 2 * peak["standard", 2], peak
 
 
 # --- criterion 4: inversion fidelity ----------------------------------------------

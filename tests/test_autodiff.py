@@ -15,7 +15,7 @@ def crandn(rng, *shape):
 
 
 def n_op_nodes(tape):
-    return sum(1 for n in tape.nodes if n.op_kind not in ("leaf", "const"))
+    return sum(1 for n in tape.nodes if n.op_kind != "leaf")
 
 
 # --- recording ----------------------------------------------------------------
@@ -34,7 +34,6 @@ def test_tape_appends_one_node_per_op():
     rng = np.random.default_rng(1)
     x = Tensor(crandn(rng, 3, 3))
     tape = Tape()
-    tape.watch(x)
     h = tape.record("scale", x, a=2.0)
     h = tape.record("add", h, x)
     h = tape.record("c2ch", h)
@@ -49,8 +48,6 @@ def test_retained_bytes_hand_count():
     w = Tensor(rng.standard_normal((1, 1, 3, 3)))
     b = Tensor(np.zeros(1))
     tape = Tape()
-    tape.watch(x)
-    tape.watch(w)
     h = tape.record("conv", x, w, b)
     h = tape.record("relu", h)
     tape.record("add", h, x)
@@ -66,7 +63,6 @@ def test_relu_output_feeding_conv_is_held_once():
     w0, w1 = Tensor(rng.standard_normal((1, 1, 3, 3))), Tensor(rng.standard_normal((1, 1, 3, 3)))
     b = Tensor(np.zeros(1))
     tape = Tape()
-    tape.watch(x)
     h = tape.record("relu", tape.record("conv", x, w0, b))
     tape.record("conv", h, w1, b)
     assert tape.saved_bytes == 400
@@ -76,16 +72,8 @@ def test_bare_tape_reports_peak_through_own_ledger():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((1, 4, 4)))
     tape = Tape()
-    tape.watch(x)
     tape.record("relu", tape.record("relu", x))  # two saved outputs, 128 B each
     assert tape.saved_bytes == 256
-
-
-def test_record_on_disposed_tape_fails():
-    tape = Tape()
-    tape.dispose()
-    with pytest.raises(ValueError):
-        tape.record("scale", Tensor(np.zeros(3)), a=1.0)
 
 
 # --- backward -----------------------------------------------------------------
@@ -94,7 +82,6 @@ def test_record_on_disposed_tape_fails():
 def test_backward_linear_scale():
     x = Tensor(np.ones((4, 4), dtype=complex))
     tape = Tape()
-    tape.watch(x)
     out = tape.record("scale", x, a=3.0)
     g = tape.backward(out, Tensor(np.ones((4, 4), dtype=complex)), [x])
     assert np.allclose(g[x.alloc_id].data, 3.0 * np.ones((4, 4)))
@@ -106,7 +93,6 @@ def test_backward_releases_consumed_adjoints():
     # survive with exact values
     x = Tensor(np.ones(1 << 17))
     tape = Tape()
-    tape.watch(x)
     h = x
     for _ in range(10):
         h = tape.record("scale", h, a=1.5)
@@ -128,7 +114,6 @@ def test_backward_releases_consumed_adjoints():
 def test_relu_gradient_at_positive_and_zero():
     x = Tensor(np.array([2.0, -1.0, 0.0]).reshape(1, 1, 3))
     tape = Tape()
-    tape.watch(x)
     out = tape.record("relu", x)
     g = tape.backward(out, Tensor(np.ones((1, 1, 3))), [x])
     assert g[x.alloc_id].data.tolist() == [[[1.0, 0.0, 0.0]]]
@@ -149,7 +134,6 @@ def test_conv_weight_grad_matches_finite_differences():
     x = Tensor(xa)
     w = Tensor(wa)
     tape = Tape()
-    tape.watch(w)
     h = tape.record("conv", x, w, Tensor(ba))
     g = tape.backward(h, h, [w])[w.alloc_id].data  # seed h: gradient of 0.5*||h||^2
 
@@ -172,8 +156,6 @@ def test_conv_input_and_bias_grads_match_finite_differences():
     x = Tensor(xa)
     b = Tensor(ba)
     tape = Tape()
-    tape.watch(x)
-    tape.watch(b)
     h = tape.record("conv", x, Tensor(wa), b)
     d = tape.record("add", h, Tensor(-t))
     g = tape.backward(d, d, [x, b])  # seed d: gradient of 0.5*||d||^2
@@ -205,7 +187,6 @@ def test_complex_composite_matches_finite_differences():
 
     x = Tensor(xa)
     tape = Tape()
-    tape.watch(x)
     out = fwd(x, tape.record)
     g = tape.backward(out, l1_loss(out, target)[1], [x])[x.alloc_id].data
 
@@ -235,8 +216,6 @@ def test_linear_op_adjoint_identity(kind, attrs):
     inputs, n_linear = _linear_inputs(kind, rng)
     xs = inputs[:n_linear]
     tape = Tape()
-    for x in xs:
-        tape.watch(x)
     out = tape.record(kind, *inputs, **attrs)
     if np.iscomplexobj(out.data):
         y = Tensor(crandn(rng, *out.shape))
@@ -254,7 +233,6 @@ def test_vjp_linear_in_seed():
     x = Tensor(crandn(rng, 4, 4))
     w = Tensor(rng.standard_normal((2, 2, 3, 3)))
     tape = Tape()
-    tape.watch(x)
     h = tape.record("c2ch", tape.record("scale", x, a=0.7))
     h = tape.record("ch2c", tape.record("conv", h, w, Tensor(np.zeros(2))))
     out = tape.record("add", x, h)
@@ -272,7 +250,6 @@ def test_backward_error_cases():
     x = Tensor(crandn(rng, 3, 3))
     other = Tensor(crandn(rng, 3, 3))
     tape = Tape()
-    tape.watch(x)
     out = tape.record("scale", x, a=1.0)
     with pytest.raises(ValueError):
         tape.backward(out, Tensor(np.zeros((2, 2), dtype=complex)), [x])
@@ -283,33 +260,13 @@ def test_backward_error_cases():
 
 
 def test_unreached_leaf_gets_zero_gradient():
+    # ``unused`` is on the tape, read by an op outside ``out``'s graph
     rng = np.random.default_rng(10)
     x = Tensor(crandn(rng, 3, 3))
     unused = Tensor(crandn(rng, 3, 3))
     tape = Tape()
-    tape.watch(x)
-    tape.watch(unused)
     out = tape.record("scale", x, a=2.0)
+    tape.record("scale", unused, a=3.0)
     g = tape.backward(out, Tensor(np.ones((3, 3), dtype=complex)), [x, unused])
     assert np.all(g[unused.alloc_id].data == 0)
     assert g[unused.alloc_id].shape == unused.shape
-
-
-# --- disposal -------------------------------------------------------------------
-
-
-def test_dispose_releases_ledger():
-    rng = np.random.default_rng(11)
-    tape = Tape()
-    x = Tensor(rng.standard_normal((1, 4, 4)))
-    tape.watch(x)
-    tape.record("relu", tape.record("relu", x))
-    assert tape.saved_bytes == 256
-    tape.dispose()
-    assert tape.saved_bytes == 0 and not tape.nodes
-    tape.dispose()  # idempotent
-    assert tape.saved_bytes == 0
-    for call in (lambda: tape.watch(x), lambda: tape.record("relu", x),
-                 lambda: tape.backward(x, x, [x])):
-        with pytest.raises(ValueError, match="disposed"):
-            call()

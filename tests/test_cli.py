@@ -216,7 +216,8 @@ def test_eval_ground_truth_against_itself(trained):
 
 
 @pytest.mark.parametrize("methods", [("zero_filled=RECON",), ("cg_sense=RECON",),
-                                     ("mine=RECON", "mine=RECON"), ("zero_filled", "zero_filled")])
+                                     ("mine=RECON", "mine=RECON"), ("zero_filled", "zero_filled"),
+                                     ("=RECON",), ("modl=",)])
 def test_eval_rejects_colliding_labels_before_loading_data(trained, tmp_path, monkeypatch, capsys, methods):
     tmp, cfg, _ = trained
     monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("dataset loaded"))
@@ -224,7 +225,7 @@ def test_eval_rejects_colliding_labels_before_loading_data(trained, tmp_path, mo
     out = tmp_path / "metrics"
     assert run_cli("--config", str(cfg), "--out", str(out), "eval", *argv) == 1
     err = capsys.readouterr().err
-    assert "baseline" in err or "given twice" in err
+    assert "baseline" in err or "given twice" in err or "non-empty label and directory" in err
     assert not (out / "metrics_val.csv").exists()
 
 

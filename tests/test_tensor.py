@@ -420,6 +420,16 @@ def test_melt_rejects_garbage(tmp_path):
         melt_read(p)
 
 
+@pytest.mark.parametrize("size", [5, 10, 30, 46])
+def test_melt_rejects_truncated_header(tmp_path, size):
+    # a valid header's prefix, cut short of the 47 header bytes
+    p = tmp_path / "short.melt"
+    melt_write(p, Tensor(np.arange(6.0).reshape(2, 3)))
+    p.write_bytes(p.read_bytes()[:size])
+    with pytest.raises(ValueError, match="MELT header"):
+        melt_read(p)
+
+
 def test_melt_rejects_bad_dtype_code(tmp_path):
     p = tmp_path / "d.melt"
     melt_write(p, Tensor(np.arange(6.0).reshape(2, 3)))

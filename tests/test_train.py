@@ -14,6 +14,7 @@ from melrecon.mri import DatasetConfig, build_dataset
 from melrecon.tensor import Tensor
 from melrecon.train import (
     AdamState,
+    MetricsReport,
     TrainConfig,
     adam_step,
     cg_sense,
@@ -376,6 +377,28 @@ def test_train_loop_smoke_and_determinism(tmp_path):
     res_b = train_loop(cfg_b)
     assert [r[3] for r in res_a.log_rows] == [r[3] for r in res_b.log_rows]
     assert res_a.best_val_psnr == res_b.best_val_psnr
+
+
+def test_nan_psnr_is_not_a_perfect_score(tmp_path, monkeypatch):
+    # exact matches (+inf) are left out of the mean; a NaN is not
+    assert MetricsReport("m", ["a", "b"], [math.inf, 30.0], [1.0, 0.5]).mean_psnr == 30.0
+    assert MetricsReport("m", ["a"], [math.inf], [1.0]).mean_psnr == math.inf
+    for ps in ([math.nan, math.nan], [math.inf, math.nan], [30.0, math.nan]):
+        assert math.isnan(MetricsReport("m", ["a", "b"], ps, [0.0, 0.0]).mean_psnr)
+
+    # a run whose validation gives NaN keeps no checkpoint and fails; its log
+    # reads nan where validation ran and is blank where it did not
+    from melrecon.mri import save_dataset
+
+    data_dir = save_dataset(small_dataset(seed=15), tmp_path / "data")
+    monkeypatch.setattr(train, "psnr", lambda x, ref: math.nan)
+    cfg = train_config(dataset_dir=str(data_dir), out_dir=str(tmp_path / "run"), epochs=2, batch_size=2,
+                       n_cg=10, val_every=2)
+    with pytest.raises(ValueError, match="no checkpoint written"):
+        train_loop(cfg)
+    assert not (tmp_path / "run" / "checkpoint_best").exists()
+    log = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
+    assert [row.split(",")[4] for row in log[1:]] == ["", "nan"]
 
 
 def train_config(**kw) -> TrainConfig:
