@@ -139,6 +139,7 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
         for name, t in leaves:
             g = gm[t.alloc_id].data
             grads[name] = grads[name] + g if name in grads else g
+        del gm  # summed: not held through the next unroll's rebuild
         peak = max(peak, saved_bytes)
         x_n = x_prev
 

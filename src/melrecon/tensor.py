@@ -92,6 +92,15 @@ _GEMM_MACS = 1 << 18
 # bands run along axis 0, even where that exceeds this budget.
 _SLAB_BYTES = 1 << 18
 
+# Bytes of one im2col band at most, whatever the channel counts. _GEMM_MACS
+# alone gives a conv with few output channels wide bands: a 16->2 conv's
+# would take 8 times a 16->16 one's, 1 MB at 128x128. At 8 bytes a value
+# the two budgets allow the same columns at 16 output channels, so this
+# one can narrow only the bands of convs with fewer: in 2D training and
+# recon the 16->2 conv, its weight VJP and the first layer's input VJP.
+# A band never holds less than one voxel.
+_BAND_BYTES = 1 << 17
+
 
 def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
     """im2col in bands of consecutive voxels of the flattened spatial grid.
@@ -102,9 +111,11 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
     xpad is x zero-padded by k//2 on each side.
 
     A band is a run of indices along one spatial axis, with all of the
-    trailing axes and one index of each leading axis: the first axis whose
-    trailing block keeps ``macs_per_col`` times the band's columns within
-    ``_GEMM_MACS``, as many indices of it as fit (at least one).
+    trailing axes and one index of each leading axis. Its columns are held
+    to a width: the most that keeps ``macs_per_col`` times the columns
+    within ``_GEMM_MACS`` and the band within ``_BAND_BYTES``, at least one.
+    The band runs along the first axis whose trailing block fits that
+    width, taking as many indices of it as fit (at least one).
 
     xpad is never built whole. The bands are copied from read-only strided
     views of a slab, the rows [a, a + m + k0 - 1) of xpad that a run [a, a + m)
@@ -118,11 +129,13 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
     conv holds one slab and one band buffer beside its input and output.
     """
     c, spatial = x.shape[0], x.shape[1:]
+    k = c * math.prod(kshape)
+    width = max(1, min(_GEMM_MACS // macs_per_col, _BAND_BYTES // (k * x.itemsize)))
     ax = 0
-    while ax < len(spatial) - 1 and macs_per_col * math.prod(spatial[ax + 1:]) > _GEMM_MACS:
+    while ax < len(spatial) - 1 and math.prod(spatial[ax + 1:]) > width:
         ax += 1
     row = math.prod(spatial[ax + 1:])
-    step = max(1, _GEMM_MACS // (macs_per_col * row))
+    step = max(1, width // row)
 
     n0, halo = spatial[0], kshape[0] - 1
     plane = tuple([n + q - 1 for n, q in zip(spatial[1:], kshape[1:])])
@@ -137,7 +150,6 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
                       memoryview(slab).toreadonly(), 0, s[:1] + s[1:] + s[1:])
     inner = tuple([slice(q // 2, q // 2 + n) for n, q in zip(spatial[1:], kshape[1:])])
     lead = (slice(None),) * (1 + len(kshape))
-    k = c * math.prod(kshape)
     buf = np.empty(k * min(step, spatial[ax]) * row, dtype=x.dtype)
     into = {}  # band width -> the prefix of buf shaped as such a band, and as [k, voxels]
     for a in range(0, n0, rows):

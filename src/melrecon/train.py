@@ -311,6 +311,7 @@ def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str,
         peak = max(peak, r.peak_tape_bytes)
         for k, g in r.grads.items():
             acc[k] = acc[k] + g.data if k in acc else g.data.copy()
+        del r  # summed: not held through the next case's gradient
     grads = {k: Tensor(v / len(batch)) for k, v in acc.items()}
     adam, net = adam_step(adam, net, grads)
     return net, adam, float(np.mean(losses)), peak

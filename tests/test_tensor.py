@@ -203,19 +203,27 @@ def test_conv_3d_weight_grad_matches_finite_differences():
     assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
+_NO_CAP = 1 << 62
+
+
 @pytest.mark.parametrize(
-    "spatial,kshape,band_macs,n_bands",
+    "spatial,kshape,band_macs,band_bytes,n_bands",
     [
-        ((5, 7), (3, 3), 1, 35),  # one voxel per band
-        ((5, 7), (3, 3), 54 * 7 * 2, 3),  # two rows per band, the last one partial
-        ((5, 7), (3, 3), 54 * 3, 15),  # runs of three voxels of each row
-        ((4, 5, 7), (3, 3, 5), 270 * 35 * 3, 2),  # three frames per band, the last one partial
-        ((4, 5, 7), (3, 3, 5), 270 * 7 * 2, 12),  # two rows of each frame per band
-        ((4, 5, 7), (3, 3, 5), 1, 140),
+        ((5, 7), (3, 3), 1, _NO_CAP, 35),  # one voxel per band
+        ((5, 7), (3, 3), 54 * 7 * 2, _NO_CAP, 3),  # two rows per band, the last one partial
+        ((5, 7), (3, 3), 54 * 3, _NO_CAP, 15),  # runs of three voxels of each row
+        ((4, 5, 7), (3, 3, 5), 270 * 35 * 3, _NO_CAP, 2),  # three frames per band, the last one partial
+        ((4, 5, 7), (3, 3, 5), 270 * 7 * 2, _NO_CAP, 12),  # two rows of each frame per band
+        ((4, 5, 7), (3, 3, 5), 1, _NO_CAP, 140),
+        # the byte cap, not the multiply-adds, sets these: a column is
+        # 2 * prod(kshape) * 8 bytes
+        ((5, 7), (3, 3), _NO_CAP, 144 * 7 * 2 + 143, 3),  # two rows per band
+        ((4, 5, 7), (3, 3, 5), _NO_CAP, 720 * 3, 60),  # runs of three voxels of each row
     ],
-    ids=["2d_voxel", "2d_rows", "2d_row_runs", "3d_frames", "3d_rows", "3d_voxel"],
+    ids=["2d_voxel", "2d_rows", "2d_row_runs", "3d_frames", "3d_rows", "3d_voxel",
+         "2d_rows_by_bytes", "3d_row_runs_by_bytes"],
 )
-def test_conv_bands_match_one_band(monkeypatch, spatial, kshape, band_macs, n_bands):
+def test_conv_bands_match_one_band(monkeypatch, spatial, kshape, band_macs, band_bytes, n_bands):
     # 2 -> 3 channels: every conv GEMM does w.size = 3 * 2 * prod(kshape)
     # multiply-adds per voxel
     rng = np.random.default_rng(11)
@@ -227,9 +235,11 @@ def test_conv_bands_match_one_band(monkeypatch, spatial, kshape, band_macs, n_ba
     def kernels():
         return (conv_nd(Tensor(x), Tensor(w), Tensor(b)).data, conv_input_grad(g, w), conv_weight_grad(x, g, kshape))
 
-    monkeypatch.setattr(tensor_mod, "_GEMM_MACS", 1 << 62)
+    monkeypatch.setattr(tensor_mod, "_GEMM_MACS", _NO_CAP)
+    monkeypatch.setattr(tensor_mod, "_BAND_BYTES", _NO_CAP)
     whole = kernels()
     monkeypatch.setattr(tensor_mod, "_GEMM_MACS", band_macs)
+    monkeypatch.setattr(tensor_mod, "_BAND_BYTES", band_bytes)
     banded = kernels()
     spans = [span for span, _ in tensor_mod._im2col_bands(x, kshape, w.size)]
     assert len(spans) == n_bands
@@ -316,6 +326,72 @@ def test_conv_holds_one_slab_not_a_padded_copy():
     peak, gw = _traced_peak(lambda: conv_weight_grad(x, g, (3, 3)))
     # the running sum and one band's product are each the size of the result
     assert peak - 3 * gw.nbytes <= held
+
+
+def _convs(c_in, c_out, n):
+    """The [c_out, c_in, 3, 3] conv on n x n, its weight VJP and its input VJP.
+    For each: a thunk, and the bytes it holds beside its slab and band,
+    given its result."""
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((c_in, n, n))
+    w = rng.standard_normal((c_out, c_in, 3, 3))
+    g = rng.standard_normal((c_out, n, n))
+    xt, wt, bt = Tensor(x), Tensor(w), Tensor(np.zeros(c_out))
+    return {
+        "forward": (lambda: conv_nd(xt, wt, bt).data, lambda out: out.nbytes),
+        # the running sum and one band's product are each the size of the result
+        "weight_vjp": (lambda: conv_weight_grad(x, g, (3, 3)), lambda gw: 3 * gw.nbytes),
+        # the flipped kernel is the size of w
+        "input_vjp": (lambda: conv_input_grad(g, w), lambda gx: gx.nbytes + w.nbytes),
+    }
+
+
+@pytest.mark.parametrize("n", [24, 128])
+@pytest.mark.parametrize(
+    "conv,c_in,c_out",
+    [
+        ("forward", 16, 2),  # the last layer
+        ("weight_vjp", 16, 2),
+        ("input_vjp", 2, 16),  # the first layer: [16, n, n] gradient, [16, 2, 3, 3] kernel
+    ],
+)
+def test_conv_bands_hold_to_band_bytes(monkeypatch, conv, c_in, c_out, n):
+    # a conv with 2 output channels would take 8 times a 16 -> 16 conv's
+    # band from the multiply-add budget alone: 663,552 B at 24x24 and
+    # 1,032,192 B at 128x128
+    fn, beside = _convs(c_in, c_out, n)[conv]
+    sizes = []
+    bands = tensor_mod._im2col_bands
+
+    def spy(*args):
+        for span, cols in bands(*args):
+            sizes.append(cols.nbytes)
+            yield span, cols
+
+    monkeypatch.setattr(tensor_mod, "_im2col_bands", spy)
+    fn()
+    monkeypatch.undo()
+    assert len(sizes) > 1
+    band = max(sizes)
+    assert band <= tensor_mod._BAND_BYTES
+    held = tensor_mod._SLAB_BYTES + band
+
+    peak, out = _traced_peak(fn)
+    assert peak - beside(out) <= held
+
+
+@pytest.mark.parametrize("c_in,c_out,n", [(16, 16, 24), (16, 16, 128), (2, 16, 24), (2, 16, 128)])
+def test_band_cap_leaves_unbound_partitions_alone(monkeypatch, c_in, c_out, n):
+    # the byte cap is just above every 16 -> 16 and 2 -> 16 band of the
+    # workloads, so those convs keep the bands _GEMM_MACS alone gives them
+    x = np.zeros((c_in, n, n))
+
+    def spans():
+        return [(s.start, s.stop) for s, _ in tensor_mod._im2col_bands(x, (3, 3), c_out * c_in * 9)]
+
+    capped = spans()
+    monkeypatch.setattr(tensor_mod, "_BAND_BYTES", _NO_CAP)
+    assert spans() == capped
 
 
 def test_conv_linearity():
