@@ -13,7 +13,7 @@ from .tensor import (
     melt_read,
     melt_write,
 )
-from .autodiff import Tape, apply_op, register_op
+from .autodiff import Tape
 from .mri import (
     DatasetConfig,
     Dataset,

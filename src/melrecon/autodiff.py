@@ -1,30 +1,23 @@
-"""Reverse-mode automatic differentiation over a closed tensor-op set.
+"""The regularizer's residual branch and its one vector-Jacobian product.
 
-A :class:`Tape` is a scope: it records operations, holds the tensors each
-vector-Jacobian product will need and counts their bytes. Its leaves are
-the inputs it did not produce, and its graph goes with it, which lets the
-memory-efficient engine build and drop one unroll's graph at a time.
+Both gradient engines backpropagate the same unit: one unroll's regularizer
+z = x + c*G(x), where G is c2ch -> (conv, relu) x (L-1) -> conv -> ch2c on
+the 2-channel real view of the complex image. That layer layout is written
+down here twice, side by side: forward in :func:`residual_branch`, which
+the forward pass, the fixed-point inversion and the tape all run, and in
+reverse in :meth:`Tape.backward`. The data-consistency layer's VJP is
+closed form (``unrolled.dc_vjp``) and the engines apply it between unrolls.
 
-The op set is closed on purpose and is exactly what ``modl_forward``
-records: conv, relu, add, scale, complex/channel casts, and the implicit
-data-consistency solve node (``dc_solve``) registered by the
-unrolled-network module. The loss is not taped; its gradient is closed
-form and seeds :meth:`Tape.backward` at the network output. The encoding
-operator is never taped; it appears only inside ``dc_solve``. Each VJP is
-individually unit-testable.
+A :class:`Tape` keeps, per recorded unroll, what the VJP reads: the input
+of every conv, that is c2ch(x) and the L-1 relu outputs. A conv's weight
+gradient needs its input, and relu's mask is out > 0, which is the next
+conv's input > 0, so each activation is held once.
 
-Each activation is held once: conv saves its input, relu saves its output
-(out > 0 exactly where in > 0), and the tape counts a tensor saved by
-several nodes once.
-
-Complex leaves follow the real-pair convention for real-valued losses:
+Complex inputs follow the real-pair convention for real-valued losses:
 grad = dL/d(re) + i * dL/d(im).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 
@@ -40,179 +33,77 @@ from .tensor import (
     scale,
 )
 
-__all__ = ["Tape", "NodeRecord", "OpDef", "register_op", "apply_op"]
+__all__ = ["Tape", "residual_branch"]
 
 
-@dataclass
-class OpDef:
-    """Forward callable, saved-tensor selector, and VJP for one op kind."""
-
-    forward: Callable[..., Tensor]
-    saves: Callable[..., dict[str, Tensor]]
-    vjp: Callable[..., tuple]
-
-
-_OPS: dict[str, OpDef] = {}
-
-
-def register_op(kind: str, forward, vjp, saves=None) -> None:
-    if kind in _OPS:
-        raise ValueError(f"op kind {kind!r} already registered")
-    _OPS[kind] = OpDef(forward, saves or (lambda inputs, out, attrs: {}), vjp)
+def residual_branch(params, x: Tensor, keep: list[Tensor] | None = None) -> Tensor:
+    """c*G(x) for a ``RegularizerParams``. Appends each conv's input to
+    ``keep`` when given; the values do not depend on it."""
+    h = complex_to_channels(x)
+    last = params.layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if keep is not None:
+            keep.append(h)
+        h = conv_nd(h, w, b)
+        if i < last:
+            h = relu(h)
+    return scale(channels_to_complex(h), params.contraction)
 
 
-def apply_op(kind: str, *inputs: Tensor, **attrs) -> Tensor:
-    """Run an op exactly as the tape would, without recording."""
-    return _OPS[kind].forward(*inputs, **attrs)
-
-
-@dataclass
-class NodeRecord:
-    op_kind: str
-    input_ids: tuple[int, ...]
-    saved: dict[str, Tensor]
-    attrs: dict[str, Any]
+def _add_into(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
+    grads[name] = grads[name] + g if name in grads else g
 
 
 class Tape:
-    """Append-only Wengert list over the registered op set.
+    """A stack of recorded unrolls of one regularizer, each popped by the
+    :meth:`backward` that consumes it.
 
-    One tape is one graph lifetime: single-writer, single-reader. An input
-    it did not produce becomes a ``leaf`` node when an op first reads it.
-    ``saved_bytes`` is the tape ledger: the ``nbytes`` of every tensor a
-    node saves, each allocation counted once. It only grows while the tape
-    records; the saved tensors go with the tape.
+    ``saved_bytes`` is the tape ledger: the conv weights, once, since every
+    unroll shares them, plus every activation :meth:`record` kept. It never
+    falls, so it is the most the tape held; the biases are never kept.
     """
 
     def __init__(self):
-        self.nodes: list[NodeRecord] = []
+        self.unrolls: list[list[Tensor]] = []
         self.saved_bytes = 0
-        self._node_of: dict[int, int] = {}
-        self._saved_ids: set[int] = set()
 
-    # -- graph construction ---------------------------------------------
+    def record(self, params, x: Tensor) -> Tensor:
+        """z = x + c*G(x), bit for bit the unrecorded value, keeping the
+        unroll's conv inputs for :meth:`backward`."""
+        acts: list[Tensor] = []
+        z = add(x, residual_branch(params, x, acts))
+        if not self.saved_bytes:
+            self.saved_bytes = sum(w.nbytes for w in params.weights)
+        self.saved_bytes += sum(a.nbytes for a in acts)
+        self.unrolls.append(acts)
+        return z
 
-    def _add_node(self, kind, input_ids, saved, attrs, out: Tensor) -> int:
-        idx = len(self.nodes)
-        self.nodes.append(NodeRecord(kind, tuple(input_ids), saved, attrs))
-        self._node_of[out.alloc_id] = idx
-        return idx
+    def backward(self, params, gz: Tensor, grads: dict[str, np.ndarray]) -> Tensor:
+        """Pop the last recorded unroll and backpropagate ``gz``, the
+        gradient at its output z, through it.
 
-    def _ensure_node(self, t: Tensor) -> int:
-        idx = self._node_of.get(t.alloc_id)
-        if idx is None:
-            idx = self._add_node("leaf", (), {}, {}, t)
-        return idx
-
-    def _retain(self, t: Tensor) -> None:
-        if t.alloc_id not in self._saved_ids:
-            self._saved_ids.add(t.alloc_id)
-            self.saved_bytes += t.nbytes
-
-    def record(self, kind: str, *inputs: Tensor, **attrs) -> Tensor:
-        """Execute ``kind`` and append its node; output values are identical
-        to the untaped op."""
-        op = _OPS[kind]
-        out = op.forward(*inputs, **attrs)
-        input_ids = [self._ensure_node(t) for t in inputs]
-        saved = op.saves(inputs, out, attrs)
-        for t in saved.values():
-            self._retain(t)
-        self._add_node(kind, input_ids, saved, attrs, out)
-        return out
-
-    # -- reverse pass -----------------------------------------------------
-
-    def backward(self, output: Tensor, seed: Tensor, leaves) -> dict[int, Tensor]:
-        """Vector-Jacobian products of ``output`` seeded with ``seed``.
-
-        Returns a gradient map keyed by alloc_id with every requested tensor,
-        which must be an op's output or input on this tape (zeros when the
-        output does not depend on it).
+        Adds each layer's weight and bias gradients into ``grads`` under
+        ``named_leaves``' names, so a caller that pops unrolls N-1 down to 0
+        sums them in that order. Each activation is dropped once read.
+        Returns the gradient at the unroll's input x. Raises ``ValueError``
+        when nothing is recorded or ``gz`` is not shaped like x.
         """
-        out_idx = self._node_of.get(output.alloc_id)
-        if out_idx is None:
-            raise ValueError("output is not on this tape")
-        if seed.shape != output.shape:
-            raise ValueError(f"seed shape {seed.shape} != output shape {output.shape}")
-        leaves = list(leaves)
-        leaf_idx = []
-        for t in leaves:
-            idx = self._node_of.get(t.alloc_id)
-            if idx is None:
-                raise ValueError(f"leaf alloc_id {t.alloc_id} is not on this tape")
-            leaf_idx.append(idx)
-
-        # Every consumer of a node comes after it, so a node's adjoint is
-        # complete when the sweep reaches it. It is dropped there unless it
-        # is requested, which keeps only the adjoints still to be consumed.
-        keep = set(leaf_idx)
-        adj: dict[int, np.ndarray] = {out_idx: np.array(seed.data, copy=True)}
-        for idx in range(len(self.nodes) - 1, -1, -1):
-            node = self.nodes[idx]
-            g = adj.get(idx) if idx in keep else adj.pop(idx, None)
-            if g is None or node.op_kind == "leaf":
-                continue
-            grads = _OPS[node.op_kind].vjp(node.saved, node.attrs, g)
-            for in_idx, gi in zip(node.input_ids, grads):
-                if gi is None:
-                    continue
-                if in_idx in adj:
-                    adj[in_idx] = adj[in_idx] + gi
-                else:
-                    adj[in_idx] = gi
-
-        result: dict[int, Tensor] = {}
-        for t, idx in zip(leaves, leaf_idx):
-            g = adj.get(idx)
-            if g is None:
-                g = np.zeros(t.shape, dtype=t.data.dtype)
-            result[t.alloc_id] = Tensor(g)
-        return result
-
-
-# --- core op registrations ---------------------------------------------------
-
-
-def _vjp_conv(saved, attrs, g):
-    x = saved["x"].data
-    w = saved["w"].data
-    gx = conv_input_grad(g, w)
-    gw = conv_weight_grad(x, g, w.shape[2:])
-    gb = g.reshape(g.shape[0], -1).sum(axis=1)
-    return gx, gw, gb
-
-
-register_op(
-    "conv",
-    conv_nd,
-    _vjp_conv,
-    saves=lambda inputs, out, attrs: {"x": inputs[0], "w": inputs[1]},
-)
-
-register_op(
-    "relu",
-    relu,
-    lambda saved, attrs, g: (g * (saved["y"].data > 0.0),),
-    saves=lambda inputs, out, attrs: {"y": out},
-)
-
-register_op("add", add, lambda saved, attrs, g: (g, g))
-
-register_op(
-    "scale",
-    scale,
-    lambda saved, attrs, g: (g * attrs["a"],),
-)
-
-register_op(
-    "c2ch",
-    complex_to_channels,
-    lambda saved, attrs, g: (g[0] + 1j * g[1],),
-)
-
-register_op(
-    "ch2c",
-    channels_to_complex,
-    lambda saved, attrs, g: (np.stack([g.real, g.imag]),),
-)
+        if not self.unrolls:
+            raise ValueError("backward on a tape with no recorded unroll")
+        x_shape = self.unrolls[-1][0].shape[1:]  # c2ch(x) is [2, *x.shape]
+        if gz.shape != x_shape:
+            raise ValueError(f"gradient shape {gz.shape} != unroll input shape {x_shape}")
+        acts = self.unrolls.pop()
+        g = gz.data * params.contraction
+        g = np.stack([g.real, g.imag])
+        for i in range(params.layers - 1, -1, -1):
+            w = params.weights[i].data
+            h = acts.pop().data
+            _add_into(grads, f"w{i}", conv_weight_grad(h, g, w.shape[2:]))
+            _add_into(grads, f"b{i}", g.reshape(g.shape[0], -1).sum(axis=1))
+            opened = h > 0.0  # relu's mask: its output h is positive where its input is
+            del h
+            g = conv_input_grad(g, w)
+            if i:
+                g *= opened
+        return Tensor(gz.data + (g[0] + 1j * g[1]))

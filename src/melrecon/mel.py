@@ -1,31 +1,33 @@
 """The two gradient engines over the unrolled forward pass.
 
-``backprop_standard`` records every unroll on one tape and backpropagates
-once, so the tape's saved bytes grow linearly with the unroll count.
-``peak_tape_bytes`` is the largest tape an engine keeps alive: that one
-tape's ``saved_bytes`` here, the largest unroll tape's in mel.
+Both backpropagate one unroll at a time through the same two VJPs: the DC
+layer's closed form :func:`dc_vjp` and the regularizer's
+:meth:`Tape.backward`. They differ in where an unroll's activations come
+from. ``peak_tape_bytes`` is the most the engine's tapes held at once.
 
 Both engines seed the backward sweep with :func:`l1_loss`'s closed-form
-gradient at the network output; the loss itself is never taped.
+gradient at the network output; the loss itself is never recorded.
 
-``backprop_mel`` never records the forward pass. It runs it plain, seeds the
-loss gradient at the output, then walks the unrolls in reverse: algebraically
+``backprop_standard`` records every unroll on one tape during the forward
+pass and pops them in reverse, so its ledger grows linearly with the
+unroll count.
+
+``backprop_mel`` records nothing in the forward pass. It seeds the loss
+gradient at the output, then walks the unrolls in reverse: algebraically
 invert the DC layer to recover z, fixed-point-invert the residual
 regularizer to recover the unroll's input, rebuild just that unroll's
-regularizer graph on a tape that lives only inside :func:`_unroll_vjp`,
-and backpropagate the gradient at z through it. The peak is therefore one
-unroll's saved bytes regardless of depth, at the price of the recompute
-work. The fixed-point inversion runs the same :func:`residual_branch` as
-the forward pass and the rebuild, so it inverts exactly the function that
-was run. The sweep keeps no iterate; its only check is the free one at the
-end, where the recovered x_0 is compared with its known value A^H y and the
-gap is returned as ``x0_drift``.
+regularizer on a fresh tape, and backpropagate the gradient at z through
+it. The peak is therefore one unroll's saved bytes regardless of depth, at
+the price of the recompute work. The fixed-point inversion runs the same
+:func:`residual_branch` as the forward pass and the rebuild, so it inverts
+exactly the function that was run. The sweep keeps no iterate; its only
+check is the free one at the end, where the recovered x_0 is compared with
+its known value A^H y and the gap is returned as ``x0_drift``.
 
-The DC layer is never rebuilt: its taped node saves nothing and its VJP is
-closed form (:func:`dc_vjp`), so mel applies that VJP to the incoming image
-gradient directly. Both engines therefore use the same implicit DC VJP, and
-their gradients agree up to fixed-point/CG tolerances rather than differing
-by CG-trace effects.
+The DC layer is never rebuilt or recorded: mel applies :func:`dc_vjp` to
+the incoming image gradient directly, as the standard engine does, so their
+gradients agree up to fixed-point/CG tolerances rather than differing by
+CG-trace effects.
 
 Each engine returns a :class:`GradientResult` holding only what it
 measured: the gradients, the loss, the peak tape bytes, the wall time and,
@@ -46,7 +48,6 @@ from .tensor import Tensor
 from .unrolled import (
     DEFAULT_INVERT_TOL,
     FixedPointDivergence,
-    RegularizerParams,
     UnrolledNetParams,
     dc_invert,
     dc_vjp,
@@ -84,24 +85,17 @@ def l1_loss(x: Tensor, target: Tensor) -> tuple[float, Tensor]:
 
 def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
                       target: Tensor) -> GradientResult:
-    """Full-graph backprop: all unrolls recorded on a single tape."""
+    """Full-graph backprop: every unroll recorded on one tape, then popped
+    from the last, each behind its DC layer's VJP."""
     t0 = time.perf_counter()
     tape = Tape()
-    leaves = net.named_leaves()
-    x = modl_forward(net, op, y, tape=tape)
+    x = modl_forward(net, op, y, tape)
     loss_value, q = l1_loss(x, target)
-    gm = tape.backward(x, q, [t for _, t in leaves])
-    grads = {name: gm[t.alloc_id] for name, t in leaves}
-    return GradientResult(grads, loss_value, tape.saved_bytes, time.perf_counter() - t0)
-
-
-def _unroll_vjp(reg: RegularizerParams, x: Tensor, gz: Tensor, leaves):
-    """Rebuild one unroll from its input ``x`` on a fresh tape, backpropagate
-    ``gz`` to ``x`` and ``leaves``, and return the gradients and the tape's
-    saved bytes. The tape, and the unroll's graph with it, goes on return."""
-    tape = Tape()
-    z = regularizer_forward(reg, x, tape=tape)
-    return tape.backward(z, gz, [x] + [t for _, t in leaves]), tape.saved_bytes
+    grads: dict[str, np.ndarray] = {}
+    for _ in range(net.n_unrolls):
+        q = tape.backward(net.reg, dc_vjp(op, q, net.mu, net.n_cg), grads)
+    return GradientResult({k: Tensor(v) for k, v in grads.items()}, loss_value, tape.saved_bytes,
+                          time.perf_counter() - t0)
 
 
 def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
@@ -123,7 +117,6 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     loss_value, q = l1_loss(x_n, target)
 
     grads: dict[str, np.ndarray] = {}
-    leaves = net.named_leaves()
     for n in range(net.n_unrolls - 1, -1, -1):
         z = dc_invert(op, aty, x_n, net.mu)
         try:
@@ -134,13 +127,10 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
             ) from None
 
         gz = dc_vjp(op, q, net.mu, net.n_cg)
-        gm, saved_bytes = _unroll_vjp(net.reg, x_prev, gz, leaves)
-        q = gm[x_prev.alloc_id]
-        for name, t in leaves:
-            g = gm[t.alloc_id].data
-            grads[name] = grads[name] + g if name in grads else g
-        del gm  # summed: not held through the next unroll's rebuild
-        peak = max(peak, saved_bytes)
+        tape = Tape()
+        regularizer_forward(net.reg, x_prev, tape)
+        q = tape.backward(net.reg, gz, grads)
+        peak = max(peak, tape.saved_bytes)
         x_n = x_prev
 
     x0 = aty.data

@@ -1,10 +1,9 @@
 """One dense tensor type and N-d convolution.
 
 Everything here is gradient-free. A :class:`Tensor` is a float64 or
-complex128 array (the dtype is the only real/complex distinction) with a
-unique allocation id, so a tape can find its nodes and count each saved
-payload once by identity. The ``MELT`` binary format used for datasets,
-checkpoints and reconstructions also lives here.
+complex128 array; the dtype is the only real/complex distinction. The
+``MELT`` binary format used for datasets, checkpoints and reconstructions
+also lives here.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from itertools import count, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -30,22 +29,20 @@ __all__ = [
     "melt_read",
 ]
 
-_alloc_ids = count(1)
 
 class Tensor:
-    """Row-major array plus a unique allocation id.
+    """Row-major float64 or complex128 array.
 
     Complex input of any precision is stored as complex128, every other
     input (float, int, bool) as float64, so the dtype alone says whether a
     tensor is real or complex and ``nbytes`` is 8 or 16 bytes per element.
     """
 
-    __slots__ = ("data", "alloc_id")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         dtype = np.complex128 if np.iscomplexobj(data) else np.float64
         self.data = np.asarray(data, dtype=dtype, order="C")
-        self.alloc_id = next(_alloc_ids)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -59,7 +56,7 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, alloc_id={self.alloc_id})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 def _check_conv_shapes(x: np.ndarray, w: np.ndarray, b: np.ndarray):

@@ -9,6 +9,9 @@ from the convs' per-frequency transfer matrices, making the residual layer
 invertible by fixed-point iteration. The DC layer solves
 (A^H A + mu I) x = A^H y + mu z with CG and is inverted in closed form by
 one application of the normal operator.
+
+G's layer layout and its VJP live side by side in :mod:`.autodiff`; the DC
+layer's VJP, :func:`dc_vjp`, lives here with the layer.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, apply_op, register_op
+from .autodiff import Tape, residual_branch
 from .mri import EncodingOperator
-from .tensor import Tensor, _GEMM_MACS
+from .tensor import Tensor, _GEMM_MACS, add
 
 __all__ = [
     "DEFAULT_INVERT_TOL",
@@ -124,27 +127,12 @@ class UnrolledNetParams:
         return self.reg.named_leaves()
 
 
-def _ap(tape: Tape | None, kind: str, *args, **attrs) -> Tensor:
-    return apply_op(kind, *args, **attrs) if tape is None else tape.record(kind, *args, **attrs)
-
-
-def residual_branch(params: RegularizerParams, x: Tensor, tape: Tape | None = None) -> Tensor:
-    """c*G(x), recorded on ``tape`` when given. The one definition of the
-    branch: the forward pass, the fixed-point inversion and the mel rebuild
-    all evaluate it."""
-    h = _ap(tape, "c2ch", x)
-    last = params.layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = _ap(tape, "conv", h, w, b)
-        if i < last:
-            h = _ap(tape, "relu", h)
-    g = _ap(tape, "ch2c", h)
-    return _ap(tape, "scale", g, a=params.contraction)
-
-
 def regularizer_forward(params: RegularizerParams, x: Tensor, tape: Tape | None = None) -> Tensor:
-    """z = x + c*G(x), recorded on ``tape`` when given."""
-    return _ap(tape, "add", x, residual_branch(params, x, tape))
+    """z = x + c*G(x) with c*G :func:`residual_branch`, the one definition of
+    the branch that the forward pass, the fixed-point inversion and the mel
+    rebuild all evaluate. ``tape`` records the unroll for its VJP, with
+    identical values."""
+    return add(x, residual_branch(params, x)) if tape is None else tape.record(params, x)
 
 
 DEFAULT_INVERT_TOL = 1e-10  # fixed-point tolerance of the engines, train_steps and the CLI
@@ -227,30 +215,17 @@ def _check_aty(op: EncodingOperator, aty: Tensor, mu: float) -> None:
         raise ValueError(f"A^H y shape {aty.shape} != operator image shape {op.image_shape}")
 
 
-def _dc_solve_forward(z: Tensor, op, aty, mu, n_cg) -> Tensor:
-    rhs = aty + mu * z.data
-    return Tensor(cg_solve_normal(op, rhs, z.data, mu, n_cg))
-
-
-def _dc_solve_vjp(saved, attrs, g):
-    return (dc_vjp(attrs["op"], Tensor(g), attrs["mu"], attrs["n_cg"]).data,)
-
-
-register_op("dc_solve", _dc_solve_forward, _dc_solve_vjp)
-
-
-def dc_forward(op: EncodingOperator, aty: Tensor, z: Tensor, mu: float,
-               n_cg: int, tape: Tape | None = None) -> Tensor:
+def dc_forward(op: EncodingOperator, aty: Tensor, z: Tensor, mu: float, n_cg: int) -> Tensor:
     """Data-consistency update: approximately solve
     (A^H A + mu I) x = A^H y + mu z by CG initialized at z.
 
     Takes the image A^H y (``op.adjoint(y)``), not the k-space data y, so a
     caller that runs several DC layers on one case forms it once; any other
-    shape raises ``ValueError``. On a tape this is a single implicit node
-    that saves nothing; its VJP is :func:`dc_vjp` in both gradient engines.
+    shape raises ``ValueError``. Nothing of it is recorded: its VJP is
+    :func:`dc_vjp` in both gradient engines.
     """
     _check_aty(op, aty, mu)
-    return _ap(tape, "dc_solve", z, op=op, aty=aty.data, mu=mu, n_cg=n_cg)
+    return Tensor(cg_solve_normal(op, aty.data + mu * z.data, z.data, mu, n_cg))
 
 
 def dc_invert(op: EncodingOperator, aty: Tensor, x_next: Tensor, mu: float) -> Tensor:
@@ -265,9 +240,8 @@ def dc_invert(op: EncodingOperator, aty: Tensor, x_next: Tensor, mu: float) -> T
 
 def dc_vjp(op: EncodingOperator, seed: Tensor, mu: float, n_cg: int) -> Tensor:
     """Gradient of dc_forward w.r.t. z applied to ``seed``, by the
-    implicit-function rule: mu * (A^H A + mu I)^-1 seed (self-adjoint). This
-    is the VJP of the taped ``dc_solve`` node and the one the mel sweep
-    applies directly."""
+    implicit-function rule: mu * (A^H A + mu I)^-1 seed (self-adjoint). Both
+    engines apply it between unrolls."""
     return Tensor(mu * cg_solve_normal(op, seed.data, np.zeros_like(seed.data), mu, n_cg))
 
 
@@ -275,13 +249,13 @@ def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
                  tape: Tape | None = None) -> Tensor:
     """N alternations of regularizer and DC from the zero-filled init
     x_0 = A^H y. A^H y is formed once and is also the right-hand-side term
-    of every DC layer. Recording is value-transparent: the taped and untaped
-    paths run the identical arithmetic."""
+    of every DC layer. ``tape`` records each unroll's regularizer, with
+    identical values."""
     aty = op.adjoint(y)
     x = aty
     for _ in range(net.n_unrolls):
         z = regularizer_forward(net.reg, x, tape)
-        x = dc_forward(op, aty, z, net.mu, net.n_cg, tape)
+        x = dc_forward(op, aty, z, net.mu, net.n_cg)
     return x
 
 

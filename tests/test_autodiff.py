@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from melrecon.autodiff import Tape, apply_op
+from melrecon.autodiff import Tape
 from melrecon.mel import l1_loss
-from melrecon.tensor import Tensor, add, conv_nd
+from melrecon.tensor import Tensor
+from melrecon.unrolled import RegularizerParams, regularizer_forward
 
 from oracles import central_diff
 
@@ -14,8 +13,45 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def n_op_nodes(tape):
-    return sum(1 for n in tape.nodes if n.op_kind != "leaf")
+def random_layers(rng, channels, layers, kshape=(3, 3), w_scale=0.5):
+    """Weight and bias arrays of a 2 -> channels -> ... -> 2 branch."""
+    cins = [2] + [channels] * (layers - 1)
+    couts = [channels] * (layers - 1) + [2]
+    ws = [rng.standard_normal((o, i) + kshape) * w_scale for i, o in zip(cins, couts)]
+    bs = [rng.standard_normal(o) for o in couts]
+    return ws, bs
+
+
+def reg_of(ws, bs, c=0.7):
+    return RegularizerParams([Tensor(w) for w in ws], [Tensor(b) for b in bs], c)
+
+
+def unroll_vjp(p, x, gz):
+    """Record one unroll of ``p`` at ``x`` and backpropagate ``gz``: the
+    gradient at x and the layers' weight and bias gradients."""
+    tape = Tape()
+    tape.record(p, x)
+    grads = {}
+    gx = tape.backward(p, gz, grads)
+    return gx.data, grads
+
+
+def half_sq(z: Tensor, t: np.ndarray):
+    """0.5 * ||z - t||^2 in the real-pair inner product, and its gradient
+    z - t in the real-pair convention."""
+    d = z.data - t
+    return 0.5 * float(np.vdot(d, d).real), Tensor(d)
+
+
+def fd_of_x(loss, xa):
+    """Finite-difference gradient of loss(x) at complex xa, as a complex
+    array in the real-pair convention."""
+    fd = central_diff(lambda ch: loss(ch[0] + 1j * ch[1]), np.stack([xa.real, xa.imag]))
+    return fd[0] + 1j * fd[1]
+
+
+def close(got, fd, tol=1e-6):
+    return np.linalg.norm(got - fd) <= tol * np.linalg.norm(fd)
 
 
 # --- recording ----------------------------------------------------------------
@@ -23,250 +59,193 @@ def n_op_nodes(tape):
 
 def test_record_matches_untaped_bitwise():
     rng = np.random.default_rng(0)
-    x = Tensor(crandn(rng, 4, 4))
-    y = Tensor(crandn(rng, 4, 4))
+    p = reg_of(*random_layers(rng, channels=4, layers=3))
+    x = Tensor(crandn(rng, 6, 6))
     tape = Tape()
-    out = tape.record("add", x, y)
-    assert np.array_equal(out.data, add(x, y).data)
-
-
-def test_tape_appends_one_node_per_op():
-    rng = np.random.default_rng(1)
-    x = Tensor(crandn(rng, 3, 3))
-    tape = Tape()
-    h = tape.record("scale", x, a=2.0)
-    h = tape.record("add", h, x)
-    h = tape.record("c2ch", h)
-    assert n_op_nodes(tape) == 3
+    assert np.array_equal(tape.record(p, x).data, regularizer_forward(p, x).data)
 
 
 def test_retained_bytes_hand_count():
-    # conv saves x (1x4x4 = 128 B) and w (1x1x3x3 = 72 B); relu saves its
-    # output (128 B); add saves nothing. Total 328 bytes.
+    # 4x4 image, 1 channel, 2 layers: w0 [1, 2, 3, 3] and w1 [2, 1, 3, 3]
+    # are 144 B each; c2ch(x) [2, 4, 4] is 256 B and the relu output
+    # [1, 4, 4] 128 B. The biases are never kept. Total 672 bytes.
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((1, 4, 4)))
-    w = Tensor(rng.standard_normal((1, 1, 3, 3)))
-    b = Tensor(np.zeros(1))
+    p = reg_of(*random_layers(rng, channels=1, layers=2))
     tape = Tape()
-    h = tape.record("conv", x, w, b)
-    h = tape.record("relu", h)
-    tape.record("add", h, x)
-    assert tape.saved_bytes == 328
+    tape.record(p, Tensor(crandn(rng, 4, 4)))
+    assert tape.saved_bytes == 672
 
 
 def test_relu_output_feeding_conv_is_held_once():
-    # conv saves x (128 B) and w0 (72 B); relu saves its output (128 B),
-    # which the second conv saves again as its input, counted once; w1 72 B.
-    # Total 400 bytes; a relu saving its input would hold 128 B more.
+    # 3 layers: weights 144 + 72 + 144 B, c2ch(x) 256 B and two relu outputs
+    # of 128 B, each kept once as the next conv's input. Total 872 bytes;
+    # keeping relu inputs as well would hold 256 B more.
     rng = np.random.default_rng(13)
-    x = Tensor(rng.standard_normal((1, 4, 4)))
-    w0, w1 = Tensor(rng.standard_normal((1, 1, 3, 3))), Tensor(rng.standard_normal((1, 1, 3, 3)))
-    b = Tensor(np.zeros(1))
+    p = reg_of(*random_layers(rng, channels=1, layers=3))
     tape = Tape()
-    h = tape.record("relu", tape.record("conv", x, w0, b))
-    tape.record("conv", h, w1, b)
-    assert tape.saved_bytes == 400
+    tape.record(p, Tensor(crandn(rng, 4, 4)))
+    assert [a.shape for a in tape.unrolls[0]] == [(2, 4, 4), (1, 4, 4), (1, 4, 4)]
+    assert tape.saved_bytes == 872
 
 
 def test_bare_tape_reports_peak_through_own_ledger():
+    # two unrolls share the weights (288 B), counted once, and keep 384 B of
+    # activations each; popping them frees the activations but the ledger
+    # keeps its peak
     rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((1, 4, 4)))
+    p = reg_of(*random_layers(rng, channels=1, layers=2))
+    x = Tensor(crandn(rng, 4, 4))
     tape = Tape()
-    tape.record("relu", tape.record("relu", x))  # two saved outputs, 128 B each
-    assert tape.saved_bytes == 256
+    tape.record(p, tape.record(p, x))
+    assert tape.saved_bytes == 288 + 2 * 384
+    for _ in range(2):
+        tape.backward(p, Tensor(np.ones((4, 4), dtype=complex)), {})
+    assert tape.unrolls == []
+    assert tape.saved_bytes == 288 + 2 * 384
 
 
 # --- backward -----------------------------------------------------------------
 
 
 def test_backward_linear_scale():
-    x = Tensor(np.ones((4, 4), dtype=complex))
-    tape = Tape()
-    out = tape.record("scale", x, a=3.0)
-    g = tape.backward(out, Tensor(np.ones((4, 4), dtype=complex)), [x])
-    assert np.allclose(g[x.alloc_id].data, 3.0 * np.ones((4, 4)))
-
-
-def test_backward_releases_consumed_adjoints():
-    # a chain of 20 scales on a 1 MB tensor: the sweep holds a few adjoints
-    # at a time, not one per node; requested ones (leaf and an intermediate)
-    # survive with exact values
-    x = Tensor(np.ones(1 << 17))
-    tape = Tape()
-    h = x
-    for _ in range(10):
-        h = tape.record("scale", h, a=1.5)
-    mid = h
-    for _ in range(10):
-        h = tape.record("scale", h, a=-0.5)
-    seed = Tensor(np.full(x.shape, 2.0))
-    tracemalloc.start()
-    try:
-        g = tape.backward(h, seed, [x, mid])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * x.nbytes
-    assert np.all(g[mid.alloc_id].data == 2.0 * (-0.5) ** 10)
-    assert np.all(g[x.alloc_id].data == 2.0 * (-0.5) ** 10 * 1.5**10)
+    # c scales the branch and nothing it reads, so halving it halves every
+    # weight and bias gradient exactly and the branch's part of the x gradient
+    rng = np.random.default_rng(4)
+    ws, bs = random_layers(rng, channels=3, layers=3)
+    x = Tensor(crandn(rng, 5, 5))
+    gz = crandn(rng, 5, 5)
+    gx_a, grads_a = unroll_vjp(reg_of(ws, bs, c=0.5), x, Tensor(gz))
+    gx_b, grads_b = unroll_vjp(reg_of(ws, bs, c=0.25), x, Tensor(gz))
+    assert grads_a.keys() == grads_b.keys() == {f"{k}{i}" for k in "wb" for i in range(3)}
+    for k in grads_a:
+        assert np.array_equal(grads_a[k], 2 * grads_b[k]), k
+    assert close(gx_a - gz, 2 * (gx_b - gz), 1e-12)
 
 
 def test_relu_gradient_at_positive_and_zero():
-    x = Tensor(np.array([2.0, -1.0, 0.0]).reshape(1, 1, 3))
-    tape = Tape()
-    out = tape.record("relu", x)
-    g = tape.backward(out, Tensor(np.ones((1, 1, 3))), [x])
-    assert g[x.alloc_id].data.tolist() == [[[1.0, 0.0, 0.0]]]
+    # G(x) = relu(re x) through centre-tap convs: on x = [2, -1, 0] the
+    # relu passes the gradient at the positive voxel only, not at the
+    # exactly-zero pre-activation
+    w0, w1 = np.zeros((1, 2, 3, 3)), np.zeros((2, 1, 3, 3))
+    w0[0, 0, 1, 1] = w1[0, 0, 1, 1] = 1.0
+    p = reg_of([w0, w1], [np.zeros(1), np.zeros(2)], c=0.5)
+    x = Tensor(np.array([[2.0, -1.0, 0.0]], dtype=complex))
+    gx, grads = unroll_vjp(p, x, Tensor(np.ones((1, 3), dtype=complex)))
+    assert gx.tolist() == [[1.5, 1.0, 1.0]]
+    assert grads["b0"].tolist() == [0.5]
 
 
 def test_conv_weight_grad_matches_finite_differences():
-    # 2 -> 3 channels, a 3x5 kernel on a 5x4 grid: a channel/offset or
+    # 2 -> 3 -> 2 channels, 3x5 kernels on a 5x4 grid: a channel/offset or
     # row/column transposition in the kernel layout changes the gradient
     rng = np.random.default_rng(3)
-    xa = rng.standard_normal((2, 5, 4))
-    wa = rng.standard_normal((3, 2, 3, 5))
-    ba = np.zeros(3)
-
-    def loss_of(warr):
-        h = conv_nd(Tensor(xa), Tensor(warr), Tensor(ba))
-        return 0.5 * float(np.vdot(h.data, h.data).real)
-
-    x = Tensor(xa)
-    w = Tensor(wa)
-    tape = Tape()
-    h = tape.record("conv", x, w, Tensor(ba))
-    g = tape.backward(h, h, [w])[w.alloc_id].data  # seed h: gradient of 0.5*||h||^2
-
-    fd = central_diff(loss_of, wa.copy(), h=1e-6)
-    assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
+    ws, bs = random_layers(rng, channels=3, layers=2, kshape=(3, 5))
+    x = Tensor(crandn(rng, 5, 4))
+    t = crandn(rng, 5, 4)
+    _, grads = unroll_vjp(reg_of(ws, bs), x, half_sq(regularizer_forward(reg_of(ws, bs), x), t)[1])
+    for i in range(2):
+        def loss_of(w):
+            wi = ws[:i] + [w] + ws[i + 1:]
+            return half_sq(regularizer_forward(reg_of(wi, bs), x), t)[0]
+        assert close(grads[f"w{i}"], central_diff(loss_of, ws[i].copy())), i
 
 
 def test_conv_input_and_bias_grads_match_finite_differences():
     rng = np.random.default_rng(4)
-    xa = rng.standard_normal((2, 4, 4))
-    wa = rng.standard_normal((3, 2, 3, 3)) * 0.5
-    ba = rng.standard_normal(3)
-    t = rng.standard_normal((3, 4, 4))
-
-    def loss_parts(xarr, barr):
-        h = conv_nd(Tensor(xarr), Tensor(wa), Tensor(barr))
-        d = h.data - t
-        return 0.5 * float((d * d).sum())
-
-    x = Tensor(xa)
-    b = Tensor(ba)
-    tape = Tape()
-    h = tape.record("conv", x, Tensor(wa), b)
-    d = tape.record("add", h, Tensor(-t))
-    g = tape.backward(d, d, [x, b])  # seed d: gradient of 0.5*||d||^2
-
-    fd_x = central_diff(lambda a: loss_parts(a, ba), xa.copy())
-    fd_b = central_diff(lambda a: loss_parts(xa, a), ba.copy())
-    assert np.linalg.norm(g[x.alloc_id].data - fd_x) <= 1e-6 * np.linalg.norm(fd_x)
-    assert np.linalg.norm(g[b.alloc_id].data - fd_b) <= 1e-6 * np.linalg.norm(fd_b)
+    ws, bs = random_layers(rng, channels=3, layers=3)
+    xa = crandn(rng, 4, 4)
+    t = crandn(rng, 4, 4)
+    p = reg_of(ws, bs)
+    gx, grads = unroll_vjp(p, Tensor(xa), half_sq(regularizer_forward(p, Tensor(xa)), t)[1])
+    assert close(gx, fd_of_x(lambda a: half_sq(regularizer_forward(p, Tensor(a)), t)[0], xa))
+    for i in range(3):
+        def loss_of(b):
+            return half_sq(regularizer_forward(reg_of(ws, bs[:i] + [b] + bs[i + 1:]), Tensor(xa)), t)[0]
+        assert close(grads[f"b{i}"], central_diff(loss_of, bs[i].copy())), i
 
 
 def test_complex_composite_matches_finite_differences():
-    # l1(x + a*ch2c(conv(relu(conv(c2ch(x)))))): every cast, conv, relu,
-    # scale and add on one chain, seeded with the l1 loss's closed-form
-    # gradient; complex leaf checked channel-wise against the real-pair
-    # convention.
+    # l1(x + c*G(x)): every cast, conv, relu, scale and add of the unroll,
+    # seeded with the l1 loss's closed-form gradient; the complex input is
+    # checked channel-wise against the real-pair convention
     rng = np.random.default_rng(5)
+    p = reg_of(*random_layers(rng, channels=3, layers=2), c=0.65)
     xa = crandn(rng, 4, 4)
-    w0, b0 = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5), Tensor(rng.standard_normal(3))
-    w1, b1 = Tensor(rng.standard_normal((2, 3, 3, 3)) * 0.5), Tensor(rng.standard_normal(2))
     target = Tensor(crandn(rng, 4, 4))
-
-    def fwd(x, op):
-        h = op("relu", op("conv", op("c2ch", x), w0, b0))
-        g = op("ch2c", op("conv", h, w1, b1))
-        return op("add", x, op("scale", g, a=1.3))
-
-    def loss_channels(ch):
-        return l1_loss(fwd(Tensor(ch[0] + 1j * ch[1]), apply_op), target)[0]
-
-    x = Tensor(xa)
-    tape = Tape()
-    out = fwd(x, tape.record)
-    g = tape.backward(out, l1_loss(out, target)[1], [x])[x.alloc_id].data
-
-    ch = np.stack([xa.real, xa.imag])
-    fd = central_diff(loss_channels, ch.copy())
-    got = np.stack([g.real, g.imag])
-    assert np.linalg.norm(got - fd) <= max(1e-6, 1e-4 * np.linalg.norm(fd))
+    gx, _ = unroll_vjp(p, Tensor(xa), l1_loss(regularizer_forward(p, Tensor(xa)), target)[1])
+    fd = fd_of_x(lambda a: l1_loss(regularizer_forward(p, Tensor(a)), target)[0], xa)
+    assert np.linalg.norm(gx - fd) <= max(1e-6, 1e-4 * np.linalg.norm(fd))
 
 
-def _linear_inputs(kind, rng):
-    """Inputs for ``kind`` and how many leading ones it is jointly linear in
-    (conv with a zero bias is linear in its input for fixed weights)."""
-    if kind == "ch2c":
-        return [Tensor(rng.standard_normal((2, 6, 6)))], 1
-    if kind == "add":
-        return [Tensor(crandn(rng, 6, 6)), Tensor(crandn(rng, 6, 6))], 2
-    if kind == "conv":
-        x, w = rng.standard_normal((2, 6, 6)), rng.standard_normal((3, 2, 3, 3))
-        return [Tensor(x), Tensor(w), Tensor(np.zeros(3))], 1
-    return [Tensor(crandn(rng, 6, 6))], 1
-
-
-@pytest.mark.parametrize("kind,attrs", [("ch2c", {}), ("add", {}), ("c2ch", {}), ("scale", {"a": -1.7}), ("conv", {})])
-def test_linear_op_adjoint_identity(kind, attrs):
-    # <op(x), y> = sum_i <x_i, vjp_i(y)> in the real-pair inner product.
+def test_linear_branch_vjp_is_its_adjoint():
+    # b0 = 100 keeps the one relu open around x = 0, so z(x) - z(0) is the
+    # Jacobian J applied to x, and the VJP must be J's adjoint in the
+    # real-pair inner product: <J x, y> = <x, J^T y>
     rng = np.random.default_rng(6)
-    inputs, n_linear = _linear_inputs(kind, rng)
-    xs = inputs[:n_linear]
-    tape = Tape()
-    out = tape.record(kind, *inputs, **attrs)
-    if np.iscomplexobj(out.data):
-        y = Tensor(crandn(rng, *out.shape))
-    else:
-        y = Tensor(rng.standard_normal(out.shape))
-    lhs = np.vdot(y.data, out.data).real
-    g = tape.backward(out, y, xs)
-    rhs = sum(np.vdot(g[x.alloc_id].data, x.data).real for x in xs)
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    ws, bs = random_layers(rng, channels=3, layers=2)
+    bs[0] = np.full(3, 100.0)
+    p = reg_of(ws, bs)
+    x = Tensor(crandn(rng, 6, 6))
+    y = crandn(rng, 6, 6)
+    jx = regularizer_forward(p, x).data - regularizer_forward(p, Tensor(np.zeros((6, 6), dtype=complex))).data
+    gx, _ = unroll_vjp(p, x, Tensor(y))
+    lhs = np.vdot(y, jx).real
+    assert abs(lhs - np.vdot(gx, x.data).real) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_vjp_linear_in_seed():
-    # x + ch2c(conv(c2ch(0.7 x))) with a zero bias is linear in x
+    # three unrolls of one x on one tape, popped with seeds s1, s2 and
+    # a*s1 + b*s2: every gradient is linear in the seed
     rng = np.random.default_rng(8)
+    p = reg_of(*random_layers(rng, channels=2, layers=3))
     x = Tensor(crandn(rng, 4, 4))
-    w = Tensor(rng.standard_normal((2, 2, 3, 3)))
     tape = Tape()
-    h = tape.record("c2ch", tape.record("scale", x, a=0.7))
-    h = tape.record("ch2c", tape.record("conv", h, w, Tensor(np.zeros(2))))
-    out = tape.record("add", x, h)
-    s1 = crandn(rng, 4, 4)
-    s2 = crandn(rng, 4, 4)
+    for _ in range(3):
+        tape.record(p, x)
+    s1, s2 = crandn(rng, 4, 4), crandn(rng, 4, 4)
     a, b = 1.3, -2.1
-    g1 = tape.backward(out, Tensor(s1), [x])[x.alloc_id].data
-    g2 = tape.backward(out, Tensor(s2), [x])[x.alloc_id].data
-    g12 = tape.backward(out, Tensor(a * s1 + b * s2), [x])[x.alloc_id].data
+    out = []
+    for s in (s1, s2, a * s1 + b * s2):
+        grads = {}
+        out.append((tape.backward(p, Tensor(s), grads).data, grads))
+    (g1, m1), (g2, m2), (g12, m12) = out
     assert np.linalg.norm(g12 - (a * g1 + b * g2)) <= 1e-12 * np.linalg.norm(g12)
+    for k in m12:
+        assert np.linalg.norm(m12[k] - (a * m1[k] + b * m2[k])) <= 1e-12 * np.linalg.norm(m12[k]), k
 
 
 def test_backward_error_cases():
+    # an empty tape, and a gradient not shaped like the unroll's input, raise
+    # ValueError; the rejected call leaves the unroll on the tape
     rng = np.random.default_rng(9)
-    x = Tensor(crandn(rng, 3, 3))
-    other = Tensor(crandn(rng, 3, 3))
+    p = reg_of(*random_layers(rng, channels=2, layers=2))
     tape = Tape()
-    out = tape.record("scale", x, a=1.0)
-    with pytest.raises(ValueError):
-        tape.backward(out, Tensor(np.zeros((2, 2), dtype=complex)), [x])
-    with pytest.raises(ValueError):
-        tape.backward(out, Tensor(np.zeros((3, 3), dtype=complex)), [other])
-    with pytest.raises(ValueError):
-        tape.backward(other, Tensor(np.zeros((3, 3), dtype=complex)), [x])
+    with pytest.raises(ValueError, match="no recorded unroll"):
+        tape.backward(p, Tensor(np.zeros((3, 3), dtype=complex)), {})
+    tape.record(p, Tensor(crandn(rng, 3, 3)))
+    with pytest.raises(ValueError, match=r"\(2, 3\) != unroll input shape \(3, 3\)"):
+        tape.backward(p, Tensor(np.zeros((2, 3), dtype=complex)), {})
+    assert tape.backward(p, Tensor(np.zeros((3, 3), dtype=complex)), {}).shape == (3, 3)
+    assert tape.unrolls == []
 
 
-def test_unreached_leaf_gets_zero_gradient():
-    # ``unused`` is on the tape, read by an op outside ``out``'s graph
+def test_regularizer_vjp_3d_matches_finite_differences():
+    # the cine branch: 3x3x3 kernels on a 3x3x3 complex image; the gradient
+    # at x and at every weight and bias against central differences
     rng = np.random.default_rng(10)
-    x = Tensor(crandn(rng, 3, 3))
-    unused = Tensor(crandn(rng, 3, 3))
-    tape = Tape()
-    out = tape.record("scale", x, a=2.0)
-    tape.record("scale", unused, a=3.0)
-    g = tape.backward(out, Tensor(np.ones((3, 3), dtype=complex)), [x, unused])
-    assert np.all(g[unused.alloc_id].data == 0)
-    assert g[unused.alloc_id].shape == unused.shape
+    ws, bs = random_layers(rng, channels=2, layers=3, kshape=(3, 3, 3), w_scale=0.3)
+    xa = crandn(rng, 3, 3, 3)
+    t = crandn(rng, 3, 3, 3)
+
+    def loss(ws_, bs_, a):
+        return half_sq(regularizer_forward(reg_of(ws_, bs_), Tensor(a)), t)[0]
+
+    p = reg_of(ws, bs)
+    gx, grads = unroll_vjp(p, Tensor(xa), half_sq(regularizer_forward(p, Tensor(xa)), t)[1])
+    assert set(grads) == {f"{k}{i}" for k in "wb" for i in range(3)}
+    assert close(gx, fd_of_x(lambda a: loss(ws, bs, a), xa))
+    for i in range(3):
+        fd_w = central_diff(lambda w: loss(ws[:i] + [w] + ws[i + 1:], bs, xa), ws[i].copy())
+        fd_b = central_diff(lambda b: loss(ws, bs[:i] + [b] + bs[i + 1:], xa), bs[i].copy())
+        assert close(grads[f"w{i}"], fd_w), i
+        assert close(grads[f"b{i}"], fd_b), i
