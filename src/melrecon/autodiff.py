@@ -94,8 +94,9 @@ class Tape:
         if gz.shape != x_shape:
             raise ValueError(f"gradient shape {gz.shape} != unroll input shape {x_shape}")
         acts = self.unrolls.pop()
-        g = gz.data * params.contraction
-        g = np.stack([g.real, g.imag])
+        # scale is its own adjoint, and c2ch is ch2c's adjoint in the
+        # real-pair inner product (and ch2c c2ch's)
+        g = complex_to_channels(scale(gz, params.contraction)).data
         for i in range(params.layers - 1, -1, -1):
             w = params.weights[i].data
             h = acts.pop().data
@@ -106,4 +107,4 @@ class Tape:
             g = conv_input_grad(g, w)
             if i:
                 g *= opened
-        return Tensor(gz.data + (g[0] + 1j * g[1]))
+        return add(gz, channels_to_complex(Tensor(g)))  # add fans gz out to x and the branch
