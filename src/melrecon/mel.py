@@ -108,6 +108,14 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     end of the sweep: there the recovered x_0 is compared with its true
     value, A^H y, and the relative gap is recorded as ``x0_drift``. The
     drift is recorded, not enforced.
+
+    Between unrolls the sweep keeps A^H y, the recovered input x_n, the
+    gradient q at it and the running weight gradients; the gradient at z
+    lives on until the next unroll's DC VJP replaces it. Within an unroll,
+    z is dropped once inverted, the old x_n once z is recovered from it and
+    q once the DC VJP has read it, so the rebuild and its backward, where
+    the evaluation's heap peaks, hold x_n, the gradient at z and the tape
+    beside them.
     """
     t0 = time.perf_counter()
     peak = 0
@@ -119,19 +127,21 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     grads: dict[str, np.ndarray] = {}
     for n in range(net.n_unrolls - 1, -1, -1):
         z = dc_invert(op, aty, x_n, net.mu)
+        del x_n
         try:
-            x_prev = regularizer_invert(net.reg, z, tol=invert_tol)
+            x_n = regularizer_invert(net.reg, z, tol=invert_tol)
         except FixedPointDivergence as e:
             raise FixedPointDivergence(
                 f"unroll {n}: {e}", residual=e.residual, unroll=n
             ) from None
+        del z
 
         gz = dc_vjp(op, q, net.mu, net.n_cg)
+        del q
         tape = Tape()
-        regularizer_forward(net.reg, x_prev, tape)
+        regularizer_forward(net.reg, x_n, tape)
         q = tape.backward(net.reg, gz, grads)
         peak = max(peak, tape.saved_bytes)
-        x_n = x_prev
 
     x0 = aty.data
     x0_drift = float(np.linalg.norm(x_n.data - x0) / max(np.linalg.norm(x0), 1e-300))

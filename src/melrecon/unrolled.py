@@ -262,10 +262,13 @@ def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
 # --- contraction enforcement ----------------------------------------------------
 
 
-# Frequencies per chunk of transfer matrices, at most: a 16 -> 16 chunk of
-# H(f) or of its Gram is then 32 x [16, 16] complex, 131 kB, so a
-# projection's working set stays well under a megabyte.
-_FREQ_CHUNK = 32
+# Bytes of one chunk's transfer matrices [F, C_out, C_in] complex, at most;
+# a chunk never holds less than one frequency. A 16 -> 16 layer takes 16
+# frequencies per chunk and a 2 <-> 16 layer 128. One layer's norm then
+# holds about four arrays of this size at once (the GEMM's output or H, H's
+# conjugate transpose, the new Gram and the caller's last one): 270 kB at
+# 16 -> 16 in 2D, where 32-frequency chunks held 530 kB.
+_GRAM_BYTES = 1 << 16
 
 
 def _transfer_grams(w: np.ndarray, probe_shape=None):
@@ -283,10 +286,14 @@ def _transfer_grams(w: np.ndarray, probe_shape=None):
     H^H H or H H^H, [F, m, m] with m = min(C_out, C_in).
 
     A chunk's H is one real GEMM, [cos; sin] of the tap phases times
-    ``w`` as [taps, C_out*C_in]. Chunks hold at most ``_FREQ_CHUNK``
-    frequencies and keep that GEMM within the conv's ``_GEMM_MACS``, so it
-    runs on the calling thread (a complex GEMM of this size wakes
-    OpenBLAS's worker threads).
+    ``w`` as [taps, C_out*C_in], held within the conv's ``_GEMM_MACS`` so
+    it runs on the calling thread (a complex GEMM of this size wakes
+    OpenBLAS's worker threads). A chunk's H is also held within
+    ``_GRAM_BYTES``, which bounds the heap a projection takes. Each
+    frequency's H and Gram are computed on their own, so the chunk size
+    changes no value, except that a chunk of one frequency takes numpy's
+    matrix-vector product for its tap phases, which can round a Gram entry
+    differently in its last bits.
     """
     c_out, c_in = w.shape[:2]
     kshape = w.shape[2:]
@@ -297,7 +304,7 @@ def _transfer_grams(w: np.ndarray, probe_shape=None):
     w_t = w.reshape(c_out * c_in, -1).T
     half = tuple(probe_shape[:-1]) + (probe_shape[-1] // 2 + 1,)
     freqs = np.stack(np.meshgrid(*[np.arange(n) for n in half], indexing="ij"), -1).reshape(-1, len(half))
-    step = max(1, min(_FREQ_CHUNK, _GEMM_MACS // (2 * w.size)))
+    step = max(1, min(_GRAM_BYTES // (16 * c_out * c_in), _GEMM_MACS // (2 * w.size)))
     for lo in range(0, len(freqs), step):
         ang = freqs[lo: lo + step] @ phase
         n = len(ang)

@@ -1,11 +1,15 @@
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from melrecon import unrolled
 from melrecon.autodiff import Tape
+from melrecon.mel import backprop_mel
 from melrecon.mri import EncodingOperator, make_poisson_disk_mask, make_sensitivities
 from melrecon.tensor import Tensor, conv_nd, relu
+from melrecon.train import AdamState, adam_step
 from melrecon.unrolled import (
     FixedPointDivergence,
     RegularizerParams,
@@ -491,9 +495,56 @@ def test_project_fires_on_exact_bound_above_threshold():
     assert 0.9 * (1 - 1e-9) <= exact_bound(q) <= 0.9 * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("budget", ["one_frequency", "whole_half_grid"])
+@pytest.mark.parametrize(
+    "shape,probe",
+    [
+        ((16, 2, 3, 3), (16, 16)),
+        ((16, 16, 3, 3), (16, 16)),
+        ((2, 16, 3, 3), (16, 16)),
+        ((16, 16, 3, 3, 3), (8, 8, 8)),
+        ((5, 3, 3, 3), (15, 17)),
+    ],
+    ids=["2to16", "16to16", "16to2", "3d", "odd_grid"],
+)
+def test_gram_chunking_cannot_change_the_certificate(monkeypatch, shape, probe, budget):
+    # one frequency per chunk and the whole half-grid in one chunk give the
+    # certificate of the default byte budget bit for bit (the GEMM budget is
+    # lifted too, or it would cap the chunk first). The Frobenius bound is
+    # taken on the default grid, the other norms on ``probe``. A chunk of
+    # one frequency takes numpy's matrix-vector product for its tap phases,
+    # which can round a Gram entry differently in its last bits.
+    w = np.random.default_rng(28).standard_normal(shape) * 0.2
+    rank = len(shape) - 2
+    p = RegularizerParams.init(channels=16, layers=3, spatial_rank=rank, seed=28, scale=3.0)
+
+    def evaluate():
+        grams = np.concatenate(list(unrolled._transfer_grams(w, probe)))
+        q = project_weights(p)
+        assert q is not p  # the exact norms ran and rescaled
+        return (grams, conv_operator_norm(Tensor(w), probe_shape=probe),
+                unrolled._frobenius_norm_bound(w), [v.data for v in q.weights])
+
+    want = evaluate()
+    if budget == "one_frequency":
+        monkeypatch.setattr(unrolled, "_GRAM_BYTES", 1)
+    else:
+        monkeypatch.setattr(unrolled, "_GRAM_BYTES", 1 << 62)
+        monkeypatch.setattr(unrolled, "_GEMM_MACS", 1 << 62)
+    got = evaluate()
+    assert np.abs(want[0] - got[0]).max() <= 1e-14 * np.abs(want[0]).max()
+    assert want[1] == got[1] and want[2] == got[2]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(want[3], got[3]))
+
+
 @pytest.mark.parametrize("rank", [2, 3])
-def test_project_heap_peak_under_1mb(rank):
+def test_project_heap_peak_under_300kb(rank):
+    # measured 273,288 B in 2D and 282,898 B in 3D: one 16 -> 16 layer's
+    # Grams at a time (about 270 kB) beside the weights. The bound leaves
+    # 17 kB, a quarter of one 16 -> 16 chunk array (64 kB); 32-frequency
+    # chunks peaked at 536,812 and 316,098 B.
     p = RegularizerParams.init(channels=16, layers=5, spatial_rank=rank, seed=27, scale=3.0)
+    gc.collect()
     tracemalloc.start()
     try:
         q = project_weights(p)
@@ -501,4 +552,33 @@ def test_project_heap_peak_under_1mb(rank):
     finally:
         tracemalloc.stop()
     assert q is not p
-    assert peak < 1 << 20
+    assert peak < 300_000
+
+
+def test_adam_step_heap_peak_below_the_gradient_evaluation(monkeypatch):
+    # the 24x24, 16-channel instance of the acceptance heap test at N=2: a
+    # training step's heap ceiling is its gradient evaluation, not the
+    # contraction projection inside adam_step. Measured 679,137 B for the
+    # gradient and 541,968 B for the step, where 32-frequency Gram chunks
+    # took the step to 805,264 B.
+    exact = []
+    lipschitz = unrolled.lipschitz_bound
+    monkeypatch.setattr(unrolled, "lipschitz_bound", lambda p: exact.append(1) or lipschitz(p))
+    rng = np.random.default_rng(2000)
+    op = random_op(seed=2000, shape=(24, 24), coils=2)
+    net = UnrolledNetParams(projected_params(seed=2002, channels=16, layers=5), 0.3, 2, 20)
+    y = Tensor(op._forward(crandn(rng, 24, 24)))
+    target = Tensor(crandn(rng, 24, 24) * 0.5)
+    adam = AdamState.init(net, lr=1e-3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        grads = backprop_mel(net, op, y, target).grads
+        grad_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        adam_step(adam, net, grads)
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact  # the certificate reached the threshold: the exact norms ran too
+    assert step_peak < grad_peak, (step_peak, grad_peak)
