@@ -14,13 +14,13 @@ import json
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .mri import (DatasetConfig, EncodingOperator, build_dataset, load_dataset, make_poisson_disk_mask,
-                  make_sensitivities, realized_acceleration)
-from .tensor import Tensor, atomic_write, melt_read, melt_write
+from .mri import DatasetConfig, build_dataset, load_dataset, realized_acceleration
+from .tensor import atomic_write, melt_read, melt_write
 from .train import MetricsReport, TrainConfig, _grad_eval, cg_sense, load_checkpoint, psnr, ssim, train_loop
 from .unrolled import DEFAULT_INVERT_TOL, RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
@@ -29,8 +29,7 @@ DEFAULT_CONFIG: dict = {
     "image_size": 32,
     "coils": 4,
     "accel": 4.0,
-    "mask": "poisson",  # poisson | kt
-    "kind": "static2d",  # static2d | cine
+    "kind": "static2d",  # static2d (Poisson-disk mask) | cine (k-t mask)
     "frames": 1,
     "calib": 6,
     "noise_sigma": 1e-3,
@@ -50,12 +49,6 @@ DEFAULT_CONFIG: dict = {
     "engine": "standard",
     "invert_tol": DEFAULT_INVERT_TOL,
     "val_every": 1,
-    # bench
-    "bench_size": 24,
-    "bench_coils": 2,
-    "bench_cg_iters": 20,
-    "bench_mu": 0.3,
-    "bench_budget_factor": 2.0,
     # io
     "seed": 0,
     "out": "runs/out",
@@ -100,7 +93,6 @@ def _dataset_config(cfg: dict) -> DatasetConfig:
         shape=(n, n),
         coils=int(cfg["coils"]),
         accel=float(cfg["accel"]),
-        mask_kind=cfg["mask"],
         kind=cfg["kind"],
         frames=int(cfg["frames"]),
         calib=(int(cfg["calib"]), int(cfg["calib"])),
@@ -244,19 +236,18 @@ def cmd_eval(cfg: dict, methods: list[str], split: str) -> int:
 
 
 def bench_instance(cfg: dict):
-    """Fixed random instance for the memory/time benchmark."""
-    n = int(cfg["bench_size"])
-    seed = int(cfg["seed"]) + 90
-    rng = np.random.default_rng(seed)
-    mask = make_poisson_disk_mask((n, n), 2.0, calib=(6, 6), seed=seed)
-    op = EncodingOperator(mask, make_sensitivities((n, n), int(cfg["bench_coils"]), seed=seed + 1))
+    """The memory/time benchmark's instance: case 0 of the configured
+    dataset, bit-identical to ``gen-data``'s case0000, with ``train``'s
+    initial weights drawn at 10x their scale and projected, so the branch
+    starts at its contraction bound, mel's hardest inversion. Returns
+    (op, reg, y, target)."""
+    case = build_dataset(replace(_dataset_config(cfg), n_train=1, n_val=1, n_test=1)).cases[0]
     reg = project_weights(
-        RegularizerParams.init(channels=int(cfg["channels"]), layers=int(cfg["layers"]), seed=seed + 2, scale=3.0)
+        RegularizerParams.init(channels=int(cfg["channels"]), layers=int(cfg["layers"]),
+                               spatial_rank=len(case.x.shape), contraction=float(cfg["contraction"]),
+                               seed=int(cfg["seed"]), scale=3.0)
     )
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    y = Tensor(op._forward(x))
-    target = Tensor(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return op, reg, y, target
+    return case.operator(), reg, case.y, case.x
 
 
 def max_feasible_unrolls(points: list[tuple[int, int]], budget: float) -> int:
@@ -281,8 +272,8 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
         if engine not in ("standard", "mel"):
             raise ValueError(f"unknown engine {engine!r}")
     op, reg, y, target = bench_instance(cfg)
-    mu = float(cfg["bench_mu"])
-    n_cg = int(cfg["bench_cg_iters"])
+    mu = float(cfg["mu"])
+    n_cg = int(cfg["cg_iters"])
     invert_tol = float(cfg["invert_tol"])
 
     # warm-up so wall times exclude one-time allocation effects
@@ -314,8 +305,8 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
 
     if "standard" in engines:
         n_min = min(unroll_list)
-        budget = float(cfg["bench_budget_factor"]) * dict(points["standard"])[n_min]
-        print(f"budget = {cfg['bench_budget_factor']} x standard N={n_min} peak = {budget:.0f} bytes")
+        budget = 2.0 * dict(points["standard"])[n_min]
+        print(f"budget = 2 x standard N={n_min} peak = {budget:.0f} bytes")
         if len(set(unroll_list)) < 2:
             print("feasibility frontier: needs two unroll counts")
         else:

@@ -161,13 +161,6 @@ class EncodingOperator:
             raise ValueError(f"k-space shape {y.shape} != {(self.coils,) + self.image_shape}")
         return Tensor(self._adjoint(y.data))
 
-    def normal(self, x: Tensor, mu: float = 0.0) -> Tensor:
-        if mu < 0:
-            raise ValueError(f"mu must be >= 0, got {mu}")
-        if x.shape != self.image_shape:
-            raise ValueError(f"image shape {x.shape} != operator shape {self.image_shape}")
-        return Tensor(self._normal(x.data, mu))
-
 
 # --- sampling masks ---------------------------------------------------------
 
@@ -419,8 +412,7 @@ class DatasetConfig:
     n_val: int
     n_test: int
     seed: int
-    mask_kind: str = "poisson"  # poisson | kt
-    kind: str = "static2d"  # static2d | cine
+    kind: str = "static2d"  # static2d (Poisson-disk mask) | cine (k-t mask)
     frames: int = 1
 
 
@@ -448,10 +440,14 @@ class Dataset:
 
 
 def build_dataset(cfg: DatasetConfig) -> Dataset:
-    """Phantom -> sensitivities -> mask -> y = A x* (+ masked complex noise)."""
+    """Phantom -> sensitivities -> mask -> y = A x* (+ masked complex noise).
+    The image kind fixes the mask: Poisson-disk for ``static2d``, k-t for
+    ``cine``."""
     counts = [("train", cfg.n_train), ("val", cfg.n_val), ("test", cfg.n_test)]
     if any(n < 1 for _, n in counts):
         raise ValueError("each split needs at least one case")
+    if cfg.kind == "static2d" and cfg.frames != 1:
+        raise ValueError(f"static2d images have one frame; got frames={cfg.frames}")
     root = np.random.default_rng(cfg.seed)
     cases = []
     idx = 0
@@ -460,14 +456,12 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
             cseed = int(root.integers(0, 2**31 - 1))
             x = make_phantom(cfg.shape, kind=cfg.kind, seed=cseed, frames=cfg.frames)
             sens = make_sensitivities(cfg.shape, cfg.coils, seed=cseed + 1)
-            if cfg.mask_kind == "poisson":
-                mask = make_poisson_disk_mask(cfg.shape, cfg.accel, cfg.calib, seed=cseed + 2)
-            elif cfg.mask_kind == "kt":
+            if cfg.kind == "cine":
                 mask = make_kt_mask(cfg.shape, cfg.frames, cfg.accel, seed=cseed + 2)
             else:
-                raise ValueError(f"unknown mask kind {cfg.mask_kind!r}")
+                mask = make_poisson_disk_mask(cfg.shape, cfg.accel, cfg.calib, seed=cseed + 2)
             op = EncodingOperator(mask, sens)
-            y = op.forward(x).data  # checked: a mask that does not fit the phantom raises here
+            y = op.forward(x).data
             if cfg.noise_sigma > 0:
                 nrng = np.random.default_rng(cseed + 3)
                 s = cfg.noise_sigma * np.abs(y).max()
@@ -518,6 +512,11 @@ def load_dataset(path) -> Dataset:
     r0 = cfg_d.pop("density_r0", _DENSITY_R0)
     if r0 != _DENSITY_R0:
         raise ValueError(f"{path}: density_r0 {r0} is not supported (only {_DENSITY_R0})")
+    # manifests written before the image kind fixed the sampling store the mask kind
+    want = "kt" if cfg_d.get("kind") == "cine" else "poisson"
+    mask_kind = cfg_d.pop("mask_kind", want)
+    if mask_kind != want:
+        raise ValueError(f"{path}: mask_kind {mask_kind!r} does not fit kind {cfg_d.get('kind')!r} (only {want!r})")
     cfg = DatasetConfig(
         **{
             **cfg_d,

@@ -181,7 +181,7 @@ def cg_sense(op: EncodingOperator, y: Tensor, lam: float = 1e-3, iters: int = 30
     """l2-regularized SENSE: CG on (A^H A + lam I) x = A^H y from zero."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    rhs = op._adjoint(y.data)
+    rhs = op.adjoint(y).data
     return Tensor(cg_solve_normal(op, rhs, np.zeros_like(rhs), lam, iters))
 
 

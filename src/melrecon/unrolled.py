@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Tape, residual_branch
 from .mri import EncodingOperator
-from .tensor import Tensor, _GEMM_MACS, add
+from .tensor import Tensor, add
 
 __all__ = [
     "DEFAULT_INVERT_TOL",
@@ -286,14 +286,16 @@ def _transfer_grams(w: np.ndarray, probe_shape=None):
     H^H H or H H^H, [F, m, m] with m = min(C_out, C_in).
 
     A chunk's H is one real GEMM, [cos; sin] of the tap phases times
-    ``w`` as [taps, C_out*C_in], held within the conv's ``_GEMM_MACS`` so
-    it runs on the calling thread (a complex GEMM of this size wakes
-    OpenBLAS's worker threads). A chunk's H is also held within
-    ``_GRAM_BYTES``, which bounds the heap a projection takes. Each
-    frequency's H and Gram are computed on their own, so the chunk size
-    changes no value, except that a chunk of one frequency takes numpy's
-    matrix-vector product for its tap phases, which can round a Gram entry
-    differently in its last bits.
+    ``w`` as [taps, C_out*C_in], and is held within ``_GRAM_BYTES``, which
+    bounds the heap a projection takes. That byte budget also holds the
+    GEMM to 8192 * taps multiply-adds, within the convs' GEMM budget
+    (``tensor._GEMM_MACS``, 2^18) for any kernel of at most 32 taps, 3x3
+    and 3x3x3 included, so it runs on the calling thread (a complex GEMM of
+    this size wakes OpenBLAS's worker threads). Each frequency's H and Gram
+    are computed on their own, so the chunk size changes no value, except
+    that a chunk of one frequency takes numpy's matrix-vector product for
+    its tap phases, which can round a Gram entry differently in its last
+    bits.
     """
     c_out, c_in = w.shape[:2]
     kshape = w.shape[2:]
@@ -304,7 +306,7 @@ def _transfer_grams(w: np.ndarray, probe_shape=None):
     w_t = w.reshape(c_out * c_in, -1).T
     half = tuple(probe_shape[:-1]) + (probe_shape[-1] // 2 + 1,)
     freqs = np.stack(np.meshgrid(*[np.arange(n) for n in half], indexing="ij"), -1).reshape(-1, len(half))
-    step = max(1, min(_GRAM_BYTES // (16 * c_out * c_in), _GEMM_MACS // (2 * w.size)))
+    step = max(1, _GRAM_BYTES // (16 * c_out * c_in))
     for lo in range(0, len(freqs), step):
         ang = freqs[lo: lo + step] @ phase
         n = len(ang)

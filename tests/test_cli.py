@@ -9,6 +9,7 @@ import pytest
 
 from melrecon import cli, train
 from melrecon.cli import DEFAULT_CONFIG, main
+from melrecon.mri import load_dataset
 from melrecon.tensor import melt_read, melt_write
 from melrecon.train import TrainConfig
 from melrecon.unrolled import UnrolledNetParams
@@ -64,8 +65,6 @@ def tiny_config(tmp_path, **kw):
         "channels": 4,
         "layers": 2,
         "val_every": 1,
-        "bench_size": 16,
-        "bench_cg_iters": 8,
         "seed": 9,
         "data": "data",
         "out": "out",
@@ -127,12 +126,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kw", [dict(mask="kt", kind="static2d"), dict(mask="poisson", kind="cine", frames=3)],
-                         ids=["kt_static2d", "poisson_cine"])
-def test_gen_data_rejects_mask_that_does_not_fit_the_images(tmp_path, capsys, kw):
+@pytest.mark.parametrize("kw,err", [(dict(mask="kt"), "unknown config keys"),
+                                    (dict(kind="static2d", frames=3), "frames")],
+                         ids=["mask_key", "static2d_frames"])
+def test_gen_data_rejects_mask_key_and_static2d_frames(tmp_path, capsys, kw, err):
+    # the image kind fixes the sampling, so no mask can be named, and a
+    # static2d image has exactly one frame
     cfg = tiny_config(tmp_path, **kw)
     assert run_cli("--config", str(cfg), "gen-data") == 1
-    assert "shape" in capsys.readouterr().err
+    assert err in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
 
 
@@ -233,7 +235,7 @@ def test_recon_architecture_mismatch_fails(trained, tmp_path, capsys):
     tmp, cfg, ckpt = trained
     other = tmp_path / "cine"
     other.mkdir()
-    cfg2 = tiny_config(other, kind="cine", mask="kt", frames=3, image_size=16)
+    cfg2 = tiny_config(other, kind="cine", frames=3, image_size=16)
     run_cli("--config", str(cfg2), "gen-data")
     rc = run_cli("--config", str(cfg2), "--out", str(other / "r"), "recon", str(ckpt))
     assert rc == 1
@@ -297,9 +299,13 @@ def test_bench_memory_rows_are_direct_gradient_evaluations(trained, tmp_path):
     assert rows[0] == ["engine", "n_unrolls", "shape", "peak_bytes", "heap_peak_bytes", "wall_time_s", "loss"]
     c = cli.load_config(str(cfg), {})
     op, reg, y, target = cli.bench_instance(c)
+    case0 = load_dataset(c["data"]).cases[0]  # what gen-data wrote
+    assert case0.case_id == "case0000"
+    for got, want in ((op.mask, case0.mask), (op.sens, case0.sens), (y, case0.y), (target, case0.x)):
+        assert got.data.tobytes() == want.data.tobytes()
     assert [(r[0], r[1]) for r in rows[1:]] == [("standard", "2"), ("mel", "2"), ("standard", "3"), ("mel", "3")]
     for engine, n, shape, peak, heap, wall, loss in rows[1:]:
-        net = UnrolledNetParams(reg, float(c["bench_mu"]), int(n), int(c["bench_cg_iters"]))
+        net = UnrolledNetParams(reg, float(c["mu"]), int(n), int(c["cg_iters"]))
         r = train._grad_eval(engine, net, op, y, target, float(c["invert_tol"]))
         assert shape == "16x16"
         assert int(peak) == r.peak_tape_bytes
@@ -341,6 +347,19 @@ def test_bench_memory_standard_strictly_increasing(trained, tmp_path):
     assert std[0] < std[1] < std[2]
     mel = [int(r[3]) for r in rows[1:] if r[0] == "mel"]
     assert max(mel) <= 1.1 * min(mel)
+
+
+def test_bench_memory_runs_on_the_configured_cine_data(tmp_path):
+    # the instance is the configured dataset's case 0: on cine, 3D convs on
+    # frames x H x W, where mel's ledger must stay flat in depth too
+    cfg = tiny_config(tmp_path, kind="cine", frames=3)
+    out = tmp_path / "bench_cine"
+    assert run_cli("--config", str(cfg), "--out", str(out), "bench-memory", "--unroll-list", "2,4,6") == 0
+    rows = list(csv.reader((out / "bench_memory.csv").open()))
+    assert {r[2] for r in rows[1:]} == {"3x16x16"}
+    std = [int(r[3]) for r in rows[1:] if r[0] == "standard"]
+    assert std[0] < std[1] < std[2]
+    assert len({int(r[3]) for r in rows[1:] if r[0] == "mel"}) == 1
 
 
 def test_bench_memory_budget_feasibility(trained, tmp_path, capsys):

@@ -93,8 +93,7 @@ def test_cine_phantom_training_cases_engines_agree_within_1e_6():
     # pre-activations at rounding level, where the sign of the engines'
     # rounding decides which voxels add to b0. Training data carry noise.
     ds = build_dataset(DatasetConfig(shape=(16, 16), coils=3, accel=4.0, calib=(4, 4), noise_sigma=1e-3,
-                                     n_train=2, n_val=1, n_test=1, seed=0, mask_kind="kt", kind="cine",
-                                     frames=4))
+                                     n_train=2, n_val=1, n_test=1, seed=0, kind="cine", frames=4))
     reg = project_weights(RegularizerParams.init(channels=8, layers=4, spatial_rank=3, seed=0, scale=3.0))
     for c in ds.split("train"):
         op = c.operator()

@@ -96,8 +96,8 @@ def test_normal_full_mask_is_identity_plus_mu():
     rng = np.random.default_rng(5)
     op = full_op((8, 8), coils=3, seed=7)
     x = Tensor(crandn(rng, 8, 8))
-    out = op.normal(x, mu=0.3)
-    assert np.linalg.norm(out.data - 1.3 * x.data) <= 1e-10 * norm2(x)
+    out = op._normal(x.data, 0.3)
+    assert np.linalg.norm(out - 1.3 * x.data) <= 1e-10 * norm2(x)
 
 
 def test_normal_is_psd_plus_mu():
@@ -105,14 +105,8 @@ def test_normal_is_psd_plus_mu():
     op = random_op(rng, coils=3)
     mu = 0.05
     x = Tensor(crandn(rng, 8, 8))
-    q = np.vdot(x.data, op.normal(x, mu).data).real
+    q = np.vdot(x.data, op._normal(x.data, mu)).real
     assert q >= mu * norm2(x) ** 2 - 1e-12
-
-
-def test_normal_rejects_negative_mu():
-    op = full_op((8, 8))
-    with pytest.raises(ValueError):
-        op.normal(Tensor(np.zeros((8, 8), dtype=complex)), mu=-0.1)
 
 
 def test_operator_shape_checks():
@@ -473,4 +467,21 @@ def test_load_accepts_legacy_density_r0_only_at_its_constant_value(tmp_path):
     manifest["config"]["density_r0"] = 0.5
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="density_r0"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("kind,fits,other", [("static2d", "poisson", "kt"), ("cine", "kt", "poisson")])
+def test_load_accepts_legacy_mask_kind_only_where_it_fits_the_kind(tmp_path, kind, fits, other):
+    # manifests written while the mask kind was a config field store it
+    import json
+
+    cfg = small_cfg(kind=kind, frames=2 if kind == "cine" else 1)
+    root = save_dataset(build_dataset(cfg), tmp_path / "d")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["config"]["mask_kind"] = fits
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    assert load_dataset(root).config == cfg
+    manifest["config"]["mask_kind"] = other
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="mask_kind"):
         load_dataset(root)

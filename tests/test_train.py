@@ -225,6 +225,17 @@ def test_baselines_full_mask_recover_truth():
     assert np.linalg.norm(exact.data - xstar) <= 1e-10 * np.linalg.norm(xstar)
 
 
+def test_cg_sense_rejects_k_space_of_the_wrong_shape():
+    # 3 frames and 3 coils: a [C, H, W] y would broadcast against the
+    # [T, H, W] mask and come back a 2D image without the adjoint's check
+    from melrecon.mri import EncodingOperator, make_kt_mask, make_sensitivities
+
+    op = EncodingOperator(make_kt_mask((8, 8), frames=3, accel=2.0, seed=0), make_sensitivities((8, 8), 3, seed=1))
+    y = Tensor(crandn(np.random.default_rng(11), 3, 8, 8))
+    with pytest.raises(ValueError, match="k-space shape"):
+        cg_sense(op, y)
+
+
 def test_cg_sense_beats_zero_filled_when_undersampled():
     ds = small_dataset(seed=10, accel=3.0, shape=(24, 24))
     for c in ds.split("val"):

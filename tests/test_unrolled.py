@@ -509,8 +509,7 @@ def test_project_fires_on_exact_bound_above_threshold():
 )
 def test_gram_chunking_cannot_change_the_certificate(monkeypatch, shape, probe, budget):
     # one frequency per chunk and the whole half-grid in one chunk give the
-    # certificate of the default byte budget bit for bit (the GEMM budget is
-    # lifted too, or it would cap the chunk first). The Frobenius bound is
+    # certificate of the default byte budget bit for bit. The Frobenius bound is
     # taken on the default grid, the other norms on ``probe``. A chunk of
     # one frequency takes numpy's matrix-vector product for its tap phases,
     # which can round a Gram entry differently in its last bits.
@@ -530,7 +529,6 @@ def test_gram_chunking_cannot_change_the_certificate(monkeypatch, shape, probe, 
         monkeypatch.setattr(unrolled, "_GRAM_BYTES", 1)
     else:
         monkeypatch.setattr(unrolled, "_GRAM_BYTES", 1 << 62)
-        monkeypatch.setattr(unrolled, "_GEMM_MACS", 1 << 62)
     got = evaluate()
     assert np.abs(want[0] - got[0]).max() <= 1e-14 * np.abs(want[0]).max()
     assert want[1] == got[1] and want[2] == got[2]
