@@ -2,17 +2,7 @@
 standard full-graph backpropagation and memory-efficient learning by
 layer inversion."""
 
-from .tensor import (
-    Tensor,
-    conv_nd,
-    relu,
-    add,
-    scale,
-    complex_to_channels,
-    channels_to_complex,
-    melt_read,
-    melt_write,
-)
+from .tensor import Tensor, conv_nd, melt_read, melt_write
 from .autodiff import Tape
 from .mri import (
     DatasetConfig,

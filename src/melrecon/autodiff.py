@@ -2,11 +2,14 @@
 
 Both gradient engines backpropagate the same unit: one unroll's regularizer
 z = x + c*G(x), where G is c2ch -> (conv, relu) x (L-1) -> conv -> ch2c on
-the 2-channel real view of the complex image. That layer layout is written
-down here twice, side by side: forward in :func:`residual_branch`, which
-the forward pass, the fixed-point inversion and the tape all run, and in
-reverse in :meth:`Tape.backward`. The data-consistency layer's VJP is
-closed form (``unrolled.dc_vjp``) and the engines apply it between unrolls.
+the 2-channel real view of the complex image: c2ch(x) stacks x.real and
+x.imag, and ch2c(h) is h[0] + 1j*h[1]. That layer layout is written down
+here twice, side by side and on plain arrays: forward in
+:func:`residual_branch`, which the forward pass, the fixed-point inversion
+and the tape all run, and in reverse in :meth:`Tape.backward`. Only the
+tape's two entry points take and return :class:`Tensor`, the public API's
+value type. The data-consistency layer's VJP is closed form
+(``unrolled.dc_vjp``) and the engines apply it between unrolls.
 
 A :class:`Tape` keeps, per recorded unroll, what the VJP reads: the input
 of every conv, that is c2ch(x) and the L-1 relu outputs. A conv's weight
@@ -21,33 +24,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    add,
-    channels_to_complex,
-    complex_to_channels,
-    conv_input_grad,
-    conv_nd,
-    conv_weight_grad,
-    relu,
-    scale,
-)
+from .tensor import Tensor, conv_input_grad, conv_nd, conv_weight_grad
 
 __all__ = ["Tape", "residual_branch"]
 
 
-def residual_branch(params, x: Tensor, keep: list[Tensor] | None = None) -> Tensor:
-    """c*G(x) for a ``RegularizerParams``. Appends each conv's input to
-    ``keep`` when given; the values do not depend on it."""
-    h = complex_to_channels(x)
+def residual_branch(params, x: np.ndarray, keep: list[np.ndarray] | None = None) -> np.ndarray:
+    """c*G(x) for a ``RegularizerParams`` and a complex array x. Appends
+    each conv's input to ``keep`` when given; the values do not depend on
+    it."""
+    h = np.stack([x.real, x.imag])
     last = params.layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if keep is not None:
             keep.append(h)
-        h = conv_nd(h, w, b)
+        h = conv_nd(h, w.data, b.data)
         if i < last:
-            h = relu(h)
-    return scale(channels_to_complex(h), params.contraction)
+            h = np.maximum(h, 0.0)
+    return (h[0] + 1j * h[1]) * params.contraction
 
 
 def _add_into(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
@@ -64,14 +58,14 @@ class Tape:
     """
 
     def __init__(self):
-        self.unrolls: list[list[Tensor]] = []
+        self.unrolls: list[list[np.ndarray]] = []
         self.saved_bytes = 0
 
     def record(self, params, x: Tensor) -> Tensor:
         """z = x + c*G(x), bit for bit the unrecorded value, keeping the
         unroll's conv inputs for :meth:`backward`."""
-        acts: list[Tensor] = []
-        z = add(x, residual_branch(params, x, acts))
+        acts: list[np.ndarray] = []
+        z = Tensor(x.data + residual_branch(params, x.data, acts))
         if not self.saved_bytes:
             self.saved_bytes = sum(w.nbytes for w in params.weights)
         self.saved_bytes += sum(a.nbytes for a in acts)
@@ -94,12 +88,13 @@ class Tape:
         if gz.shape != x_shape:
             raise ValueError(f"gradient shape {gz.shape} != unroll input shape {x_shape}")
         acts = self.unrolls.pop()
-        # scale is its own adjoint, and c2ch is ch2c's adjoint in the
-        # real-pair inner product (and ch2c c2ch's)
-        g = complex_to_channels(scale(gz, params.contraction)).data
+        # scaling by c is its own adjoint, and c2ch is ch2c's adjoint in
+        # the real-pair inner product (and ch2c c2ch's)
+        g = gz.data * params.contraction
+        g = np.stack([g.real, g.imag])
         for i in range(params.layers - 1, -1, -1):
             w = params.weights[i].data
-            h = acts.pop().data
+            h = acts.pop()
             _add_into(grads, f"w{i}", conv_weight_grad(h, g, w.shape[2:]))
             _add_into(grads, f"b{i}", g.reshape(g.shape[0], -1).sum(axis=1))
             opened = h > 0.0  # relu's mask: its output h is positive where its input is
@@ -107,4 +102,4 @@ class Tape:
             g = conv_input_grad(g, w)
             if i:
                 g *= opened
-        return add(gz, channels_to_complex(Tensor(g)))  # add fans gz out to x and the branch
+        return Tensor(gz.data + (g[0] + 1j * g[1]))  # the sum fans gz out to x and the branch

@@ -22,7 +22,7 @@ import numpy as np
 from .mri import DatasetConfig, build_dataset, load_dataset, realized_acceleration
 from .tensor import atomic_write, melt_read, melt_write
 from .train import MetricsReport, TrainConfig, _grad_eval, cg_sense, load_checkpoint, psnr, ssim, train_loop
-from .unrolled import DEFAULT_INVERT_TOL, RegularizerParams, UnrolledNetParams, modl_forward, project_weights
+from .unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
 DEFAULT_CONFIG: dict = {
     # dataset
@@ -47,7 +47,6 @@ DEFAULT_CONFIG: dict = {
     "channels": 16,
     "layers": 5,
     "engine": "standard",
-    "invert_tol": DEFAULT_INVERT_TOL,
     "val_every": 1,
     # io
     "seed": 0,
@@ -130,7 +129,6 @@ def cmd_train(cfg: dict) -> int:
         channels=int(cfg["channels"]),
         layers=int(cfg["layers"]),
         engine=cfg["engine"],
-        invert_tol=float(cfg["invert_tol"]),
         val_every=int(cfg["val_every"]),
     )
     res = train_loop(tc)
@@ -274,11 +272,10 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
     op, reg, y, target = bench_instance(cfg)
     mu = float(cfg["mu"])
     n_cg = int(cfg["cg_iters"])
-    invert_tol = float(cfg["invert_tol"])
 
     # warm-up so wall times exclude one-time allocation effects
     warm = UnrolledNetParams(reg, mu, min(unroll_list), n_cg)
-    _grad_eval("standard", warm, op, y, target, invert_tol)
+    _grad_eval("standard", warm, op, y, target)
 
     shape = "x".join(str(s) for s in op.image_shape)
     rows = [["engine", "n_unrolls", "shape", "peak_bytes", "heap_peak_bytes", "wall_time_s", "loss"]]
@@ -286,11 +283,11 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
     for n in unroll_list:
         net = UnrolledNetParams(reg, mu, n, n_cg)
         for engine in engines:
-            r = _grad_eval(engine, net, op, y, target, invert_tol)
+            r = _grad_eval(engine, net, op, y, target)
             # the heap peak comes from a second call: tracing slows one 3-4x
             tracemalloc.start()
             try:
-                _grad_eval(engine, net, op, y, target, invert_tol)
+                _grad_eval(engine, net, op, y, target)
                 heap = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -1,9 +1,12 @@
 """One dense tensor type and N-d convolution.
 
 Everything here is gradient-free. A :class:`Tensor` is a float64 or
-complex128 array; the dtype is the only real/complex distinction. The
-``MELT`` binary format used for datasets, checkpoints and reconstructions
-also lives here.
+complex128 array; the dtype is the only real/complex distinction. It is
+the value type of the public API: parameters, cases, layer inputs and
+outputs, engine results and the ``MELT`` files that datasets, checkpoints
+and reconstructions are stored in, whose reader and writer live here too.
+The convolution and its two VJPs are kernels: they take and return plain
+arrays, as the residual branch in :mod:`.autodiff` does.
 """
 
 from __future__ import annotations
@@ -20,11 +23,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "conv_nd",
-    "relu",
-    "add",
-    "scale",
-    "complex_to_channels",
-    "channels_to_complex",
     "melt_write",
     "melt_read",
 ]
@@ -186,17 +184,17 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(w.shape[:1] + x.shape[1:])
 
 
-def conv_nd(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv_nd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """'Same' zero-padded cross-correlation over 2 or 3 spatial dims.
 
     ``x`` is [C_in, *spatial], ``w`` is [C_out, C_in, *kernel] with odd
     kernel extents, ``b`` is [C_out]. Output spatial shape equals input
     spatial shape.
     """
-    _check_conv_shapes(x.data, w.data, b.data)
-    out = _correlate(x.data, w.data)
-    out += b.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
-    return Tensor(out)
+    _check_conv_shapes(x, w, b)
+    out = _correlate(x, w)
+    out += b.reshape((-1,) + (1,) * (x.ndim - 1))
+    return out
 
 
 def conv_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -217,34 +215,6 @@ def conv_weight_grad(x: np.ndarray, g: np.ndarray, kshape: tuple[int, ...]) -> n
         part = cols @ g2[:, span].T
         gw_t = part if gw_t is None else np.add(gw_t, part, out=gw_t)
     return np.ascontiguousarray(gw_t.T).reshape(g.shape[:1] + x.shape[:1] + tuple(kshape))
-
-
-def relu(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, 0.0))
-
-
-def add(x: Tensor, y: Tensor) -> Tensor:
-    if x.data.dtype != y.data.dtype:
-        raise ValueError(f"dtype mismatch in add: {x.data.dtype} vs {y.data.dtype}")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch in add: {x.shape} vs {y.shape}")
-    return Tensor(x.data + y.data)
-
-
-def scale(x: Tensor, a: float) -> Tensor:
-    return Tensor(x.data * float(a))
-
-
-def complex_to_channels(x: Tensor) -> Tensor:
-    """Stack real and imaginary parts as 2 leading channels."""
-    return Tensor(np.stack([x.data.real, x.data.imag]))
-
-
-def channels_to_complex(x: Tensor) -> Tensor:
-    """Exact inverse of :func:`complex_to_channels`."""
-    if x.shape[0] != 2:
-        raise ValueError(f"expected 2 leading channels, got {x.shape[0]}")
-    return Tensor(x.data[0] + 1j * x.data[1])
 
 
 @contextmanager
@@ -308,7 +278,7 @@ def melt_read(path) -> Tensor:
     shape = dims[:rank]
     if any(d != 1 for d in dims[rank:]):
         raise ValueError(f"{path}: unused trailing dims must be 1")
-    n = int(np.prod(shape))
+    n = math.prod(shape)  # exact: a product taken modulo 2**64 can match a short payload
     dtype = np.dtype("<c16") if dt == _DT_COMPLEX else np.dtype("<f8")
     expected = _MELT_HEADER + n * dtype.itemsize
     if len(raw) != expected:

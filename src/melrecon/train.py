@@ -22,7 +22,6 @@ from .mel import backprop_mel, backprop_standard
 from .mri import EncodingOperator, load_dataset
 from .tensor import Tensor, atomic_write, melt_read, melt_write
 from .unrolled import (
-    DEFAULT_INVERT_TOL,
     RegularizerParams,
     UnrolledNetParams,
     cg_solve_normal,
@@ -280,33 +279,30 @@ class TrainConfig:
     channels: int
     layers: int
     engine: str  # standard | mel
-    invert_tol: float
     val_every: int
 
     def __post_init__(self):
         if self.engine not in ("standard", "mel"):
             raise ValueError(f"engine must be standard|mel, got {self.engine!r}")
-        for k in ("epochs", "batch_size", "lr", "n_unrolls", "n_cg", "mu", "channels", "layers",
-                  "invert_tol", "val_every"):
+        for k in ("epochs", "batch_size", "lr", "n_unrolls", "n_cg", "mu", "channels", "layers", "val_every"):
             if getattr(self, k) <= 0:
                 raise ValueError(f"{k} must be positive")
 
 
-def _grad_eval(engine: str, net, op, y, target, invert_tol):
+def _grad_eval(engine: str, net, op, y, target):
     if engine == "standard":
         return backprop_standard(net, op, y, target)
-    return backprop_mel(net, op, y, target, invert_tol=invert_tol)
+    return backprop_mel(net, op, y, target)
 
 
-def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str,
-                invert_tol: float = DEFAULT_INVERT_TOL):
+def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str):
     """One optimizer step on a batch of (op, y, target) triples; gradients
     are averaged over the batch. Returns (net', adam', mean loss, peak bytes)."""
     acc: dict[str, np.ndarray] = {}
     losses = []
     peak = 0
     for op, y, target in batch:
-        r = _grad_eval(engine, net, op, y, target, invert_tol)
+        r = _grad_eval(engine, net, op, y, target)
         losses.append(r.loss_value)
         peak = max(peak, r.peak_tape_bytes)
         for k, g in r.grads.items():
@@ -372,7 +368,7 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
         peak = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [prepared[train_cases[i].case_id] for i in order[start : start + cfg.batch_size]]
-            net, adam, loss, pk = train_steps(net, adam, batch, cfg.engine, cfg.invert_tol)
+            net, adam, loss, pk = train_steps(net, adam, batch, cfg.engine)
             losses.append(loss)
             peak = max(peak, pk)
             step += 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Tape, residual_branch
 from .mri import EncodingOperator
-from .tensor import Tensor, add
+from .tensor import Tensor
 
 __all__ = [
     "DEFAULT_INVERT_TOL",
@@ -132,10 +132,10 @@ def regularizer_forward(params: RegularizerParams, x: Tensor, tape: Tape | None 
     the branch that the forward pass, the fixed-point inversion and the mel
     rebuild all evaluate. ``tape`` records the unroll for its VJP, with
     identical values."""
-    return add(x, residual_branch(params, x)) if tape is None else tape.record(params, x)
+    return Tensor(x.data + residual_branch(params, x.data)) if tape is None else tape.record(params, x)
 
 
-DEFAULT_INVERT_TOL = 1e-10  # fixed-point tolerance of the engines, train_steps and the CLI
+DEFAULT_INVERT_TOL = 1e-10  # fixed-point tolerance of the mel engine
 
 
 def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = DEFAULT_INVERT_TOL,
@@ -154,17 +154,16 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = DEFAUL
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     zd = z.data
-    x = zd
-    gx = residual_branch(params, z).data
+    gx = residual_branch(params, zd)
     scale = float(np.linalg.norm(zd)) or float(np.linalg.norm(gx))
     if scale == 0.0:
         return Tensor(np.zeros_like(zd))
     for _ in range(max_iter):
-        x_new = zd - gx
-        gx_new = residual_branch(params, Tensor(x_new)).data
-        # residual of x_new: ||x_new + cG(x_new) - z|| = ||cG(x_new) - cG(x)||
+        x = zd - gx
+        gx_new = residual_branch(params, x)
+        # residual of x: ||x + cG(x) - z|| = ||cG(x) - cG(x_prev)||, as x = z - cG(x_prev)
         res = float(np.linalg.norm(gx_new - gx))
-        x, gx = x_new, gx_new
+        gx = gx_new
         if res <= tol * scale:
             return Tensor(x)
     raise FixedPointDivergence(

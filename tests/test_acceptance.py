@@ -252,7 +252,7 @@ def test_criterion_5_gradient_vs_finite_differences():
 # --- criteria 6, 7: trained reconstruction quality -----------------------------------
 
 
-def run_training(ds, n_unrolls, engine, mu, epochs=30, lr=1e-3, batch=2, seed=5, invert_tol=1e-10):
+def run_training(ds, n_unrolls, engine, mu, epochs=30, lr=1e-3, batch=2, seed=5):
     prepared = [(c.operator(), c.y, c.x) for c in ds.split("train")]
     val = ds.split("val")
     k = len(prepared)
@@ -267,7 +267,7 @@ def run_training(ds, n_unrolls, engine, mu, epochs=30, lr=1e-3, batch=2, seed=5,
         ep_losses = []
         for s in range(0, k, batch):
             cases = [prepared[i] for i in order[s : s + batch]]
-            net, adam, loss, _ = train_steps(net, adam, cases, engine, invert_tol=invert_tol)
+            net, adam, loss, _ = train_steps(net, adam, cases, engine)
             ep_losses.append(loss)
         losses_by_epoch.append(float(np.mean(ep_losses)))
         v = float(np.mean([psnr(modl_forward(net, c.operator(), c.y), c.x) for c in val]))

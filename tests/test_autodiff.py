@@ -3,15 +3,7 @@ import pytest
 
 from melrecon.autodiff import Tape
 from melrecon.mel import l1_loss
-from melrecon.tensor import (
-    Tensor,
-    add,
-    channels_to_complex,
-    complex_to_channels,
-    conv_input_grad,
-    conv_nd,
-    scale,
-)
+from melrecon.tensor import Tensor
 from melrecon.unrolled import RegularizerParams, regularizer_forward
 
 from oracles import central_diff
@@ -199,48 +191,6 @@ def test_linear_branch_vjp_is_its_adjoint():
     gx, _ = unroll_vjp(p, x, Tensor(y))
     lhs = np.vdot(y, jx).real
     assert abs(lhs - np.vdot(gx, x.data).real) <= 1e-10 * max(1.0, abs(lhs))
-
-
-# Each linear op of the branch and the adjoint that Tape.backward applies for
-# it: (forward, adjoint), the adjoint returning one gradient per linear input.
-_LINEAR_OPS = {
-    "ch2c": (channels_to_complex, lambda y: [complex_to_channels(y)]),
-    "add": (add, lambda y: [y, y]),
-    "c2ch": (complex_to_channels, lambda y: [channels_to_complex(y)]),
-    "scale": (scale, lambda y, a: [scale(y, a)]),
-    "conv": (conv_nd, lambda y, w, b: [Tensor(conv_input_grad(y.data, w.data))]),
-}
-
-
-def _linear_inputs(kind, rng):
-    """Inputs for ``kind`` and how many leading ones it is jointly linear in
-    (conv with a zero bias is linear in its input for fixed weights)."""
-    if kind == "ch2c":
-        return [Tensor(rng.standard_normal((2, 6, 6)))], 1
-    if kind == "add":
-        return [Tensor(crandn(rng, 6, 6)), Tensor(crandn(rng, 6, 6))], 2
-    if kind == "conv":
-        x, w = rng.standard_normal((2, 6, 6)), rng.standard_normal((3, 2, 3, 3))
-        return [Tensor(x), Tensor(w), Tensor(np.zeros(3))], 1
-    return [Tensor(crandn(rng, 6, 6))], 1
-
-
-@pytest.mark.parametrize("kind,attrs", [("ch2c", {}), ("add", {}), ("c2ch", {}), ("scale", {"a": -1.7}), ("conv", {})])
-def test_linear_op_adjoint_identity(kind, attrs):
-    # <op(x), y> = sum_i <x_i, adj_i(y)> in the real-pair inner product
-    rng = np.random.default_rng(6)
-    inputs, n_linear = _linear_inputs(kind, rng)
-    forward, adjoint = _LINEAR_OPS[kind]
-    out = forward(*inputs, **attrs)
-    if np.iscomplexobj(out.data):
-        y = Tensor(crandn(rng, *out.shape))
-    else:
-        y = Tensor(rng.standard_normal(out.shape))
-    lhs = np.vdot(y.data, out.data).real
-    g = adjoint(y, *inputs[n_linear:], **attrs)
-    assert len(g) == n_linear
-    rhs = sum(np.vdot(gi.data, x.data).real for gi, x in zip(g, inputs))
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_vjp_linear_in_seed():

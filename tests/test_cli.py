@@ -18,8 +18,7 @@ from melrecon.unrolled import UnrolledNetParams
 TRAIN_FIELD_OF_KEY = {
     "data": "dataset_dir", "out": "out_dir", "epochs": "epochs", "batch_size": "batch_size", "seed": "seed",
     "lr": "lr", "unrolls": "n_unrolls", "cg_iters": "n_cg", "mu": "mu", "contraction": "contraction",
-    "channels": "channels", "layers": "layers", "engine": "engine", "invert_tol": "invert_tol",
-    "val_every": "val_every",
+    "channels": "channels", "layers": "layers", "engine": "engine", "val_every": "val_every",
 }
 
 
@@ -35,7 +34,7 @@ def test_cmd_train_passes_every_training_key(monkeypatch):
     # a distinct value per key, so two swapped keys fail too
     distinct = {"data": "d", "out": "o", "epochs": 2, "batch_size": 3, "seed": 4, "lr": 0.25, "unrolls": 6,
                 "cg_iters": 7, "mu": 0.5, "contraction": 0.75, "channels": 8, "layers": 9, "engine": "mel",
-                "invert_tol": 1e-7, "val_every": 11}
+                "val_every": 11}
     configs = (dict(DEFAULT_CONFIG), {**DEFAULT_CONFIG, **distinct})
     for cfg in configs:
         assert cli.cmd_train(cfg) == 0
@@ -306,7 +305,7 @@ def test_bench_memory_rows_are_direct_gradient_evaluations(trained, tmp_path):
     assert [(r[0], r[1]) for r in rows[1:]] == [("standard", "2"), ("mel", "2"), ("standard", "3"), ("mel", "3")]
     for engine, n, shape, peak, heap, wall, loss in rows[1:]:
         net = UnrolledNetParams(reg, float(c["mu"]), int(n), int(c["cg_iters"]))
-        r = train._grad_eval(engine, net, op, y, target, float(c["invert_tol"]))
+        r = train._grad_eval(engine, net, op, y, target)
         assert shape == "16x16"
         assert int(peak) == r.peak_tape_bytes
         assert int(heap) >= int(peak)  # the traced call allocates all the tape holds, and more

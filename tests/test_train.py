@@ -342,7 +342,7 @@ def test_twin_engines_track_for_three_steps():
         net = tiny_net(seed=13)
         adam = AdamState.init(net)
         for _ in range(3):
-            net, adam, _, _ = train_steps(net, adam, batch, engine, invert_tol=1e-12)
+            net, adam, _, _ = train_steps(net, adam, batch, engine)
         nets[engine] = net
     for (k, a), (_, b) in zip(nets["standard"].named_leaves(), nets["mel"].named_leaves()):
         denom = max(np.abs(a.data).max(), 1e-12)
@@ -362,7 +362,7 @@ def test_engine_handoff_keeps_loss_trajectory():
         n, a = net, adam
         losses = []
         for _ in range(3):
-            n, a, loss, _ = train_steps(n, a, batch, engine, invert_tol=1e-12)
+            n, a, loss, _ = train_steps(n, a, batch, engine)
             losses.append(loss)
         trajectories[engine] = losses
     for ls, lm in zip(trajectories["standard"], trajectories["mel"]):
@@ -377,7 +377,7 @@ def test_train_loop_smoke_and_determinism(tmp_path):
     cfg = TrainConfig(
         dataset_dir=str(data_dir), out_dir=str(tmp_path / "run_a"),
         epochs=2, batch_size=2, seed=3, lr=1e-3, n_unrolls=2, n_cg=10, mu=0.3,
-        contraction=0.9, channels=4, layers=2, engine="standard", invert_tol=1e-10, val_every=2,
+        contraction=0.9, channels=4, layers=2, engine="standard", val_every=2,
     )
     res_a = train_loop(cfg)
     assert res_a.checkpoint_dir.exists() and res_a.log_path.exists()
@@ -414,7 +414,7 @@ def test_nan_psnr_is_not_a_perfect_score(tmp_path, monkeypatch):
 
 def train_config(**kw) -> TrainConfig:
     cfg = dict(dataset_dir="x", out_dir="y", epochs=1, batch_size=1, seed=0, lr=1e-3, n_unrolls=1, n_cg=1,
-               mu=0.3, contraction=0.9, channels=4, layers=2, engine="standard", invert_tol=1e-10, val_every=1)
+               mu=0.3, contraction=0.9, channels=4, layers=2, engine="standard", val_every=1)
     return TrainConfig(**{**cfg, **kw})
 
 
@@ -428,10 +428,8 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10])
 def test_nonpositive_invert_tol_is_rejected(tol):
-    # a tolerance no fixed-point iteration can reach is a configuration error,
+    # a tolerance no fixed-point iteration can reach is a caller's error,
     # not a FixedPointDivergence blamed on the contraction
-    with pytest.raises(ValueError, match="invert_tol"):
-        train_config(engine="mel", invert_tol=tol)
     net = tiny_net(seed=6)
     z = Tensor(crandn(np.random.default_rng(6), 8, 8))
     with pytest.raises(ValueError, match="tolerance"):
