@@ -21,7 +21,8 @@ import numpy as np
 
 from .mri import DatasetConfig, build_dataset, load_dataset, realized_acceleration
 from .tensor import atomic_write, melt_read, melt_write
-from .train import MetricsReport, TrainConfig, _grad_eval, cg_sense, load_checkpoint, psnr, ssim, train_loop
+from .mel import backprop_mel, backprop_standard
+from .train import MetricsReport, TrainConfig, cg_sense, load_checkpoint, psnr, ssim, train_loop
 from .unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
 DEFAULT_CONFIG: dict = {
@@ -43,7 +44,6 @@ DEFAULT_CONFIG: dict = {
     "unrolls": 5,
     "cg_iters": 10,
     "mu": 0.3,
-    "contraction": 0.9,
     "channels": 16,
     "layers": 5,
     "engine": "standard",
@@ -125,7 +125,6 @@ def cmd_train(cfg: dict) -> int:
         n_unrolls=int(cfg["unrolls"]),
         n_cg=int(cfg["cg_iters"]),
         mu=float(cfg["mu"]),
-        contraction=float(cfg["contraction"]),
         channels=int(cfg["channels"]),
         layers=int(cfg["layers"]),
         engine=cfg["engine"],
@@ -242,8 +241,7 @@ def bench_instance(cfg: dict):
     case = build_dataset(replace(_dataset_config(cfg), n_train=1, n_val=1, n_test=1)).cases[0]
     reg = project_weights(
         RegularizerParams.init(channels=int(cfg["channels"]), layers=int(cfg["layers"]),
-                               spatial_rank=len(case.x.shape), contraction=float(cfg["contraction"]),
-                               seed=int(cfg["seed"]), scale=3.0)
+                               spatial_rank=len(case.x.shape), seed=int(cfg["seed"]), scale=3.0)
     )
     return case.operator(), reg, case.y, case.x
 
@@ -263,31 +261,28 @@ def max_feasible_unrolls(points: list[tuple[int, int]], budget: float) -> int:
     return max(0, min(64, n))
 
 
-def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> int:
-    if not unroll_list or not engines:
-        raise ValueError("unroll and engine lists must be non-empty")
-    for engine in engines:
-        if engine not in ("standard", "mel"):
-            raise ValueError(f"unknown engine {engine!r}")
+def cmd_bench_memory(cfg: dict, unroll_list: list[int]) -> int:
+    if not unroll_list:
+        raise ValueError("the unroll list must be non-empty")
     op, reg, y, target = bench_instance(cfg)
     mu = float(cfg["mu"])
     n_cg = int(cfg["cg_iters"])
+    engines = {"standard": backprop_standard, "mel": backprop_mel}
 
     # warm-up so wall times exclude one-time allocation effects
-    warm = UnrolledNetParams(reg, mu, min(unroll_list), n_cg)
-    _grad_eval("standard", warm, op, y, target)
+    backprop_standard(UnrolledNetParams(reg, mu, min(unroll_list), n_cg), op, y, target)
 
     shape = "x".join(str(s) for s in op.image_shape)
     rows = [["engine", "n_unrolls", "shape", "peak_bytes", "heap_peak_bytes", "wall_time_s", "loss"]]
     points: dict[str, list[tuple[int, int]]] = {e: [] for e in engines}
     for n in unroll_list:
         net = UnrolledNetParams(reg, mu, n, n_cg)
-        for engine in engines:
-            r = _grad_eval(engine, net, op, y, target)
+        for engine, backprop in engines.items():
+            r = backprop(net, op, y, target)
             # the heap peak comes from a second call: tracing slows one 3-4x
             tracemalloc.start()
             try:
-                _grad_eval(engine, net, op, y, target)
+                backprop(net, op, y, target)
                 heap = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -300,28 +295,23 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int], engines: list[str]) -> i
         csv.writer(f, lineterminator="\n").writerows(rows)
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
-    if "standard" in engines:
-        n_min = min(unroll_list)
-        budget = 2.0 * dict(points["standard"])[n_min]
-        print(f"budget = 2 x standard N={n_min} peak = {budget:.0f} bytes")
-        if len(set(unroll_list)) < 2:
-            print("feasibility frontier: needs two unroll counts")
-        else:
-            for engine in engines:
-                feas = max_feasible_unrolls(points[engine], budget)
-                print(f"max feasible unrolls within budget [{engine}]: {feas}")
-    if "standard" in engines and "mel" in engines:
-        std, mel_b = dict(points["standard"]), dict(points["mel"])
-        n_lo, n_hi = min(std), max(std)
-        if n_hi > n_lo:
-            std_growth = std[n_hi] / std[n_lo]
-            mel_growth = mel_b[n_hi] / mel_b[n_lo]
-            print(f"standard peak growth N={n_lo}->N={n_hi}: x{std_growth:.2f}")
-            print(f"mel peak growth N={n_lo}->N={n_hi}: x{mel_growth:.2f}")
-            if mel_growth > 1.1:
-                raise ValueError(f"mel peak bytes grew x{mel_growth:.2f} with depth; expected flat (<= 1.1x)")
-            if std_growth <= 1.0:
-                raise ValueError(f"standard peak bytes did not grow with depth (x{std_growth:.2f})")
+    n_lo, n_hi = min(unroll_list), max(unroll_list)
+    budget = 2.0 * dict(points["standard"])[n_lo]
+    print(f"budget = 2 x standard N={n_lo} peak = {budget:.0f} bytes")
+    if n_hi == n_lo:
+        print("feasibility frontier: needs two unroll counts")
+        return 0
+    for engine in engines:
+        print(f"max feasible unrolls within budget [{engine}]: {max_feasible_unrolls(points[engine], budget)}")
+    std, mel_b = dict(points["standard"]), dict(points["mel"])
+    std_growth = std[n_hi] / std[n_lo]
+    mel_growth = mel_b[n_hi] / mel_b[n_lo]
+    print(f"standard peak growth N={n_lo}->N={n_hi}: x{std_growth:.2f}")
+    print(f"mel peak growth N={n_lo}->N={n_hi}: x{mel_growth:.2f}")
+    if mel_growth > 1.1:
+        raise ValueError(f"mel peak bytes grew x{mel_growth:.2f} with depth; expected flat (<= 1.1x)")
+    if std_growth <= 1.0:
+        raise ValueError(f"standard peak bytes did not grow with depth (x{std_growth:.2f})")
     return 0
 
 
@@ -350,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench-memory", help="peak-bytes and wall-time comparison of the engines")
     p_bench.add_argument("--unroll-list", default="2,4,8,10")
-    p_bench.add_argument("--engines", default="standard,mel")
     return ap
 
 
@@ -380,8 +369,7 @@ def main(argv=None) -> int:
             return cmd_eval(cfg, args.method, args.split)
         if args.command == "bench-memory":
             unrolls = [int(s) for s in str(args.unroll_list).split(",") if s]
-            engines = [s for s in str(args.engines).split(",") if s]
-            return cmd_bench_memory(cfg, unrolls, engines)
+            return cmd_bench_memory(cfg, unrolls)
         raise ValueError(f"unknown command {args.command!r}")
     except Exception as e:  # contract violations exit nonzero, outputs marked
         _mark_invalid(Path(cfg["out"]))

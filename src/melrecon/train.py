@@ -275,7 +275,6 @@ class TrainConfig:
     n_unrolls: int
     n_cg: int
     mu: float
-    contraction: float
     channels: int
     layers: int
     engine: str  # standard | mel
@@ -290,9 +289,12 @@ class TrainConfig:
 
 
 def _grad_eval(engine: str, net, op, y, target):
+    # the engines are looked up at call time, so a patched ``train.backprop_*`` takes effect
     if engine == "standard":
         return backprop_standard(net, op, y, target)
-    return backprop_mel(net, op, y, target)
+    if engine == "mel":
+        return backprop_mel(net, op, y, target)
+    raise ValueError(f"engine must be standard|mel, got {engine!r}")
 
 
 def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str):
@@ -328,7 +330,6 @@ class TrainResult:
     log_path: Path
     log_rows: list[list]
     best_val_psnr: float
-    net: UnrolledNetParams
 
 
 def train_loop(cfg: TrainConfig) -> TrainResult:
@@ -345,8 +346,7 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
 
     reg = project_weights(
         RegularizerParams.init(
-            channels=cfg.channels, layers=cfg.layers, spatial_rank=spatial_rank,
-            contraction=cfg.contraction, seed=cfg.seed,
+            channels=cfg.channels, layers=cfg.layers, spatial_rank=spatial_rank, seed=cfg.seed,
         )
     )
     net = UnrolledNetParams(reg, cfg.mu, cfg.n_unrolls, cfg.n_cg)
@@ -393,4 +393,4 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
         w.writerows(rows)
     if best == -math.inf:
         raise ValueError(f"no validation gave a pSNR above -inf; no checkpoint written, log at {log_path}")
-    return TrainResult(ckpt_dir, log_path, rows, best, net)
+    return TrainResult(ckpt_dir, log_path, rows, best)

@@ -80,9 +80,11 @@ class RegularizerParams:
 
     @classmethod
     def init(cls, channels: int = 16, layers: int = 5, spatial_rank: int = 2,
-             contraction: float = 0.9, seed: int = 0, scale: float = 0.3) -> "RegularizerParams":
+             seed: int = 0, scale: float = 0.3) -> "RegularizerParams":
         """He-style Gaussian init of 3-wide kernels, scaled down so the initial
-        Lipschitz bound is modest; the training loop projects after every step."""
+        Lipschitz bound is modest; the training loop projects after every step.
+        The residual gain c is 0.9: it only scales the last conv, whose norm
+        the projection already bounds."""
         if layers < 2:
             raise ValueError("need at least 2 conv layers (2->ch, ch->2)")
         rng = np.random.default_rng(seed)
@@ -94,7 +96,7 @@ class RegularizerParams:
             w = rng.standard_normal((cout, cin) + (3,) * spatial_rank) * scale / np.sqrt(fan_in)
             ws.append(Tensor(w))
             bs.append(Tensor(np.zeros(cout)))
-        return cls(ws, bs, contraction)
+        return cls(ws, bs, 0.9)
 
     def named_leaves(self) -> list[tuple[str, Tensor]]:
         out = []

@@ -9,6 +9,7 @@ import pytest
 
 from melrecon import cli, train
 from melrecon.cli import DEFAULT_CONFIG, main
+from melrecon.mel import backprop_mel, backprop_standard
 from melrecon.mri import load_dataset
 from melrecon.tensor import melt_read, melt_write
 from melrecon.train import TrainConfig
@@ -17,7 +18,7 @@ from melrecon.unrolled import UnrolledNetParams
 # config key -> TrainConfig field, for every field
 TRAIN_FIELD_OF_KEY = {
     "data": "dataset_dir", "out": "out_dir", "epochs": "epochs", "batch_size": "batch_size", "seed": "seed",
-    "lr": "lr", "unrolls": "n_unrolls", "cg_iters": "n_cg", "mu": "mu", "contraction": "contraction",
+    "lr": "lr", "unrolls": "n_unrolls", "cg_iters": "n_cg", "mu": "mu",
     "channels": "channels", "layers": "layers", "engine": "engine", "val_every": "val_every",
 }
 
@@ -33,7 +34,7 @@ def test_cmd_train_passes_every_training_key(monkeypatch):
     assert sorted(TRAIN_FIELD_OF_KEY.values()) == sorted(f.name for f in fields(TrainConfig))
     # a distinct value per key, so two swapped keys fail too
     distinct = {"data": "d", "out": "o", "epochs": 2, "batch_size": 3, "seed": 4, "lr": 0.25, "unrolls": 6,
-                "cg_iters": 7, "mu": 0.5, "contraction": 0.75, "channels": 8, "layers": 9, "engine": "mel",
+                "cg_iters": 7, "mu": 0.5, "channels": 8, "layers": 9, "engine": "mel",
                 "val_every": 11}
     configs = (dict(DEFAULT_CONFIG), {**DEFAULT_CONFIG, **distinct})
     for cfg in configs:
@@ -118,9 +119,11 @@ def test_gen_data_reports_realized_r_near_target(tmp_path, capsys):
 # --- config handling -----------------------------------------------------------
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["image_sizes", "contraction"])
+def test_unknown_config_key_rejected(tmp_path, capsys, key):
+    # contraction is a constant of RegularizerParams.init, not a setting
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"image_sizes": 16}))
+    p.write_text(json.dumps({key: 0.9}))
     assert run_cli("--config", str(p), "gen-data") == 1
     assert "unknown config keys" in capsys.readouterr().err
 
@@ -305,7 +308,7 @@ def test_bench_memory_rows_are_direct_gradient_evaluations(trained, tmp_path):
     assert [(r[0], r[1]) for r in rows[1:]] == [("standard", "2"), ("mel", "2"), ("standard", "3"), ("mel", "3")]
     for engine, n, shape, peak, heap, wall, loss in rows[1:]:
         net = UnrolledNetParams(reg, float(c["mu"]), int(n), int(c["cg_iters"]))
-        r = train._grad_eval(engine, net, op, y, target)
+        r = {"standard": backprop_standard, "mel": backprop_mel}[engine](net, op, y, target)
         assert shape == "16x16"
         assert int(peak) == r.peak_tape_bytes
         assert int(heap) >= int(peak)  # the traced call allocates all the tape holds, and more
@@ -374,15 +377,6 @@ def test_bench_memory_budget_feasibility(trained, tmp_path, capsys):
             feas[engine] = int(line.rsplit(":", 1)[1])
     assert feas["mel"] >= 8
     assert feas["standard"] <= 4
-
-
-def test_bench_memory_rejects_unknown_engine_before_any_work(monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "_grad_eval", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli, "bench_instance", lambda cfg: calls.append(cfg))
-    with pytest.raises(ValueError, match="bogus"):
-        cli.cmd_bench_memory({}, [2], ["standard", "bogus"])
-    assert calls == []
 
 
 def test_recon_single_case(trained, tmp_path):

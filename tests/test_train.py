@@ -334,6 +334,17 @@ def test_train_steps_smoke():
     assert peak > 0 and adam2.t == 1
 
 
+def test_train_steps_rejects_unknown_engine_before_any_gradient(monkeypatch):
+    # a misspelt engine name fails loudly instead of training with mel
+    calls = []
+    monkeypatch.setattr(train, "backprop_standard", lambda *a: calls.append("standard"))
+    monkeypatch.setattr(train, "backprop_mel", lambda *a: calls.append("mel"))
+    net = tiny_net(seed=12)
+    with pytest.raises(ValueError, match="standrad"):
+        train_steps(net, AdamState.init(net), batch_of(small_dataset(seed=12)), "standrad")
+    assert calls == []
+
+
 def test_twin_engines_track_for_three_steps():
     ds = small_dataset(seed=13)
     batch = batch_of(ds)
@@ -377,7 +388,7 @@ def test_train_loop_smoke_and_determinism(tmp_path):
     cfg = TrainConfig(
         dataset_dir=str(data_dir), out_dir=str(tmp_path / "run_a"),
         epochs=2, batch_size=2, seed=3, lr=1e-3, n_unrolls=2, n_cg=10, mu=0.3,
-        contraction=0.9, channels=4, layers=2, engine="standard", val_every=2,
+        channels=4, layers=2, engine="standard", val_every=2,
     )
     res_a = train_loop(cfg)
     assert res_a.checkpoint_dir.exists() and res_a.log_path.exists()
@@ -414,7 +425,7 @@ def test_nan_psnr_is_not_a_perfect_score(tmp_path, monkeypatch):
 
 def train_config(**kw) -> TrainConfig:
     cfg = dict(dataset_dir="x", out_dir="y", epochs=1, batch_size=1, seed=0, lr=1e-3, n_unrolls=1, n_cg=1,
-               mu=0.3, contraction=0.9, channels=4, layers=2, engine="standard", val_every=1)
+               mu=0.3, channels=4, layers=2, engine="standard", val_every=1)
     return TrainConfig(**{**cfg, **kw})
 
 
