@@ -4,15 +4,34 @@ Adam with bias correction followed by the contraction projection (the loss is
 the per-pixel :func:`~melrecon.mel.l1_loss`), pSNR/SSIM on magnitude images, the
 l2-regularized CG-SENSE baseline, and directory-based checkpoints
 (manifest + MELT tensors). The zero-filled baseline is ``op.adjoint(y)``.
+
+Parallel batches: :func:`train_steps` evaluates a batch's cases in
+w + 1 processes, w = min(batch size, usable CPUs) - 1, where the usable CPUs
+are ``os.sched_getaffinity(0)``. Case i goes to process i mod (w + 1), and
+process 0 is the caller, so every span and heap measurement of the caller's
+share stays in the calling process. The w workers are persistent
+``sys.executable`` processes, started on first need and reused; they exit at
+interpreter exit or when the caller dies. Results are summed in case order,
+so a step is bit-identical to the one-process path, which ``taskset -c 0``
+(one usable CPU) or a batch of one case gives. Each process holds at most
+one gradient evaluation at a time: the per-process peak stays flat in the
+unroll count N, while total resident memory grows with the worker count.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import math
+import os
+import pickle
 import shutil
+import signal
+import subprocess
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -264,6 +283,9 @@ def load_checkpoint(path) -> tuple[UnrolledNetParams, dict]:
 # --- training loop -----------------------------------------------------------------
 
 
+_ENGINES = ("standard", "mel")
+
+
 @dataclass
 class TrainConfig:
     dataset_dir: str
@@ -281,7 +303,7 @@ class TrainConfig:
     val_every: int
 
     def __post_init__(self):
-        if self.engine not in ("standard", "mel"):
+        if self.engine not in _ENGINES:
             raise ValueError(f"engine must be standard|mel, got {self.engine!r}")
         for k in ("epochs", "batch_size", "lr", "n_unrolls", "n_cg", "mu", "channels", "layers", "val_every"):
             if getattr(self, k) <= 0:
@@ -289,30 +311,163 @@ class TrainConfig:
 
 
 def _grad_eval(engine: str, net, op, y, target):
+    """(loss, peak tape bytes, gradient arrays) of one case."""
     # the engines are looked up at call time, so a patched ``train.backprop_*`` takes effect
-    if engine == "standard":
-        return backprop_standard(net, op, y, target)
-    if engine == "mel":
-        return backprop_mel(net, op, y, target)
-    raise ValueError(f"engine must be standard|mel, got {engine!r}")
+    r = (backprop_standard if engine == "standard" else backprop_mel)(net, op, y, target)
+    return r.loss_value, r.peak_tape_bytes, {k: g.data for k, g in r.grads.items()}
+
+
+class _CaseOrderSum:
+    """Sums per-case (loss, peak, grads) results in case order, whatever
+    order they arrive in, so that a step split over processes adds exactly
+    what one process adds; each case's gradients are dropped once added."""
+
+    def __init__(self):
+        self.waiting: dict[int, tuple] = {}
+        self.losses: list[float] = []
+        self.peak = 0
+        self.grads: dict[str, np.ndarray] = {}
+
+    def add(self, i: int, result: tuple) -> None:
+        self.waiting[i] = result
+        while len(self.losses) in self.waiting:
+            loss, peak, grads = self.waiting.pop(len(self.losses))
+            self.losses.append(loss)
+            self.peak = max(self.peak, peak)
+            for k, g in grads.items():
+                self.grads[k] = self.grads[k] + g if k in self.grads else g.copy()
+
+
+class _Worker:
+    """A persistent process that evaluates its share of a batch's cases.
+
+    Pickled (engine, net, cases) requests go down its stdin, and pickled
+    (results, error) replies come back on its stdout: one (loss, peak,
+    grads) per case done, and the exception that stopped the share, if any.
+    The worker points its stdout at stderr before it serves, so the replies
+    run on a pipe that nothing the library prints can reach. It exits when
+    its stdin closes: at the caller's exit, or when the caller dies and the
+    kernel closes the pipe."""
+
+    def __init__(self):
+        env = dict(os.environ)
+        root = str(Path(__file__).resolve().parent.parent)  # imports this melrecon, not another install
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+        self.proc = subprocess.Popen([sys.executable, "-c", "from melrecon.train import _serve; _serve()"],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+
+    def send(self, request) -> None:
+        try:
+            pickle.dump(request, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.flush()
+        except OSError:
+            raise self._died() from None
+
+    def receive(self):
+        try:
+            return pickle.load(self.proc.stdout)
+        except (EOFError, pickle.UnpicklingError):  # the reply ended early: the worker is gone
+            raise self._died() from None
+
+    def _died(self) -> RuntimeError:
+        # a worker's pipes close only when it exits, so this wait ends
+        return RuntimeError(f"gradient worker process {self.proc.pid} exited with code {self.proc.wait()}")
+
+    def close(self, kill: bool = False) -> None:
+        if kill:
+            self.proc.kill()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # flushing into a dead worker's stdin
+                pass
+        self.proc.wait()
+
+
+_POOL: list[_Worker] = []  # persistent across steps: a worker's start costs more than a step
+
+
+def _workers(n: int) -> list[_Worker]:
+    while len(_POOL) < n:
+        _POOL.append(_Worker())
+    return _POOL[:n]
+
+
+def _close_pool(kill: bool = False) -> None:
+    while _POOL:
+        _POOL.pop().close(kill)
+
+
+atexit.register(_close_pool)
+
+
+def _serve() -> None:
+    """A worker's main loop: answer requests from stdin until it closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    requests = sys.stdin.buffer
+    while True:
+        try:
+            engine, net, cases = pickle.load(requests)
+        except EOFError:
+            return
+        results, error = [], None
+        try:
+            for case in cases:
+                results.append(_grad_eval(engine, net, *case))
+        except Exception as e:
+            # the traceback does not pickle; a note (shown by Python 3.11+) carries it
+            e.__notes__ = [*getattr(e, "__notes__", ()), f"raised in gradient worker process {os.getpid()}:\n"
+                           + "".join(traceback.format_tb(e.__traceback__))]
+            try:
+                pickle.loads(pickle.dumps(e))
+                error = e
+            except Exception:  # an exception that does not survive pickling goes as text
+                error = RuntimeError("".join(traceback.format_exception(e)))
+        pickle.dump((results, error), replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
 
 
 def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str):
     """One optimizer step on a batch of (op, y, target) triples; gradients
-    are averaged over the batch. Returns (net', adam', mean loss, peak bytes)."""
-    acc: dict[str, np.ndarray] = {}
-    losses = []
-    peak = 0
-    for op, y, target in batch:
-        r = _grad_eval(engine, net, op, y, target)
-        losses.append(r.loss_value)
-        peak = max(peak, r.peak_tape_bytes)
-        for k, g in r.grads.items():
-            acc[k] = acc[k] + g.data if k in acc else g.data.copy()
-        del r  # summed: not held through the next case's gradient
-    grads = {k: Tensor(v / len(batch)) for k, v in acc.items()}
+    are averaged over the batch. Returns (net', adam', mean loss, peak bytes).
+
+    The cases are split over the caller and persistent worker processes as
+    the module docstring's "Parallel batches" describes; the result does not
+    depend on the split. The first failing case's exception is raised, as in
+    one process; a worker that dies raises ``RuntimeError`` with its exit
+    code, and the next step starts a fresh one."""
+    if engine not in _ENGINES:
+        raise ValueError(f"engine must be standard|mel, got {engine!r}")
+    if not batch:
+        raise ValueError("batch is empty")
+    workers = _workers(min(len(batch), len(os.sched_getaffinity(0))) - 1)
+    procs = len(workers) + 1
+    total = _CaseOrderSum()
+    errors: dict[int, BaseException] = {}  # first failed case of each process -> its exception
+    try:
+        for j, w in enumerate(workers, 1):
+            w.send((engine, net, batch[j::procs]))
+        try:
+            for i in range(0, len(batch), procs):
+                total.add(i, _grad_eval(engine, net, *batch[i]))
+        except Exception as e:
+            errors[i] = e
+        for j, w in enumerate(workers, 1):
+            results, error = w.receive()
+            for k, result in enumerate(results):
+                total.add(j + k * procs, result)
+            if error is not None:
+                errors[j + len(results) * procs] = error
+    except BaseException:
+        _close_pool(kill=True)  # a request or reply may be half sent
+        raise
+    if errors:
+        raise errors[min(errors)]
+    grads = {k: Tensor(v / len(batch)) for k, v in total.grads.items()}
     adam, net = adam_step(adam, net, grads)
-    return net, adam, float(np.mean(losses)), peak
+    return net, adam, float(np.mean(total.losses)), total.peak
 
 
 def _validate(net: UnrolledNetParams, cases) -> MetricsReport:

@@ -334,15 +334,226 @@ def test_train_steps_smoke():
     assert peak > 0 and adam2.t == 1
 
 
+class _NoWorker:
+    def __init__(self):
+        pytest.fail("a worker process started")
+
+
+class _SendRecorder:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, request):
+        self.sent.append(request)
+
+
 def test_train_steps_rejects_unknown_engine_before_any_gradient(monkeypatch):
-    # a misspelt engine name fails loudly instead of training with mel
+    # a misspelt engine name fails loudly instead of training with mel, and
+    # before any worker starts or gets a request
     calls = []
     monkeypatch.setattr(train, "backprop_standard", lambda *a: calls.append("standard"))
     monkeypatch.setattr(train, "backprop_mel", lambda *a: calls.append("mel"))
+    worker = _SendRecorder()
+    monkeypatch.setattr(train, "_POOL", [worker])
+    monkeypatch.setattr(train, "_Worker", _NoWorker)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     net = tiny_net(seed=12)
     with pytest.raises(ValueError, match="standrad"):
-        train_steps(net, AdamState.init(net), batch_of(small_dataset(seed=12)), "standrad")
-    assert calls == []
+        train_steps(net, AdamState.init(net), batch_of(small_dataset(seed=12, n_train=3), 3), "standrad")
+    assert calls == [] and worker.sent == []
+
+
+# --- parallel batches --------------------------------------------------------------
+# os.sched_getaffinity is what train_steps reads to size its worker pool:
+# {0, 1} gives one worker on any host, {0} the one-process path.
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def cine_net(seed):
+    reg = project_weights(RegularizerParams.init(channels=4, layers=2, spatial_rank=3, seed=seed, scale=1.0))
+    return UnrolledNetParams(reg, 0.3, 2, 10)
+
+
+def cine_batch(seed, k):
+    ds = build_dataset(DatasetConfig(shape=(16, 16), coils=2, accel=4.0, calib=(4, 4), noise_sigma=1e-3,
+                                     n_train=k, n_val=1, n_test=1, seed=seed, kind="cine", frames=3))
+    return batch_of(ds, k)
+
+
+def three_steps(net, batch, engine):
+    adam = AdamState.init(net)
+    losses, peaks = [], []
+    for _ in range(3):
+        net, adam, loss, peak = train_steps(net, adam, batch, engine)
+        losses.append(loss)
+        peaks.append(peak)
+    return net, adam, losses, peaks
+
+
+@pytest.mark.parametrize("engine", ["standard", "mel"])
+@pytest.mark.parametrize("kind, n_cases", [("2d", 2), ("2d", 3), ("cine", 2)])
+def test_parallel_step_is_bit_identical_to_one_process(monkeypatch, engine, kind, n_cases):
+    # a batch of 3 on 2 processes is the uneven split: the caller takes
+    # cases 0 and 2, the worker case 1
+    if kind == "cine":
+        net, batch = cine_net(seed=20), cine_batch(seed=20, k=n_cases)
+    else:
+        net, batch = tiny_net(seed=20), batch_of(small_dataset(seed=20, n_train=n_cases), n_cases)
+    two_cpus(monkeypatch)
+    par = three_steps(net, batch, engine)
+    assert train._POOL, "no worker ran"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = three_steps(net, batch, engine)
+    (net_p, adam_p, loss_p, peak_p), (net_1, adam_1, loss_1, peak_1) = par, one
+    assert loss_p == loss_1 and peak_p == peak_1
+    for (k, a), (_, b) in zip(net_p.named_leaves(), net_1.named_leaves()):
+        assert np.array_equal(a.data, b.data), k
+        assert np.array_equal(adam_p.m[k], adam_1.m[k]) and np.array_equal(adam_p.v[k], adam_1.v[k]), k
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    # non-contractive weights: the worker's case diverges in the mel
+    # inversion. The caller's case is all zeros, which the zero-bias branch
+    # maps to zero in every unroll, so only the worker raises.
+    from melrecon.mel import backprop_mel
+    from melrecon.unrolled import FixedPointDivergence
+
+    two_cpus(monkeypatch)
+    net = tiny_net(seed=16)
+    batch = batch_of(small_dataset(seed=16))
+    op, y, x = batch[0]
+    zero = (op, Tensor(np.zeros_like(y.data)), Tensor(np.zeros_like(x.data)))
+    f = (30.0 / lipschitz_bound(net.reg)) ** (1.0 / net.reg.layers)
+    bad_reg = RegularizerParams([Tensor(w.data * f) for w in net.reg.weights],
+                                [Tensor(np.zeros_like(b.data)) for b in net.reg.biases], net.reg.contraction)
+    bad = UnrolledNetParams(bad_reg, net.mu, net.n_unrolls, net.n_cg)
+    with pytest.raises(FixedPointDivergence) as want:
+        backprop_mel(bad, *batch[1])
+    with pytest.raises(FixedPointDivergence) as got:
+        train_steps(bad, AdamState.init(bad), [zero, batch[1]], "mel")
+    assert any("gradient worker process" in note for note in got.value.__notes__)
+    assert str(got.value) == str(want.value)
+    assert (got.value.unroll, got.value.residual) == (want.value.unroll, want.value.residual)
+    assert got.value.unroll is not None
+    _, adam, loss, _ = train_steps(net, AdamState.init(net), batch, "mel")
+    assert math.isfinite(loss) and adam.t == 1
+
+
+class _ExitWhenUnpickled:
+    def __init__(self, code):
+        self.code = code
+
+    def __reduce__(self):
+        return os._exit, (self.code,)
+
+
+def test_dead_worker_fails_the_step_and_the_next_step_starts_a_fresh_one(monkeypatch):
+    two_cpus(monkeypatch)
+    net = tiny_net(seed=17)
+    batch = batch_of(small_dataset(seed=17))
+    adam = AdamState.init(net)
+    train_steps(net, adam, batch, "standard")
+    # killed between steps
+    dead = train._POOL[0].proc
+    dead.kill()
+    dead.wait(timeout=30)
+    with pytest.raises(RuntimeError, match=rf"process {dead.pid} exited with code -9"):
+        train_steps(net, adam, batch, "standard")
+    # exits while it reads its request
+    _, _, loss, _ = train_steps(net, adam, batch, "standard")
+    dead = train._POOL[0].proc
+    with pytest.raises(RuntimeError, match=rf"process {dead.pid} exited with code 3"):
+        train_steps(net, adam, [batch[0], (_ExitWhenUnpickled(3),)], "standard")
+    _, _, loss_after, _ = train_steps(net, adam, batch, "standard")
+    assert train._POOL[0].proc.pid != dead.pid
+    assert loss_after == loss
+
+
+_TRAIN_ONE_BATCH = """
+import os, sys
+sys.path.insert(0, {src!r})
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from melrecon import train
+from melrecon.mri import DatasetConfig, build_dataset
+from melrecon.unrolled import RegularizerParams, UnrolledNetParams, project_weights
+ds = build_dataset(DatasetConfig(shape=(16, 16), coils=2, accel=2.0, calib=(4, 4), noise_sigma=0.0,
+                                 n_train=2, n_val=1, n_test=1, seed=0))
+net = UnrolledNetParams(project_weights(RegularizerParams.init(channels=4, layers=2, seed=0)), 0.3, 2, 10)
+batch = [(c.operator(), c.y, c.x) for c in ds.split("train")]
+train.train_steps(net, train.AdamState.init(net), batch, "standard")
+print(train._POOL[0].proc.pid, flush=True)
+"""
+
+
+def train_one_batch_script(tmp_path, tail=""):
+    # a plain script: no __main__ guard
+    script = tmp_path / "train_one_batch.py"
+    script.write_text(_TRAIN_ONE_BATCH.format(src=str(Path(train.__file__).resolve().parents[1])) + tail)
+    return script
+
+
+def test_script_without_main_guard_exits_and_reaps_its_worker(tmp_path):
+    out = subprocess.run([sys.executable, str(train_one_batch_script(tmp_path))],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert not Path(f"/proc/{int(out.stdout)}").exists()  # not even a zombie
+
+
+# Runs the script given as argv[1] as a child, SIGKILLs it once it has
+# printed its worker's pid, then waits for the worker, which it inherits as
+# the orphans' subreaper, to exit. Prints the worker's state from
+# /proc/<pid>/stat: Z once it has exited; anything else after a minute.
+_KILL_PARENT = """
+import ctypes, os, subprocess, sys, time
+prctl = ctypes.CDLL(None, use_errno=True).prctl
+prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+prctl.restype = ctypes.c_int
+if prctl(36, 1, 0, 0, 0) != 0:  # PR_SET_CHILD_SUBREAPER
+    sys.exit(f"prctl: errno {ctypes.get_errno()}")
+parent = subprocess.Popen([sys.executable, sys.argv[1]], stdout=subprocess.PIPE)
+pid = int(parent.stdout.readline())
+parent.kill()
+parent.wait()
+deadline = time.monotonic() + 60
+while True:
+    with open(f"/proc/{pid}/stat") as f:
+        state = f.read().rsplit(")", 1)[1].split()[0]
+    if state == "Z" or time.monotonic() > deadline:
+        break
+    time.sleep(0.05)
+if state != "Z":
+    os.kill(pid, 9)
+os.waitpid(pid, 0)
+print(state)
+"""
+
+
+def test_killed_parent_leaves_no_running_worker(tmp_path):
+    script = train_one_batch_script(tmp_path, tail="import time\ntime.sleep(600)\n")
+    out = subprocess.run([sys.executable, "-c", _KILL_PARENT, str(script)], capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["Z"]
+
+
+def test_empty_batch_is_rejected(monkeypatch):
+    monkeypatch.setattr(train, "_Worker", _NoWorker)
+    net = tiny_net(seed=12)
+    with pytest.raises(ValueError, match="empty"):
+        train_steps(net, AdamState.init(net), [], "standard")
+
+
+@pytest.mark.parametrize("cpus, n_cases", [({0, 1}, 1), ({0}, 2)])
+def test_no_worker_starts_for_one_case_or_one_cpu(monkeypatch, cpus, n_cases):
+    monkeypatch.setattr(train, "_POOL", [])
+    monkeypatch.setattr(train, "_Worker", _NoWorker)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    net = tiny_net(seed=12)
+    _, _, loss, _ = train_steps(net, AdamState.init(net), batch_of(small_dataset(seed=12), n_cases), "standard")
+    assert math.isfinite(loss) and train._POOL == []
 
 
 def test_twin_engines_track_for_three_steps():
