@@ -26,13 +26,17 @@ import numpy as np
 
 from .tensor import Tensor, conv_input_grad, conv_nd, conv_weight_grad
 
-__all__ = ["Tape", "residual_branch"]
+__all__ = ["CONTRACTION", "Tape", "residual_branch"]
+
+# The residual gain c: it only scales the last conv, whose norm the weight
+# projection already bounds, so it is fixed rather than learned or set.
+CONTRACTION = 0.9
 
 
 def residual_branch(params, x: np.ndarray, keep: list[np.ndarray] | None = None) -> np.ndarray:
-    """c*G(x) for a ``RegularizerParams`` and a complex array x. Appends
-    each conv's input to ``keep`` when given; the values do not depend on
-    it."""
+    """c*G(x), c = :data:`CONTRACTION`, for a ``RegularizerParams`` and a
+    complex array x. Appends each conv's input to ``keep`` when given; the
+    values do not depend on it."""
     h = np.stack([x.real, x.imag])
     last = params.layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -41,7 +45,7 @@ def residual_branch(params, x: np.ndarray, keep: list[np.ndarray] | None = None)
         h = conv_nd(h, w.data, b.data)
         if i < last:
             h = np.maximum(h, 0.0)
-    return (h[0] + 1j * h[1]) * params.contraction
+    return (h[0] + 1j * h[1]) * CONTRACTION
 
 
 def _add_into(grads: dict[str, np.ndarray], name: str, g: np.ndarray) -> None:
@@ -90,7 +94,7 @@ class Tape:
         acts = self.unrolls.pop()
         # scaling by c is its own adjoint, and c2ch is ch2c's adjoint in
         # the real-pair inner product (and ch2c c2ch's)
-        g = gz.data * params.contraction
+        g = gz.data * CONTRACTION
         g = np.stack([g.real, g.imag])
         for i in range(params.layers - 1, -1, -1):
             w = params.weights[i].data

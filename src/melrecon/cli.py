@@ -22,7 +22,7 @@ import numpy as np
 from .mri import DatasetConfig, build_dataset, load_dataset, realized_acceleration
 from .tensor import atomic_write, melt_read, melt_write
 from .mel import backprop_mel, backprop_standard
-from .train import MetricsReport, TrainConfig, cg_sense, load_checkpoint, psnr, ssim, train_loop
+from .train import MetricsReport, TrainConfig, cg_sense, load_checkpoint, train_loop
 from .unrolled import RegularizerParams, UnrolledNetParams, modl_forward, project_weights
 
 DEFAULT_CONFIG: dict = {
@@ -207,16 +207,8 @@ def cmd_eval(cfg: dict, methods: list[str], split: str) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"metrics_{split}.csv"
-    reports = []
-    for label in labels:
-        ps, ss = [], []
-        for c in cases:
-            rec = _recon_for_method(label, c, recon_dirs)
-            if rec.shape != c.x.shape:
-                raise ValueError(f"{label}/{c.case_id}: recon shape {rec.shape} != truth {c.x.shape}")
-            ps.append(psnr(rec, c.x))
-            ss.append(ssim(rec, c.x))
-        reports.append(MetricsReport(label, [c.case_id for c in cases], ps, ss))
+    reports = [MetricsReport.from_cases(label, cases, lambda c: _recon_for_method(label, c, recon_dirs))
+               for label in labels]
     with atomic_write(report_path) as tmp, open(tmp, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "case_id", "psnr_db", "ssim"])

@@ -7,7 +7,8 @@ l2-regularized CG-SENSE baseline, and directory-based checkpoints
 
 Parallel batches: :func:`train_steps` evaluates a batch's cases in
 w + 1 processes, w = min(batch size, usable CPUs) - 1, where the usable CPUs
-are ``os.sched_getaffinity(0)``. Case i goes to process i mod (w + 1), and
+are ``os.sched_getaffinity(0)``, or ``os.cpu_count()`` on platforms without
+it (macOS, Windows). Case i goes to process i mod (w + 1), and
 process 0 is the caller, so every span and heap measurement of the caller's
 share stays in the calling process. The w workers are persistent
 ``sys.executable`` processes, started on first need and reused; they exit at
@@ -37,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import CONTRACTION
 from .mel import backprop_mel, backprop_standard
 from .mri import EncodingOperator, load_dataset
 from .tensor import Tensor, atomic_write, melt_read, melt_write
@@ -105,11 +107,9 @@ def adam_step(state: AdamState, net: UnrolledNetParams, grads: dict[str, Tensor]
         new.m[name], new.v[name] = m, v
         updated[name] = tns.data - state.lr * mhat / (np.sqrt(vhat) + _EPS)
 
-    reg = net.reg
-    ws = [Tensor(updated[f"w{i}"]) for i in range(reg.layers)]
-    bs = [Tensor(updated[f"b{i}"]) for i in range(reg.layers)]
-    reg2 = project_weights(RegularizerParams(ws, bs, reg.contraction))
-    return new, replace(net, reg=reg2)
+    ws = [Tensor(updated[f"w{i}"]) for i in range(net.reg.layers)]
+    bs = [Tensor(updated[f"b{i}"]) for i in range(net.reg.layers)]
+    return new, replace(net, reg=project_weights(RegularizerParams(ws, bs)))
 
 
 # --- metrics --------------------------------------------------------------------
@@ -172,6 +172,20 @@ class MetricsReport:
     psnr_db: list[float]
     ssim_val: list[float]
 
+    @classmethod
+    def from_cases(cls, method: str, cases, reconstruct) -> "MetricsReport":
+        """pSNR and SSIM of ``reconstruct(case)`` against each case's truth;
+        a reconstruction of another shape raises ``ValueError`` naming the
+        method and the case."""
+        ps, ss = [], []
+        for c in cases:
+            rec = reconstruct(c)
+            if rec.shape != c.x.shape:
+                raise ValueError(f"{method}/{c.case_id}: recon shape {rec.shape} != truth {c.x.shape}")
+            ps.append(psnr(rec, c.x))
+            ss.append(ssim(rec, c.x))
+        return cls(method, [c.case_id for c in cases], ps, ss)
+
     @property
     def scored_psnr(self) -> list[float]:
         """The pSNRs that are not exact matches (+inf). A NaN, from a
@@ -226,7 +240,6 @@ def save_checkpoint(out_dir, net: UnrolledNetParams, seed: int = 0, step: int = 
         "mu": net.mu,
         "n_unrolls": net.n_unrolls,
         "n_cg": net.n_cg,
-        "contraction": reg.contraction,
         "channels": reg.channels,
         "layers": reg.layers,
         "seed": seed,
@@ -249,34 +262,27 @@ def save_checkpoint(out_dir, net: UnrolledNetParams, seed: int = 0, step: int = 
 
 
 def load_checkpoint(path) -> tuple[UnrolledNetParams, dict]:
-    """Load a checkpoint; every tensor must match the manifest's channels and
-    layer count, and all kernels must share one shape (ValueError if not)."""
+    """Load a checkpoint: the manifest's layer count of w{i}/b{i} tensors,
+    which ``RegularizerParams`` checks, with as many channels as the
+    manifest says (ValueError if not)."""
     root = Path(path)
     meta = json.loads((root / "manifest.json").read_text())
     if meta.get("format") != "melrecon-checkpoint":
         raise ValueError(f"{path}: not a checkpoint directory")
-    # manifests written before the CG exit became a constant store the 1e-12
-    # the CLI always wrote
-    if meta.get("cg_exit", 1e-12) != 1e-12:
-        raise ValueError(f"{path}: cg_exit {meta['cg_exit']} is not supported (only 1e-12)")
-    layers, ch = meta["layers"], meta["channels"]
-    if layers < 2:
-        raise ValueError(f"{path}: manifest layers {layers} < 2")
-    dims = [(ch, 2)] + [(ch, ch)] * (layers - 2) + [(2, ch)]
-
-    ws, bs = [], []
-    for i, (cout, cin) in enumerate(dims):
-        w = melt_read(root / f"w{i}.melt")
-        b = melt_read(root / f"b{i}.melt")
-        kernel = ws[0].shape[2:] if ws else w.shape[2:]
-        want_w, want_b = (cout, cin) + kernel, (cout,)
-        if not kernel or np.iscomplexobj(w.data) or w.shape != want_w:
-            raise ValueError(f"{path}: w{i} is {w!r}, manifest expects real {want_w}")
-        if np.iscomplexobj(b.data) or b.shape != want_b:
-            raise ValueError(f"{path}: b{i} is {b!r}, manifest expects real {want_b}")
-        ws.append(w)
-        bs.append(b)
-    reg = RegularizerParams(ws, bs, meta["contraction"])
+    # manifests written before the CG exit and the residual gain became
+    # constants store the values the CLI always wrote
+    for key, value in (("cg_exit", 1e-12), ("contraction", CONTRACTION)):
+        if meta.get(key, value) != value:
+            raise ValueError(f"{path}: {key} {meta[key]} is not supported (only {value})")
+    layers = range(meta["layers"])
+    ws = [melt_read(root / f"w{i}.melt") for i in layers]
+    bs = [melt_read(root / f"b{i}.melt") for i in layers]
+    try:
+        reg = RegularizerParams(ws, bs)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if reg.channels != meta["channels"]:
+        raise ValueError(f"{path}: manifest expects {meta['channels']} channels, tensors have {reg.channels}")
     return UnrolledNetParams(reg, meta["mu"], meta["n_unrolls"], meta["n_cg"]), meta
 
 
@@ -442,7 +448,8 @@ def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str):
         raise ValueError(f"engine must be standard|mel, got {engine!r}")
     if not batch:
         raise ValueError("batch is empty")
-    workers = _workers(min(len(batch), len(os.sched_getaffinity(0))) - 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = _workers(min(len(batch), cpus) - 1)
     procs = len(workers) + 1
     total = _CaseOrderSum()
     errors: dict[int, BaseException] = {}  # first failed case of each process -> its exception
@@ -468,15 +475,6 @@ def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str):
     grads = {k: Tensor(v / len(batch)) for k, v in total.grads.items()}
     adam, net = adam_step(adam, net, grads)
     return net, adam, float(np.mean(total.losses)), total.peak
-
-
-def _validate(net: UnrolledNetParams, cases) -> MetricsReport:
-    ps, ss = [], []
-    for c in cases:
-        rec = modl_forward(net, c.operator(), c.y)
-        ps.append(psnr(rec, c.x))
-        ss.append(ssim(rec, c.x))
-    return MetricsReport("modl", [c.case_id for c in cases], ps, ss)
 
 
 @dataclass
@@ -514,7 +512,7 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
     rows: list[list] = []
     best = -math.inf
     step = 0
-    prepared = {c.case_id: (c.operator(), c.y, c.x) for c in train_cases}
+    prepared = [(c.operator(), c.y, c.x) for c in train_cases]
 
     for epoch in range(1, cfg.epochs + 1):
         t_epoch = time.perf_counter()
@@ -522,14 +520,14 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
         losses = []
         peak = 0
         for start in range(0, len(order), cfg.batch_size):
-            batch = [prepared[train_cases[i].case_id] for i in order[start : start + cfg.batch_size]]
+            batch = [prepared[i] for i in order[start : start + cfg.batch_size]]
             net, adam, loss, pk = train_steps(net, adam, batch, cfg.engine)
             losses.append(loss)
             peak = max(peak, pk)
             step += 1
         val_p = val_s = None  # no validation this epoch: blank log cells
         if epoch % cfg.val_every == 0 or epoch == cfg.epochs:
-            rep = _validate(net, val_cases)
+            rep = MetricsReport.from_cases("modl", val_cases, lambda c: modl_forward(net, c.operator(), c.y))
             val_p, val_s = rep.mean_psnr, rep.mean_ssim
             if val_p > best:
                 best = val_p

@@ -3,7 +3,7 @@ with a CG-based data-consistency layer, plus the two inversion routines the
 memory-efficient engine needs.
 
 The regularizer is z = x + c*G(x) with G a conv/relu chain on the 2-channel
-real view of the complex image and c in (0, 1). Contraction of c*G is
+real view of the complex image and c = 0.9, a constant. Contraction of c*G is
 enforced by post-step weight projection against a certified norm bound
 from the convs' per-frequency transfer matrices, making the residual layer
 invertible by fixed-point iteration. The DC layer solves
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, residual_branch
+from .autodiff import CONTRACTION, Tape, residual_branch
 from .mri import EncodingOperator
 from .tensor import Tensor
 
@@ -52,23 +52,29 @@ class FixedPointDivergence(RuntimeError):
 
 @dataclass
 class RegularizerParams:
-    """Conv weights/biases of the residual branch G plus the residual gain c.
-
-    Layer 0 maps 2 -> channels, the last maps channels -> 2, interior layers
-    channels -> channels; all kernels are odd 'same' convolutions.
+    """Conv weights [C_out, C_in, *k] and biases [C_out] of the residual
+    branch G, checked at construction: at least 2 layers, the channel chain
+    2 -> ch -> ... -> ch -> 2, one non-empty kernel shape shared by every
+    layer, all real (``ValueError`` if not). Kernels are odd 'same'
+    convolutions; the residual gain c is :data:`~.autodiff.CONTRACTION`.
     """
 
     weights: list[Tensor]
     biases: list[Tensor]
-    contraction: float  # c, strictly < 1
 
     def __post_init__(self):
-        if not 0 < self.contraction < 1:
-            raise ValueError(f"contraction must be in (0,1), got {self.contraction}")
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights/biases length mismatch")
-        if self.weights[0].shape[1] != 2 or self.weights[-1].shape[0] != 2:
-            raise ValueError("first layer must map 2 -> channels, last channels -> 2")
+        if len(self.weights) < 2 or len(self.weights) != len(self.biases):
+            raise ValueError(f"need at least 2 layers and one bias per weight, got "
+                             f"{len(self.weights)} weights and {len(self.biases)} biases")
+        w0 = self.weights[0].shape
+        ch, kernel = w0[0] if w0 else 0, w0[2:]
+        chain = [2] + [ch] * (len(self.weights) - 1) + [2]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            want = (chain[i + 1], chain[i]) + kernel
+            if not kernel or np.iscomplexobj(w.data) or w.shape != want:
+                raise ValueError(f"w{i} is {w!r}, expected real {want}")
+            if np.iscomplexobj(b.data) or b.shape != want[:1]:
+                raise ValueError(f"b{i} is {b!r}, expected real {want[:1]}")
 
     @property
     def layers(self) -> int:
@@ -82,11 +88,7 @@ class RegularizerParams:
     def init(cls, channels: int = 16, layers: int = 5, spatial_rank: int = 2,
              seed: int = 0, scale: float = 0.3) -> "RegularizerParams":
         """He-style Gaussian init of 3-wide kernels, scaled down so the initial
-        Lipschitz bound is modest; the training loop projects after every step.
-        The residual gain c is 0.9: it only scales the last conv, whose norm
-        the projection already bounds."""
-        if layers < 2:
-            raise ValueError("need at least 2 conv layers (2->ch, ch->2)")
+        Lipschitz bound is modest; the training loop projects after every step."""
         rng = np.random.default_rng(seed)
         dims = [2] + [channels] * (layers - 1)
         dims_out = [channels] * (layers - 1) + [2]
@@ -96,7 +98,7 @@ class RegularizerParams:
             w = rng.standard_normal((cout, cin) + (3,) * spatial_rank) * scale / np.sqrt(fan_in)
             ws.append(Tensor(w))
             bs.append(Tensor(np.zeros(cout)))
-        return cls(ws, bs, 0.9)
+        return cls(ws, bs)
 
     def named_leaves(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -349,7 +351,7 @@ def lipschitz_bound(params: RegularizerParams) -> float:
     zero-padded conv on an image of up to probe - k + 1 voxels per axis is a
     restriction of that circular conv, so the bound holds there; on larger
     images it is not certified."""
-    return params.contraction * float(np.prod([conv_operator_norm(w) for w in params.weights]))
+    return CONTRACTION * float(np.prod([conv_operator_norm(w) for w in params.weights]))
 
 
 _PROJECT_THRESHOLD, _PROJECT_TARGET = 0.95, 0.9  # the target's margin spares a rescale every step
@@ -363,7 +365,7 @@ def project_weights(params: RegularizerParams) -> RegularizerParams:
     First checks the cheap upper bound c * prod sqrt(max_f ||G(f)||_F);
     only when that reaches the threshold does it compute the exact
     :func:`lipschitz_bound` and rescale by it."""
-    cert = params.contraction * float(np.prod([_frobenius_norm_bound(w.data) for w in params.weights]))
+    cert = CONTRACTION * float(np.prod([_frobenius_norm_bound(w.data) for w in params.weights]))
     if cert < _PROJECT_THRESHOLD:
         return params
     bound = lipschitz_bound(params)

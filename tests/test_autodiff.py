@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from melrecon.autodiff import Tape
+from melrecon.autodiff import CONTRACTION, Tape
 from melrecon.mel import l1_loss
 from melrecon.tensor import Tensor
 from melrecon.unrolled import RegularizerParams, regularizer_forward
@@ -22,8 +22,8 @@ def random_layers(rng, channels, layers, kshape=(3, 3), w_scale=0.5):
     return ws, bs
 
 
-def reg_of(ws, bs, c=0.7):
-    return RegularizerParams([Tensor(w) for w in ws], [Tensor(b) for b in bs], c)
+def reg_of(ws, bs):
+    return RegularizerParams([Tensor(w) for w in ws], [Tensor(b) for b in bs])
 
 
 def unroll_vjp(p, x, gz):
@@ -107,32 +107,17 @@ def test_bare_tape_reports_peak_through_own_ledger():
 # --- backward -----------------------------------------------------------------
 
 
-def test_backward_linear_scale():
-    # c scales the branch and nothing it reads, so halving it halves every
-    # weight and bias gradient exactly and the branch's part of the x gradient
-    rng = np.random.default_rng(4)
-    ws, bs = random_layers(rng, channels=3, layers=3)
-    x = Tensor(crandn(rng, 5, 5))
-    gz = crandn(rng, 5, 5)
-    gx_a, grads_a = unroll_vjp(reg_of(ws, bs, c=0.5), x, Tensor(gz))
-    gx_b, grads_b = unroll_vjp(reg_of(ws, bs, c=0.25), x, Tensor(gz))
-    assert grads_a.keys() == grads_b.keys() == {f"{k}{i}" for k in "wb" for i in range(3)}
-    for k in grads_a:
-        assert np.array_equal(grads_a[k], 2 * grads_b[k]), k
-    assert close(gx_a - gz, 2 * (gx_b - gz), 1e-12)
-
-
 def test_relu_gradient_at_positive_and_zero():
     # G(x) = relu(re x) through centre-tap convs: on x = [2, -1, 0] the
-    # relu passes the gradient at the positive voxel only, not at the
-    # exactly-zero pre-activation
+    # relu passes the gradient, scaled by c, at the positive voxel only, not
+    # at the exactly-zero pre-activation
     w0, w1 = np.zeros((1, 2, 3, 3)), np.zeros((2, 1, 3, 3))
     w0[0, 0, 1, 1] = w1[0, 0, 1, 1] = 1.0
-    p = reg_of([w0, w1], [np.zeros(1), np.zeros(2)], c=0.5)
+    p = reg_of([w0, w1], [np.zeros(1), np.zeros(2)])
     x = Tensor(np.array([[2.0, -1.0, 0.0]], dtype=complex))
     gx, grads = unroll_vjp(p, x, Tensor(np.ones((1, 3), dtype=complex)))
-    assert gx.tolist() == [[1.5, 1.0, 1.0]]
-    assert grads["b0"].tolist() == [0.5]
+    assert gx.tolist() == [[1 + CONTRACTION, 1.0, 1.0]]
+    assert grads["b0"].tolist() == [CONTRACTION]
 
 
 def test_conv_weight_grad_matches_finite_differences():
@@ -169,7 +154,7 @@ def test_complex_composite_matches_finite_differences():
     # seeded with the l1 loss's closed-form gradient; the complex input is
     # checked channel-wise against the real-pair convention
     rng = np.random.default_rng(5)
-    p = reg_of(*random_layers(rng, channels=3, layers=2), c=0.65)
+    p = reg_of(*random_layers(rng, channels=3, layers=2))
     xa = crandn(rng, 4, 4)
     target = Tensor(crandn(rng, 4, 4))
     gx, _ = unroll_vjp(p, Tensor(xa), l1_loss(regularizer_forward(p, Tensor(xa)), target)[1])

@@ -11,7 +11,7 @@ from melrecon import cli, train
 from melrecon.cli import DEFAULT_CONFIG, main
 from melrecon.mel import backprop_mel, backprop_standard
 from melrecon.mri import load_dataset
-from melrecon.tensor import melt_read, melt_write
+from melrecon.tensor import Tensor, melt_read, melt_write
 from melrecon.train import TrainConfig
 from melrecon.unrolled import UnrolledNetParams
 
@@ -217,6 +217,18 @@ def test_eval_ground_truth_against_itself(trained):
     case_row = [r for r in rows[1:] if r[1].startswith("case")][0]
     assert case_row[2] == "inf"
     assert float(case_row[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eval_names_label_and_case_of_a_misshapen_recon(trained, tmp_path, capsys):
+    tmp, cfg, _ = trained
+    manifest = json.loads((tmp / "data" / "manifest.json").read_text())
+    (case_id,) = [c["id"] for c in manifest["cases"] if c["split"] == "val"]
+    bad = tmp_path / "bad_recon"
+    bad.mkdir()
+    melt_write(bad / f"{case_id}.melt", Tensor(melt_read(tmp / "data" / case_id / "x.melt").data[:8]))
+    out = tmp_path / "metrics"
+    assert run_cli("--config", str(cfg), "--out", str(out), "eval", "--method", f"mine={bad}") == 1
+    assert f"mine/{case_id}: recon shape (8, 16) != truth (16, 16)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("methods", [("zero_filled=RECON",), ("cg_sense=RECON",),

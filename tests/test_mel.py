@@ -171,7 +171,6 @@ def test_mel_recompute_fidelity_zero_weights(monkeypatch):
     zero_reg = RegularizerParams(
         [Tensor(np.zeros(w.shape)) for w in net.reg.weights],
         [Tensor(np.zeros(b.shape)) for b in net.reg.biases],
-        net.reg.contraction,
     )
     net = UnrolledNetParams(zero_reg, net.mu, net.n_unrolls, 200)
     r, errs = recovered_input_errors(monkeypatch, net, op, y, target, invert_tol=1e-13)
@@ -201,7 +200,7 @@ def test_mel_aborts_on_broken_contraction():
     net, op, y, target = make_instance(6, n_unrolls=2)
     b = lipschitz_bound(net.reg)
     f = (30.0 / b) ** (1.0 / net.reg.layers)
-    bad = RegularizerParams([Tensor(w.data * f) for w in net.reg.weights], net.reg.biases, net.reg.contraction)
+    bad = RegularizerParams([Tensor(w.data * f) for w in net.reg.weights], net.reg.biases)
     net = UnrolledNetParams(bad, net.mu, 2, net.n_cg)
     with pytest.raises(FixedPointDivergence) as exc:
         backprop_mel(net, op, y, target, invert_tol=1e-10)

@@ -294,28 +294,31 @@ def test_checkpoint_save_recovers_interrupted_swap(tmp_path, monkeypatch):
 
 
 def test_load_checkpoint_accepts_only_the_written_cg_exit(tmp_path):
-    # manifests from before the CG exit became a constant store 1e-12
+    # manifests from before the CG exit and the residual gain became
+    # constants store 1e-12 and 0.9
     net = tiny_net(seed=15)
     save_checkpoint(tmp_path / "ck", net)
     manifest = tmp_path / "ck" / "manifest.json"
     meta = json.loads(manifest.read_text())
-    assert "cg_exit" not in meta
-    manifest.write_text(json.dumps({**meta, "cg_exit": 1e-12}))
-    back, _ = load_checkpoint(tmp_path / "ck")
-    assert (back.mu, back.n_unrolls, back.n_cg) == (net.mu, net.n_unrolls, net.n_cg)
-    manifest.write_text(json.dumps({**meta, "cg_exit": 1e-6}))
-    with pytest.raises(ValueError, match="cg_exit"):
-        load_checkpoint(tmp_path / "ck")
+    for key, written, other in (("cg_exit", 1e-12, 1e-6), ("contraction", 0.9, 0.5)):
+        assert key not in meta
+        manifest.write_text(json.dumps({**meta, key: written}))
+        back, _ = load_checkpoint(tmp_path / "ck")
+        assert (back.mu, back.n_unrolls, back.n_cg) == (net.mu, net.n_unrolls, net.n_cg)
+        manifest.write_text(json.dumps({**meta, key: other}))
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(tmp_path / "ck")
 
 
 def test_load_checkpoint_rejects_tampered_manifest(tmp_path):
+    # too many channels, and too few layers: w1 is then 4 -> 4, not 4 -> 2
     save_checkpoint(tmp_path / "ck", tiny_net(seed=14, channels=4, layers=3))
     manifest = tmp_path / "ck" / "manifest.json"
     meta = json.loads(manifest.read_text())
-    meta["channels"] = 8
-    manifest.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="manifest expects"):
-        load_checkpoint(tmp_path / "ck")
+    for key, value, match in (("channels", 8, "manifest expects"), ("layers", 2, "w1")):
+        manifest.write_text(json.dumps({**meta, key: value}))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(tmp_path / "ck")
 
 
 # --- training loop ----------------------------------------------------------------
@@ -393,6 +396,15 @@ def three_steps(net, batch, engine):
     return net, adam, losses, peaks
 
 
+def assert_same_steps(par, one):
+    """``three_steps`` results equal bit for bit: losses, peaks, weights, Adam m/v."""
+    (net_p, adam_p, loss_p, peak_p), (net_1, adam_1, loss_1, peak_1) = par, one
+    assert loss_p == loss_1 and peak_p == peak_1
+    for (k, a), (_, b) in zip(net_p.named_leaves(), net_1.named_leaves()):
+        assert np.array_equal(a.data, b.data), k
+        assert np.array_equal(adam_p.m[k], adam_1.m[k]) and np.array_equal(adam_p.v[k], adam_1.v[k]), k
+
+
 @pytest.mark.parametrize("engine", ["standard", "mel"])
 @pytest.mark.parametrize("kind, n_cases", [("2d", 2), ("2d", 3), ("cine", 2)])
 def test_parallel_step_is_bit_identical_to_one_process(monkeypatch, engine, kind, n_cases):
@@ -407,11 +419,20 @@ def test_parallel_step_is_bit_identical_to_one_process(monkeypatch, engine, kind
     assert train._POOL, "no worker ran"
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     one = three_steps(net, batch, engine)
-    (net_p, adam_p, loss_p, peak_p), (net_1, adam_1, loss_1, peak_1) = par, one
-    assert loss_p == loss_1 and peak_p == peak_1
-    for (k, a), (_, b) in zip(net_p.named_leaves(), net_1.named_leaves()):
-        assert np.array_equal(a.data, b.data), k
-        assert np.array_equal(adam_p.m[k], adam_1.m[k]) and np.array_equal(adam_p.v[k], adam_1.v[k]), k
+    assert_same_steps(par, one)
+
+
+def test_step_without_sched_getaffinity_counts_cpu_count(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the step sizes its
+    # pool from os.cpu_count() instead, and still equals the one-process step
+    net, batch = tiny_net(seed=21), batch_of(small_dataset(seed=21), 2)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    par = three_steps(net, batch, "mel")
+    assert train._POOL, "no worker ran"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one = three_steps(net, batch, "mel")
+    assert_same_steps(par, one)
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
@@ -428,7 +449,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     zero = (op, Tensor(np.zeros_like(y.data)), Tensor(np.zeros_like(x.data)))
     f = (30.0 / lipschitz_bound(net.reg)) ** (1.0 / net.reg.layers)
     bad_reg = RegularizerParams([Tensor(w.data * f) for w in net.reg.weights],
-                                [Tensor(np.zeros_like(b.data)) for b in net.reg.biases], net.reg.contraction)
+                                [Tensor(np.zeros_like(b.data)) for b in net.reg.biases])
     bad = UnrolledNetParams(bad_reg, net.mu, net.n_unrolls, net.n_cg)
     with pytest.raises(FixedPointDivergence) as want:
         backprop_mel(bad, *batch[1])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from melrecon import unrolled
-from melrecon.autodiff import Tape
+from melrecon.autodiff import CONTRACTION, Tape
 from melrecon.mel import backprop_mel
 from melrecon.mri import EncodingOperator, make_poisson_disk_mask, make_sensitivities
 from melrecon.tensor import Tensor, conv_nd
@@ -39,7 +39,6 @@ def zero_params(channels=8, layers=3):
     return RegularizerParams(
         [Tensor(np.zeros(w.shape)) for w in p.weights],
         [Tensor(np.zeros(b.shape)) for b in p.biases],
-        p.contraction,
     )
 
 
@@ -71,7 +70,7 @@ def test_regularizer_zero_weights_is_identity():
 def test_regularizer_is_nonlinear():
     rng = np.random.default_rng(1)
     p = RegularizerParams.init(channels=8, layers=3, seed=2, scale=2.0)
-    p = RegularizerParams(p.weights, [Tensor(rng.standard_normal(b.shape) * 0.1) for b in p.biases], p.contraction)
+    p = RegularizerParams(p.weights, [Tensor(rng.standard_normal(b.shape) * 0.1) for b in p.biases])
     x = Tensor(crandn(rng, 8, 8))
     lhs = regularizer_forward(p, Tensor(2 * x.data)).data
     rhs = 2 * regularizer_forward(p, x).data
@@ -85,7 +84,7 @@ def test_regularizer_forward_is_x_plus_residual_branch():
     rng = np.random.default_rng(8)
     for seed in range(5):
         p = RegularizerParams.init(channels=8, layers=3, seed=seed, scale=2.0)
-        p = RegularizerParams(p.weights, [Tensor(rng.standard_normal(b.shape)) for b in p.biases], p.contraction)
+        p = RegularizerParams(p.weights, [Tensor(rng.standard_normal(b.shape)) for b in p.biases])
         x = Tensor(crandn(rng, 8, 8))
         assert np.array_equal(regularizer_forward(p, x).data, x.data + residual_branch(p, x.data))
     tape = Tape()
@@ -157,7 +156,7 @@ def test_invert_divergence_raises():
     p = RegularizerParams.init(channels=8, layers=3, seed=6, scale=2.0)
     b = lipschitz_bound(p)
     f = (30.0 / b) ** (1.0 / p.layers)
-    p = RegularizerParams([Tensor(w.data * f) for w in p.weights], p.biases, p.contraction)
+    p = RegularizerParams([Tensor(w.data * f) for w in p.weights], p.biases)
     rng = np.random.default_rng(7)
     z = Tensor(crandn(rng, 8, 8))
     with pytest.raises(FixedPointDivergence):
@@ -168,7 +167,7 @@ def test_invert_zero_z_with_nonzero_bias():
     # with biases G(0) != 0, so the preimage of z = 0 is not 0; the
     # tolerance is then relative to ||c*G(0)||
     p = projected_params(seed=8)
-    p = RegularizerParams(p.weights, [Tensor(np.full(b.shape, 0.1)) for b in p.biases], p.contraction)
+    p = RegularizerParams(p.weights, [Tensor(np.full(b.shape, 0.1)) for b in p.biases])
     z = Tensor(np.zeros((8, 8), dtype=complex))
     x = regularizer_invert(p, z, tol=1e-12, max_iter=100)
     assert np.linalg.norm(x.data) > 0
@@ -185,7 +184,7 @@ def test_invert_zero_z_divergence_reports_finite_residual():
     p = RegularizerParams.init(channels=8, layers=3, seed=6, scale=2.0)
     f = (30.0 / lipschitz_bound(p)) ** (1.0 / p.layers)
     p = RegularizerParams([Tensor(w.data * f) for w in p.weights],
-                          [Tensor(np.full(b.shape, 0.1)) for b in p.biases], p.contraction)
+                          [Tensor(np.full(b.shape, 0.1)) for b in p.biases])
     with pytest.raises(FixedPointDivergence) as exc:
         regularizer_invert(p, Tensor(np.zeros((8, 8), dtype=complex)), tol=1e-10, max_iter=30)
     assert np.isfinite(exc.value.residual) and exc.value.residual > 0
@@ -429,8 +428,36 @@ def test_net_param_validation():
         UnrolledNetParams(p, mu=0.0, n_unrolls=5, n_cg=10)
     with pytest.raises(ValueError):
         UnrolledNetParams(p, mu=0.3, n_unrolls=0, n_cg=10)
+
+
+def layout(couts, cins, kshapes=None, bias_lens=None, complex_w=None):
+    """Zero weights [C_out, C_in, *k] and biases of the given layer shapes."""
+    kshapes = kshapes or [(3, 3)] * len(couts)
+    bias_lens = bias_lens or couts
+    ws = [Tensor(np.zeros((o, i) + k, dtype=complex if j == complex_w else float))
+          for j, (o, i, k) in enumerate(zip(couts, cins, kshapes))]
+    return ws, [Tensor(np.zeros(n)) for n in bias_lens]
+
+
+def test_regularizer_params_accepts_the_chain():
+    p = RegularizerParams(*layout([4, 4, 2], [2, 4, 4]))
+    assert (p.layers, p.channels) == (3, 4)
+
+
+@pytest.mark.parametrize(
+    "ws, bs",
+    [
+        layout([4, 3, 2], [2, 4, 3]),
+        layout([4, 4, 2], [2, 4, 4], kshapes=[(3, 3), (5, 5), (3, 3)]),
+        layout([4, 4, 2], [2, 4, 4], complex_w=1),
+        layout([4, 4, 2], [2, 4, 4], bias_lens=[4, 3, 2]),
+        layout([2], [2]),
+    ],
+    ids=["interior_channels", "kernel_shapes", "complex_weight", "bias_shape", "single_layer"],
+)
+def test_regularizer_params_rejects_malformed_layout(ws, bs):
     with pytest.raises(ValueError):
-        RegularizerParams(p.weights, p.biases, contraction=1.0)
+        RegularizerParams(ws, bs)
 
 
 # --- weight projection -----------------------------------------------------------------
@@ -446,7 +473,7 @@ def test_project_reduces_inflated_bound():
     p = RegularizerParams.init(channels=8, layers=3, seed=24, scale=1.0)
     b = lipschitz_bound(p)
     f = (2.0 / b) ** (1.0 / p.layers)
-    inflated = RegularizerParams([Tensor(w.data * f) for w in p.weights], p.biases, p.contraction)
+    inflated = RegularizerParams([Tensor(w.data * f) for w in p.weights], p.biases)
     assert abs(lipschitz_bound(inflated) - 2.0) < 0.05
     q = project_weights(inflated)
     assert lipschitz_bound(q) <= 0.95
@@ -481,7 +508,7 @@ def test_conv_operator_norm_brackets_exact_circular_norm(shape, probe):
 
 
 def exact_bound(p: RegularizerParams) -> float:
-    return p.contraction * float(np.prod([conv_circular_norm_exact(w.data, (16, 16)) for w in p.weights]))
+    return CONTRACTION * float(np.prod([conv_circular_norm_exact(w.data, (16, 16)) for w in p.weights]))
 
 
 def test_project_fires_on_exact_bound_above_threshold():
@@ -489,7 +516,7 @@ def test_project_fires_on_exact_bound_above_threshold():
     # the threshold and skip the projection
     p = RegularizerParams.init(channels=16, layers=5, seed=102)
     f = (0.955 / exact_bound(p)) ** (1.0 / p.layers)
-    p = RegularizerParams([Tensor(w.data * f) for w in p.weights], p.biases, p.contraction)
+    p = RegularizerParams([Tensor(w.data * f) for w in p.weights], p.biases)
     q = project_weights(p)
     assert q is not p
     assert 0.9 * (1 - 1e-9) <= exact_bound(q) <= 0.9 * (1 + 1e-9)
