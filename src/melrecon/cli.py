@@ -3,7 +3,8 @@ evaluation, and the memory/time benchmark.
 
 One flat JSON config file drives every command; individual keys can be
 overridden with flags (flags win, and each override is logged to stderr).
-Relative paths in the config resolve against the config file's directory.
+Relative paths in the config resolve against the config file's directory,
+and relative ``--out``/``--data`` flags against the working directory.
 """
 
 from __future__ import annotations
@@ -61,20 +62,25 @@ def load_config(path: str | None, overrides: dict) -> dict:
     if path is not None:
         p = Path(path)
         loaded = json.loads(p.read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{path}: a config must be a JSON object, got {type(loaded).__name__}")
         unknown = set(loaded) - set(DEFAULT_CONFIG)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
         base = p.parent.resolve()
+    for k in ("out", "data"):
+        if not isinstance(cfg[k], str):
+            raise ValueError(f"config key {k!r} must be a path string, got {cfg[k]!r}")
+        cfg[k] = str(base / cfg[k])
     for k, v in overrides.items():
         if v is None:
             continue
+        if k in ("out", "data"):
+            v = str(Path.cwd() / v)
         if cfg.get(k) != v:
             print(f"config override: {k}={v}", file=sys.stderr)
         cfg[k] = v
-    for k in ("out", "data"):
-        q = Path(cfg[k])
-        cfg[k] = str(q if q.is_absolute() else base / q)
     return cfg
 
 

@@ -5,18 +5,19 @@ the per-pixel :func:`~melrecon.mel.l1_loss`), pSNR/SSIM on magnitude images, the
 l2-regularized CG-SENSE baseline, and directory-based checkpoints
 (manifest + MELT tensors). The zero-filled baseline is ``op.adjoint(y)``.
 
-Parallel batches: :func:`train_steps` evaluates a batch's cases in
-w + 1 processes, w = min(batch size, usable CPUs) - 1, where the usable CPUs
-are ``os.sched_getaffinity(0)``, or ``os.cpu_count()`` on platforms without
-it (macOS, Windows). Case i goes to process i mod (w + 1), and
-process 0 is the caller, so every span and heap measurement of the caller's
-share stays in the calling process. The w workers are persistent
-``sys.executable`` processes, started on first need and reused; they exit at
-interpreter exit or when the caller dies. Results are summed in case order,
-so a step is bit-identical to the one-process path, which ``taskset -c 0``
-(one usable CPU) or a batch of one case gives. Each process holds at most
-one gradient evaluation at a time: the per-process peak stays flat in the
-unroll count N, while total resident memory grows with the worker count.
+Parallel batches: :func:`train_steps` evaluates a batch of B cases in
+P = min(B, usable CPUs) processes; the usable CPUs are
+``os.sched_getaffinity(0)``, or ``os.cpu_count()`` where that is missing
+(macOS, Windows). Process p takes cases [B*p//P, B*(p+1)//P), and process 0
+is the caller, so every span and heap measurement of its share stays in the
+calling process. The P - 1 workers are persistent ``sys.executable``
+processes, started on first need and reused; they exit at interpreter exit
+or when the caller dies. They reply with ``GradientResult``s, which the
+caller sums after its own in worker order, that is case order, so a step is
+bit-identical to the one-process path that ``taskset -c 0`` (one usable CPU)
+or a batch of one case gives. Each process holds at most one gradient
+evaluation at a time: the per-process peak stays flat in the unroll count
+N, while total resident memory grows with the worker count.
 """
 
 from __future__ import annotations
@@ -316,40 +317,26 @@ class TrainConfig:
                 raise ValueError(f"{k} must be positive")
 
 
-def _grad_eval(engine: str, net, op, y, target):
-    """(loss, peak tape bytes, gradient arrays) of one case."""
+def _run_share(engine: str, net, cases, take) -> Exception | None:
+    """Evaluate ``cases`` in order, handing each case's ``GradientResult`` to
+    ``take``; return the exception that stopped the share, if any."""
     # the engines are looked up at call time, so a patched ``train.backprop_*`` takes effect
-    r = (backprop_standard if engine == "standard" else backprop_mel)(net, op, y, target)
-    return r.loss_value, r.peak_tape_bytes, {k: g.data for k, g in r.grads.items()}
-
-
-class _CaseOrderSum:
-    """Sums per-case (loss, peak, grads) results in case order, whatever
-    order they arrive in, so that a step split over processes adds exactly
-    what one process adds; each case's gradients are dropped once added."""
-
-    def __init__(self):
-        self.waiting: dict[int, tuple] = {}
-        self.losses: list[float] = []
-        self.peak = 0
-        self.grads: dict[str, np.ndarray] = {}
-
-    def add(self, i: int, result: tuple) -> None:
-        self.waiting[i] = result
-        while len(self.losses) in self.waiting:
-            loss, peak, grads = self.waiting.pop(len(self.losses))
-            self.losses.append(loss)
-            self.peak = max(self.peak, peak)
-            for k, g in grads.items():
-                self.grads[k] = self.grads[k] + g if k in self.grads else g.copy()
+    backprop = backprop_standard if engine == "standard" else backprop_mel
+    try:
+        for op, y, target in cases:
+            take(backprop(net, op, y, target))
+    except Exception as e:
+        return e
+    return None
 
 
 class _Worker:
     """A persistent process that evaluates its share of a batch's cases.
 
     Pickled (engine, net, cases) requests go down its stdin, and pickled
-    (results, error) replies come back on its stdout: one (loss, peak,
-    grads) per case done, and the exception that stopped the share, if any.
+    (results, error) replies come back on its stdout: the ``GradientResult``
+    of each case done, in case order, and the exception that stopped the
+    share, if any.
     The worker points its stdout at stderr before it serves, so the replies
     run on a pipe that nothing the library prints can reach. It exits when
     its stdin closes: at the caller's exit, or when the caller dies and the
@@ -418,19 +405,16 @@ def _serve() -> None:
             engine, net, cases = pickle.load(requests)
         except EOFError:
             return
-        results, error = [], None
-        try:
-            for case in cases:
-                results.append(_grad_eval(engine, net, *case))
-        except Exception as e:
+        results = []
+        error = _run_share(engine, net, cases, results.append)
+        if error is not None:
             # the traceback does not pickle; a note (shown by Python 3.11+) carries it
-            e.__notes__ = [*getattr(e, "__notes__", ()), f"raised in gradient worker process {os.getpid()}:\n"
-                           + "".join(traceback.format_tb(e.__traceback__))]
+            error.__notes__ = [*getattr(error, "__notes__", ()), f"raised in gradient worker process "
+                               f"{os.getpid()}:\n" + "".join(traceback.format_tb(error.__traceback__))]
             try:
-                pickle.loads(pickle.dumps(e))
-                error = e
+                pickle.loads(pickle.dumps(error))
             except Exception:  # an exception that does not survive pickling goes as text
-                error = RuntimeError("".join(traceback.format_exception(e)))
+                error = RuntimeError("".join(traceback.format_exception(error)))
         pickle.dump((results, error), replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
 
@@ -449,32 +433,36 @@ def train_steps(net: UnrolledNetParams, adam: AdamState, batch, engine: str):
     if not batch:
         raise ValueError("batch is empty")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = _workers(min(len(batch), cpus) - 1)
-    procs = len(workers) + 1
-    total = _CaseOrderSum()
-    errors: dict[int, BaseException] = {}  # first failed case of each process -> its exception
+    procs = min(len(batch), cpus)
+    bounds = [len(batch) * p // procs for p in range(procs + 1)]  # process p takes batch[bounds[p]:bounds[p + 1]]
+    losses, peak, total = [], 0, {}
+
+    def take(r) -> None:
+        nonlocal peak
+        losses.append(r.loss_value)
+        peak = max(peak, r.peak_tape_bytes)
+        for k, g in r.grads.items():
+            total[k] = total[k] + g.data if k in total else g.data
+
+    workers = _workers(procs - 1)
     try:
-        for j, w in enumerate(workers, 1):
-            w.send((engine, net, batch[j::procs]))
-        try:
-            for i in range(0, len(batch), procs):
-                total.add(i, _grad_eval(engine, net, *batch[i]))
-        except Exception as e:
-            errors[i] = e
-        for j, w in enumerate(workers, 1):
-            results, error = w.receive()
-            for k, result in enumerate(results):
-                total.add(j + k * procs, result)
-            if error is not None:
-                errors[j + len(results) * procs] = error
+        for w, start, end in zip(workers, bounds[1:], bounds[2:]):
+            w.send((engine, net, batch[start:end]))
+        error = _run_share(engine, net, batch[:bounds[1]], take)
+        for w in workers:  # worker order is case order; every reply is read, so the pipes stay in step
+            results, worker_error = w.receive()
+            if error is None:
+                for r in results:
+                    take(r)
+                error = worker_error
     except BaseException:
         _close_pool(kill=True)  # a request or reply may be half sent
         raise
-    if errors:
-        raise errors[min(errors)]
-    grads = {k: Tensor(v / len(batch)) for k, v in total.grads.items()}
+    if error is not None:
+        raise error
+    grads = {k: Tensor(v / len(batch)) for k, v in total.items()}
     adam, net = adam_step(adam, net, grads)
-    return net, adam, float(np.mean(total.losses)), total.peak
+    return net, adam, float(np.mean(losses)), peak
 
 
 @dataclass

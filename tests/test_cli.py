@@ -148,6 +148,28 @@ def test_paths_resolve_relative_to_config(tmp_path):
     assert (sub / "data" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[]", '{"out": null}', '{"data": 3}'],
+                         ids=["number", "null", "array", "null_out", "number_data"])
+def test_config_that_is_not_an_object_of_paths_is_rejected(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert run_cli("--config", str(p), "gen-data") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [q.name for q in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_relative_path_flags_resolve_against_working_directory(tmp_path, monkeypatch):
+    # a flag, like the recon checkpoint and the eval --method dirs, is
+    # relative to where the command runs, not to the config file
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    tiny_config(sub)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("--config", "sub/config.json", "--data", "rel", "gen-data") == 0
+    assert (tmp_path / "rel" / "manifest.json").exists()
+    assert sorted(q.name for q in sub.iterdir()) == ["config.json"]
+
+
 def test_flag_overrides_config_and_logs(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     other = tmp_path / "other_data"

@@ -406,17 +406,24 @@ def assert_same_steps(par, one):
 
 
 @pytest.mark.parametrize("engine", ["standard", "mel"])
-@pytest.mark.parametrize("kind, n_cases", [("2d", 2), ("2d", 3), ("cine", 2)])
-def test_parallel_step_is_bit_identical_to_one_process(monkeypatch, engine, kind, n_cases):
-    # a batch of 3 on 2 processes is the uneven split: the caller takes
-    # cases 0 and 2, the worker case 1
+@pytest.mark.parametrize("kind, n_cases, cpus", [
+    pytest.param("2d", 2, {0, 1}, id="2d-2"),
+    pytest.param("2d", 3, {0, 1}, id="2d-3"),
+    pytest.param("2d", 5, {0, 1, 2}, id="2d-5-3cpus"),
+    pytest.param("cine", 2, {0, 1}, id="cine-2"),
+])
+def test_parallel_step_is_bit_identical_to_one_process(monkeypatch, engine, kind, n_cases, cpus):
+    # the uneven splits: a batch of 3 on 2 processes gives the caller case 0
+    # and the worker cases 1 and 2; a batch of 5 on 3 processes gives the
+    # caller case 0 and the two workers cases 1-2 and 3-4, whose replies
+    # must be summed in worker order
     if kind == "cine":
         net, batch = cine_net(seed=20), cine_batch(seed=20, k=n_cases)
     else:
         net, batch = tiny_net(seed=20), batch_of(small_dataset(seed=20, n_train=n_cases), n_cases)
-    two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     par = three_steps(net, batch, engine)
-    assert train._POOL, "no worker ran"
+    assert len(train._POOL) >= len(cpus) - 1, "a worker did not run"
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     one = three_steps(net, batch, engine)
     assert_same_steps(par, one)
@@ -435,22 +442,32 @@ def test_step_without_sched_getaffinity_counts_cpu_count(monkeypatch):
     assert_same_steps(par, one)
 
 
+def non_contractive(net):
+    """``net`` with its weights scaled to a Lipschitz bound of 30 and zero
+    biases: a real case diverges in the mel inversion, while an all-zero
+    case maps to zero in every unroll and passes."""
+    f = (30.0 / lipschitz_bound(net.reg)) ** (1.0 / net.reg.layers)
+    reg = RegularizerParams([Tensor(w.data * f) for w in net.reg.weights],
+                            [Tensor(np.zeros_like(b.data)) for b in net.reg.biases])
+    return UnrolledNetParams(reg, net.mu, net.n_unrolls, net.n_cg)
+
+
+def zero_case(case):
+    op, y, x = case
+    return op, Tensor(np.zeros_like(y.data)), Tensor(np.zeros_like(x.data))
+
+
 def test_worker_exception_reaches_the_caller(monkeypatch):
-    # non-contractive weights: the worker's case diverges in the mel
-    # inversion. The caller's case is all zeros, which the zero-bias branch
-    # maps to zero in every unroll, so only the worker raises.
+    # the worker's case diverges in the mel inversion; the caller's is the
+    # zero case, so only the worker raises
     from melrecon.mel import backprop_mel
     from melrecon.unrolled import FixedPointDivergence
 
     two_cpus(monkeypatch)
     net = tiny_net(seed=16)
     batch = batch_of(small_dataset(seed=16))
-    op, y, x = batch[0]
-    zero = (op, Tensor(np.zeros_like(y.data)), Tensor(np.zeros_like(x.data)))
-    f = (30.0 / lipschitz_bound(net.reg)) ** (1.0 / net.reg.layers)
-    bad_reg = RegularizerParams([Tensor(w.data * f) for w in net.reg.weights],
-                                [Tensor(np.zeros_like(b.data)) for b in net.reg.biases])
-    bad = UnrolledNetParams(bad_reg, net.mu, net.n_unrolls, net.n_cg)
+    zero = zero_case(batch[0])
+    bad = non_contractive(net)
     with pytest.raises(FixedPointDivergence) as want:
         backprop_mel(bad, *batch[1])
     with pytest.raises(FixedPointDivergence) as got:
@@ -461,6 +478,23 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     assert got.value.unroll is not None
     _, adam, loss, _ = train_steps(net, AdamState.init(net), batch, "mel")
     assert math.isfinite(loss) and adam.t == 1
+
+
+@pytest.mark.parametrize("zero_at", [0, 1], ids=["failing-1-2", "failing-0-2"])
+def test_lowest_failing_case_wins_across_shares(monkeypatch, zero_at):
+    # a batch of 3 on 2 processes: the caller takes case 0, the worker cases
+    # 1 and 2. Whichever process holds the lowest failing case, its
+    # exception is the one raised, as in one process.
+    net = non_contractive(tiny_net(seed=16))
+    batch = batch_of(small_dataset(seed=16))
+    batch.insert(zero_at, zero_case(batch[0]))
+    raised = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with pytest.raises(Exception) as got:
+            train_steps(net, AdamState.init(net), batch, "mel")
+        raised.append((type(got.value), str(got.value)))
+    assert raised[0] == raised[1]
 
 
 class _ExitWhenUnpickled:
