@@ -3,8 +3,10 @@ evaluation, and the memory/time benchmark.
 
 One flat JSON config file drives every command; individual keys can be
 overridden with flags (flags win, and each override is logged to stderr).
-Relative paths in the config resolve against the config file's directory,
-and relative ``--out``/``--data`` flags against the working directory.
+Every value takes its ``DEFAULT_CONFIG`` default's type; a float key also
+takes an integer, stored as a float. Relative paths in the config resolve
+against the config file's directory, and relative ``--out``/``--data``
+flags against the working directory.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +71,13 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
         base = p.parent.resolve()
+    for k, v in cfg.items():  # the flags, applied below, are typed by argparse
+        kind = type(DEFAULT_CONFIG[k])
+        if kind is float and type(v) is int:
+            cfg[k] = float(v)
+        elif type(v) is not kind:  # a bool is not an int here
+            raise ValueError(f"config key {k!r} takes type {kind.__name__}, got {v!r}")
     for k in ("out", "data"):
-        if not isinstance(cfg[k], str):
-            raise ValueError(f"config key {k!r} must be a path string, got {cfg[k]!r}")
         cfg[k] = str(base / cfg[k])
     for k, v in overrides.items():
         if v is None:
@@ -93,19 +99,18 @@ def _mark_invalid(out_dir: Path):
 
 
 def _dataset_config(cfg: dict) -> DatasetConfig:
-    n = int(cfg["image_size"])
     return DatasetConfig(
-        shape=(n, n),
-        coils=int(cfg["coils"]),
-        accel=float(cfg["accel"]),
+        shape=(cfg["image_size"],) * 2,
+        coils=cfg["coils"],
+        accel=cfg["accel"],
         kind=cfg["kind"],
-        frames=int(cfg["frames"]),
-        calib=(int(cfg["calib"]), int(cfg["calib"])),
-        noise_sigma=float(cfg["noise_sigma"]),
-        n_train=int(cfg["cases_train"]),
-        n_val=int(cfg["cases_val"]),
-        n_test=int(cfg["cases_test"]),
-        seed=int(cfg["seed"]),
+        frames=cfg["frames"],
+        calib=(cfg["calib"],) * 2,
+        noise_sigma=cfg["noise_sigma"],
+        n_train=cfg["cases_train"],
+        n_val=cfg["cases_val"],
+        n_test=cfg["cases_test"],
+        seed=cfg["seed"],
     )
 
 
@@ -121,22 +126,7 @@ def cmd_gen_data(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    tc = TrainConfig(
-        dataset_dir=cfg["data"],
-        out_dir=cfg["out"],
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        seed=int(cfg["seed"]),
-        lr=float(cfg["lr"]),
-        n_unrolls=int(cfg["unrolls"]),
-        n_cg=int(cfg["cg_iters"]),
-        mu=float(cfg["mu"]),
-        channels=int(cfg["channels"]),
-        layers=int(cfg["layers"]),
-        engine=cfg["engine"],
-        val_every=int(cfg["val_every"]),
-    )
-    res = train_loop(tc)
+    res = train_loop(TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)}))
     print(f"best val pSNR {res.best_val_psnr:.3f} dB; checkpoint at {res.checkpoint_dir}")
     print(f"log at {res.log_path}")
     return 0
@@ -238,8 +228,8 @@ def bench_instance(cfg: dict):
     (op, reg, y, target)."""
     case = build_dataset(replace(_dataset_config(cfg), n_train=1, n_val=1, n_test=1)).cases[0]
     reg = project_weights(
-        RegularizerParams.init(channels=int(cfg["channels"]), layers=int(cfg["layers"]),
-                               spatial_rank=len(case.x.shape), seed=int(cfg["seed"]), scale=3.0)
+        RegularizerParams.init(channels=cfg["channels"], layers=cfg["layers"],
+                               spatial_rank=len(case.x.shape), seed=cfg["seed"], scale=3.0)
     )
     return case.operator(), reg, case.y, case.x
 
@@ -263,20 +253,25 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int]) -> int:
     if not unroll_list:
         raise ValueError("the unroll list must be non-empty")
     op, reg, y, target = bench_instance(cfg)
-    mu = float(cfg["mu"])
-    n_cg = int(cfg["cg_iters"])
+    mu, n_cg = cfg["mu"], cfg["cg_iters"]
     engines = {"standard": backprop_standard, "mel": backprop_mel}
 
     # warm-up so wall times exclude one-time allocation effects
     backprop_standard(UnrolledNetParams(reg, mu, min(unroll_list), n_cg), op, y, target)
 
     shape = "x".join(str(s) for s in op.image_shape)
-    rows = [["engine", "n_unrolls", "shape", "peak_bytes", "heap_peak_bytes", "wall_time_s", "loss"]]
+    rows = ["engine,n_unrolls,shape,peak_bytes,heap_peak_bytes,wall_time_s,loss,x0_drift,grad_gap".split(",")]
     points: dict[str, list[tuple[int, int]]] = {e: [] for e in engines}
     for n in unroll_list:
         net = UnrolledNetParams(reg, mu, n, n_cg)
         for engine, backprop in engines.items():
             r = backprop(net, op, y, target)
+            if engine == "standard":  # it inverts nothing, and is the gap's reference
+                std, drift, gap = r.grads, "", ""
+            else:
+                gap = max(np.abs(r.grads[k].data - g.data).max() / np.abs(g.data).max() for k, g in std.items())
+                drift, gap = f"{r.x0_drift:.6g}", f"{gap:.6g}"
+                del std  # before the traced call: what is still held moves the heap peak it reads
             # the heap peak comes from a second call: tracing slows one 3-4x
             tracemalloc.start()
             try:
@@ -284,7 +279,8 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int]) -> int:
                 heap = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            rows.append([engine, n, shape, r.peak_tape_bytes, heap, f"{r.wall_time:.6f}", f"{r.loss_value:.12g}"])
+            rows.append([engine, n, shape, r.peak_tape_bytes, heap, f"{r.wall_time:.6f}", f"{r.loss_value:.12g}",
+                         drift, gap])
             points[engine].append((n, r.peak_tape_bytes))
 
     out = Path(cfg["out"])

@@ -295,14 +295,16 @@ _ENGINES = ("standard", "mel")
 
 @dataclass
 class TrainConfig:
-    dataset_dir: str
-    out_dir: str
+    """One training run. Each field holds the CLI config key of its name."""
+
+    data: str  # dataset directory
+    out: str  # output directory
     epochs: int
     batch_size: int
     seed: int
     lr: float
-    n_unrolls: int
-    n_cg: int
+    unrolls: int
+    cg_iters: int
     mu: float
     channels: int
     layers: int
@@ -312,7 +314,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be standard|mel, got {self.engine!r}")
-        for k in ("epochs", "batch_size", "lr", "n_unrolls", "n_cg", "mu", "channels", "layers", "val_every"):
+        for k in ("epochs", "batch_size", "lr", "unrolls", "cg_iters", "mu", "channels", "layers", "val_every"):
             if getattr(self, k) <= 0:
                 raise ValueError(f"{k} must be positive")
 
@@ -478,7 +480,7 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
     best-validation checkpoint retention, CSV log. The gradient engine is
     selectable with no other code-path change. Raises ``ValueError`` after
     writing the log when no validation gave a pSNR above -inf."""
-    ds = load_dataset(cfg.dataset_dir)
+    ds = load_dataset(cfg.data)
     train_cases = ds.split("train")
     val_cases = ds.split("val")
     if not train_cases or not val_cases:
@@ -490,11 +492,11 @@ def train_loop(cfg: TrainConfig) -> TrainResult:
             channels=cfg.channels, layers=cfg.layers, spatial_rank=spatial_rank, seed=cfg.seed,
         )
     )
-    net = UnrolledNetParams(reg, cfg.mu, cfg.n_unrolls, cfg.n_cg)
+    net = UnrolledNetParams(reg, cfg.mu, cfg.unrolls, cfg.cg_iters)
     adam = AdamState.init(net, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
 
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_dir = out / "checkpoint_best"
     rows: list[list] = []

@@ -189,9 +189,10 @@ _CG_FLOOR = 1e-15
 def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: float,
                     n_iter: int) -> np.ndarray:
     """CG on (A^H A + mu I) x = rhs from x0: ``n_iter`` iterations, or fewer
-    once ||r|| <= ``_CG_FLOOR`` * ||rhs||. Deterministic. An all-zero x0
-    starts from r = rhs without applying the normal operator; x, r and p are
-    updated in place."""
+    once ||r|| <= ``_CG_FLOOR`` * ||rhs||. Reproducible for a given BLAS
+    thread count; a 128x128 solve can differ in the last bit between thread
+    counts. An all-zero x0 starts from r = rhs without applying the normal
+    operator; x, r and p are updated in place."""
     x = np.array(x0, dtype=np.complex128)
     rhs_norm = float(np.linalg.norm(rhs))
     r = rhs - op._normal(x, mu) if x.any() else np.array(rhs, dtype=np.complex128)

@@ -5,6 +5,7 @@ from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from melrecon import cli, train
@@ -15,12 +16,9 @@ from melrecon.tensor import Tensor, melt_read, melt_write
 from melrecon.train import TrainConfig
 from melrecon.unrolled import UnrolledNetParams
 
-# config key -> TrainConfig field, for every field
-TRAIN_FIELD_OF_KEY = {
-    "data": "dataset_dir", "out": "out_dir", "epochs": "epochs", "batch_size": "batch_size", "seed": "seed",
-    "lr": "lr", "unrolls": "n_unrolls", "cg_iters": "n_cg", "mu": "mu",
-    "channels": "channels", "layers": "layers", "engine": "engine", "val_every": "val_every",
-}
+# the config keys that set a training run, each a TrainConfig field of its name
+TRAIN_KEYS = {"data", "out", "epochs", "batch_size", "seed", "lr", "unrolls", "cg_iters", "mu",
+              "channels", "layers", "engine", "val_every"}
 
 
 def test_cmd_train_passes_every_training_key(monkeypatch):
@@ -31,7 +29,8 @@ def test_cmd_train_passes_every_training_key(monkeypatch):
         return SimpleNamespace(best_val_psnr=0.0, checkpoint_dir="ckpt", log_path="log")
 
     monkeypatch.setattr(cli, "train_loop", fake_train_loop)
-    assert sorted(TRAIN_FIELD_OF_KEY.values()) == sorted(f.name for f in fields(TrainConfig))
+    assert len(TRAIN_KEYS) == 13 and TRAIN_KEYS <= set(DEFAULT_CONFIG)
+    assert {f.name for f in fields(TrainConfig)} == TRAIN_KEYS
     # a distinct value per key, so two swapped keys fail too
     distinct = {"data": "d", "out": "o", "epochs": 2, "batch_size": 3, "seed": 4, "lr": 0.25, "unrolls": 6,
                 "cg_iters": 7, "mu": 0.5, "channels": 8, "layers": 9, "engine": "mel",
@@ -40,8 +39,8 @@ def test_cmd_train_passes_every_training_key(monkeypatch):
     for cfg in configs:
         assert cli.cmd_train(cfg) == 0
     for cfg, tc in zip(configs, got, strict=True):
-        for key, name in TRAIN_FIELD_OF_KEY.items():
-            assert getattr(tc, name) == cfg[key], (key, name)
+        for key in TRAIN_KEYS:
+            assert getattr(tc, key) == cfg[key], key
     # deep mel runs need mu around 0.3; the CLI must not default below it
     assert got[0].mu == 0.3
 
@@ -148,14 +147,32 @@ def test_paths_resolve_relative_to_config(tmp_path):
     assert (sub / "data" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("text", ["5", "null", "[]", '{"out": null}', '{"data": 3}'],
-                         ids=["number", "null", "array", "null_out", "number_data"])
+@pytest.mark.parametrize("text", ["5", "null", "[]", '{"out": null}', '{"data": 3}', '{"unrolls": 2.5}',
+                                  '{"epochs": true}', '{"seed": 2.0}', '{"mu": "0.3"}', '{"engine": 1}'],
+                         ids=["number", "null", "array", "null_out", "number_data", "float_unrolls",
+                              "bool_epochs", "float_seed", "string_mu", "number_engine"])
 def test_config_that_is_not_an_object_of_paths_is_rejected(tmp_path, capsys, text):
+    # every value takes its default's type: an int key no float or bool, a
+    # float key no string, a string key no number
     p = tmp_path / "bad.json"
     p.write_text(text)
     assert run_cli("--config", str(p), "gen-data") == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    loaded = json.loads(text)
+    if isinstance(loaded, dict):
+        (key,) = loaded
+        assert f"config key {key!r}" in err
     assert [q.name for q in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_integer_for_a_float_key_is_stored_as_a_float(tmp_path):
+    cfg = tiny_config(tmp_path, mu=1, accel=2)
+    mu = cli.load_config(str(cfg), {})["mu"]
+    assert type(mu) is float and mu == 1.0
+    assert run_cli("--config", str(cfg), "gen-data") == 0
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+    assert repr(manifest["config"]["accel"]) == "2.0"
 
 
 def test_relative_path_flags_resolve_against_working_directory(tmp_path, monkeypatch):
@@ -332,7 +349,8 @@ def test_bench_memory_rows_are_direct_gradient_evaluations(trained, tmp_path):
     out = tmp_path / "bench_rows"
     assert run_cli("--config", str(cfg), "--out", str(out), "bench-memory", "--unroll-list", "2,3") == 0
     rows = list(csv.reader((out / "bench_memory.csv").open()))
-    assert rows[0] == ["engine", "n_unrolls", "shape", "peak_bytes", "heap_peak_bytes", "wall_time_s", "loss"]
+    assert rows[0] == ["engine", "n_unrolls", "shape", "peak_bytes", "heap_peak_bytes", "wall_time_s", "loss",
+                       "x0_drift", "grad_gap"]
     c = cli.load_config(str(cfg), {})
     op, reg, y, target = cli.bench_instance(c)
     case0 = load_dataset(c["data"]).cases[0]  # what gen-data wrote
@@ -340,14 +358,23 @@ def test_bench_memory_rows_are_direct_gradient_evaluations(trained, tmp_path):
     for got, want in ((op.mask, case0.mask), (op.sens, case0.sens), (y, case0.y), (target, case0.x)):
         assert got.data.tobytes() == want.data.tobytes()
     assert [(r[0], r[1]) for r in rows[1:]] == [("standard", "2"), ("mel", "2"), ("standard", "3"), ("mel", "3")]
-    for engine, n, shape, peak, heap, wall, loss in rows[1:]:
-        net = UnrolledNetParams(reg, float(c["mu"]), int(n), int(c["cg_iters"]))
+    for engine, n, shape, peak, heap, wall, loss, drift, gap in rows[1:]:
+        net = UnrolledNetParams(reg, c["mu"], int(n), c["cg_iters"])
         r = {"standard": backprop_standard, "mel": backprop_mel}[engine](net, op, y, target)
         assert shape == "16x16"
         assert int(peak) == r.peak_tape_bytes
         assert int(heap) >= int(peak)  # the traced call allocates all the tape holds, and more
         assert float(wall) > 0
         assert loss == f"{r.loss_value:.12g}"
+        if engine == "standard":
+            std = r.grads
+            assert drift == gap == ""
+        else:
+            # the gap is taken against the standard row of the same N, just above
+            want = max(np.abs(r.grads[k].data - g.data).max() / np.abs(g.data).max() for k, g in std.items())
+            assert drift == f"{r.x0_drift:.6g}"
+            assert gap == f"{want:.6g}"
+            assert 0 < float(gap) < 1e-3
 
 
 def test_bench_memory_one_unroll_count_gives_no_frontier(trained, tmp_path, capsys):

@@ -652,8 +652,8 @@ def test_train_loop_smoke_and_determinism(tmp_path):
     ds = small_dataset(seed=15)
     data_dir = save_dataset(ds, tmp_path / "data")
     cfg = TrainConfig(
-        dataset_dir=str(data_dir), out_dir=str(tmp_path / "run_a"),
-        epochs=2, batch_size=2, seed=3, lr=1e-3, n_unrolls=2, n_cg=10, mu=0.3,
+        data=str(data_dir), out=str(tmp_path / "run_a"),
+        epochs=2, batch_size=2, seed=3, lr=1e-3, unrolls=2, cg_iters=10, mu=0.3,
         channels=4, layers=2, engine="standard", val_every=2,
     )
     res_a = train_loop(cfg)
@@ -661,7 +661,7 @@ def test_train_loop_smoke_and_determinism(tmp_path):
     assert len(res_a.log_rows) == 2
     assert all(math.isfinite(float(r[3])) for r in res_a.log_rows)
 
-    cfg_b = TrainConfig(**{**cfg.__dict__, "out_dir": str(tmp_path / "run_b")})
+    cfg_b = TrainConfig(**{**cfg.__dict__, "out": str(tmp_path / "run_b")})
     res_b = train_loop(cfg_b)
     assert [r[3] for r in res_a.log_rows] == [r[3] for r in res_b.log_rows]
     assert res_a.best_val_psnr == res_b.best_val_psnr
@@ -680,8 +680,8 @@ def test_nan_psnr_is_not_a_perfect_score(tmp_path, monkeypatch):
 
     data_dir = save_dataset(small_dataset(seed=15), tmp_path / "data")
     monkeypatch.setattr(train, "psnr", lambda x, ref: math.nan)
-    cfg = train_config(dataset_dir=str(data_dir), out_dir=str(tmp_path / "run"), epochs=2, batch_size=2,
-                       n_cg=10, val_every=2)
+    cfg = train_config(data=str(data_dir), out=str(tmp_path / "run"), epochs=2, batch_size=2,
+                       cg_iters=10, val_every=2)
     with pytest.raises(ValueError, match="no checkpoint written"):
         train_loop(cfg)
     assert not (tmp_path / "run" / "checkpoint_best").exists()
@@ -690,7 +690,7 @@ def test_nan_psnr_is_not_a_perfect_score(tmp_path, monkeypatch):
 
 
 def train_config(**kw) -> TrainConfig:
-    cfg = dict(dataset_dir="x", out_dir="y", epochs=1, batch_size=1, seed=0, lr=1e-3, n_unrolls=1, n_cg=1,
+    cfg = dict(data="x", out="y", epochs=1, batch_size=1, seed=0, lr=1e-3, unrolls=1, cg_iters=1,
                mu=0.3, channels=4, layers=2, engine="standard", val_every=1)
     return TrainConfig(**{**cfg, **kw})
 
