@@ -36,15 +36,21 @@ CONTRACTION = 0.9
 def residual_branch(params, x: np.ndarray, keep: list[np.ndarray] | None = None) -> np.ndarray:
     """c*G(x), c = :data:`CONTRACTION`, for a ``RegularizerParams`` and a
     complex array x. Appends each conv's input to ``keep`` when given; the
-    values do not depend on it."""
+    values do not depend on it.
+
+    Every relu runs in place on the conv output it reads. When nothing is
+    kept, no activation is read twice, so each conv with as many output as
+    input channels also writes over its input: the call then holds one
+    activation of the widest layer, plus a conv's slab and band, where
+    writing each conv's output afresh held two."""
     h = np.stack([x.real, x.imag])
     last = params.layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if keep is not None:
             keep.append(h)
-        h = conv_nd(h, w.data, b.data)
+        h = conv_nd(h, w.data, b.data, overwrite_x=keep is None and w.shape[0] == w.shape[1])
         if i < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return (h[0] + 1j * h[1]) * CONTRACTION
 
 
@@ -60,6 +66,11 @@ class Tape:
     unroll shares them, plus every activation :meth:`record` kept. It never
     falls, so it is the most the tape held; the biases are never kept.
     """
+
+    # slotted: on CPython 3.11 the heap that building a plain instance
+    # allocates shrinks over its first few dozen constructions, so a traced
+    # evaluation's peak would depend on how many ran before it
+    __slots__ = ("unrolls", "saved_bytes")
 
     def __init__(self):
         self.unrolls: list[list[np.ndarray]] = []

@@ -4,15 +4,16 @@ evaluation, and the memory/time benchmark.
 One flat JSON config file drives every command; individual keys can be
 overridden with flags (flags win, and each override is logged to stderr).
 Every value takes its ``DEFAULT_CONFIG`` default's type; a float key also
-takes an integer, stored as a float. Relative paths in the config resolve
-against the config file's directory, and relative ``--out``/``--data``
-flags against the working directory.
+takes an integer, stored as a float, and no NaN or infinity. Relative paths
+in the config resolve against the config file's directory, and relative
+``--out``/``--data`` flags against the working directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -73,10 +74,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
         base = p.parent.resolve()
     for k, v in cfg.items():  # the flags, applied below, are typed by argparse
         kind = type(DEFAULT_CONFIG[k])
-        if kind is float and type(v) is int:
-            cfg[k] = float(v)
-        elif type(v) is not kind:  # a bool is not an int here
+        if kind is float and type(v) is int and abs(v) <= sys.float_info.max:
+            v = cfg[k] = float(v)
+        if type(v) is not kind:  # a bool is not an int here
             raise ValueError(f"config key {k!r} takes type {kind.__name__}, got {v!r}")
+        if kind is float and not math.isfinite(v):  # JSON's NaN and Infinity parse as floats
+            raise ValueError(f"config key {k!r} takes a finite number, got {v!r}")
     for k in ("out", "data"):
         cfg[k] = str(base / cfg[k])
     for k, v in overrides.items():
@@ -272,7 +275,9 @@ def cmd_bench_memory(cfg: dict, unroll_list: list[int]) -> int:
                 gap = max(np.abs(r.grads[k].data - g.data).max() / np.abs(g.data).max() for k, g in std.items())
                 drift, gap = f"{r.x0_drift:.6g}", f"{gap:.6g}"
                 del std  # before the traced call: what is still held moves the heap peak it reads
-            # the heap peak comes from a second call: tracing slows one 3-4x
+            # the heap peak comes from a second call: tracing slows one 3-4x;
+            # collecting first keeps earlier calls' garbage out of it
+            gc.collect()
             tracemalloc.start()
             try:
                 backprop(net, op, y, target)

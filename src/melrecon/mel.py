@@ -59,10 +59,11 @@ from .unrolled import (
 __all__ = ["GradientResult", "l1_loss", "backprop_standard", "backprop_mel"]
 
 
-@dataclass
+@dataclass(slots=True)
 class GradientResult:
     """What one gradient evaluation measured. The engine, the unroll count
-    and the image shape are the caller's arguments and are not repeated."""
+    and the image shape are the caller's arguments and are not repeated.
+    Slotted, like :class:`~.autodiff.Tape` and for its reason."""
 
     grads: dict[str, Tensor]
     loss_value: float

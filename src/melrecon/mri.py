@@ -13,12 +13,16 @@ a_k = exp(2 pi i k m/n) exp(-2 pi i m^2/n) and b_j = exp(2 pi i j m/n)
 and b into one [H, W] image modulation once, at construction, so every
 application is a modulation, a plain FFT and a mask product.
 
-Each call holds one coil-sized [C, *image] temporary. The adjoint makes
-one masked copy of its k-space input and the normal operator reuses the
-forward's output; both then run the inverse FFT, the map product and the
-coil sum in place on that buffer. The coil sum uses
-sum_c conj(S_c) I_c = conj(sum_c S_c conj(I_c)), so no conjugate copy of
-the maps is made.
+The adjoint and the normal operator run over groups of consecutive coils
+whose k-space fits ``_GROUP_BYTES``, so a call holds one group's k-space,
+not all C coils': at 128x128 a group is two coils. Per group the adjoint
+makes one masked copy of its k-space input and the normal operator reuses
+the forward's output for that group; both then run the inverse FFT and
+the map product in place on that buffer and add its coil images into one
+image-sized sum, in coil order, which is the order numpy's sum over the
+coil axis adds them in: the grouping changes no bit of the result. The
+coil sum uses sum_c conj(S_c) I_c = conj(sum_c S_c conj(I_c)), so no
+conjugate copy of the maps is made.
 
 Also here: Poisson-disk and k-t sampling-mask generators, smooth synthetic
 coil maps, ellipse phantoms, and dataset construction/persistence on top of
@@ -31,6 +35,7 @@ id, split, image shape, coil count, seed and realized R.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -56,6 +61,12 @@ __all__ = [
 
 _FFT_AXES = (-2, -1)  # in-plane axes of image and k-space arrays
 
+# Bytes of coil k-space that the adjoint and the normal operator hold at
+# once: they run over groups of consecutive coils that fit it, at least one
+# coil each. Every training case's coils fit one group; 128x128 takes two
+# coils a group, so an 8-coil normal holds 512 KB of k-space, not 2 MB.
+_GROUP_BYTES = 1 << 19
+
 
 def _centering_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) with centered DFT_n = diag(a) . DFT_n . diag(b), m = n//2:
@@ -80,14 +91,17 @@ class EncodingOperator:
     docstring): the output-side factor into a phased copy of the mask, the
     input-side factor into an [H, W] image modulation, so the operator keeps
     O(H*W) state of its own (the factors, and on odd grids their
-    conjugates) and no copy of the coil maps. The mask is snapshotted then;
-    changing ``mask.data`` afterwards does not change the operator.
-    ``mask`` and ``sens`` stay public and unshifted.
+    conjugates) and no copy of the coil maps. The mask is snapshotted then
+    and ``sens.data`` viewed; rebinding either's ``data`` afterwards does
+    not change the operator. ``mask`` and ``sens`` stay public and
+    unshifted.
 
-    ``_normal`` calls ``_forward`` and runs the adjoint's steps in place on
-    the buffer it returns, so one call holds one coil-sized temporary;
-    ``_adjoint`` holds its one masked copy of y. The coil sum is formed as
-    conj(sum_c S_c conj(I_c)), which equals sum_c conj(S_c) I_c exactly.
+    ``_normal`` calls ``_forward`` once per coil group and runs the
+    adjoint's steps in place on the buffer it returns, so one call holds
+    one group's k-space; ``_adjoint`` holds one masked copy of a group of
+    y. The coil sum is formed as conj(sum_c S_c conj(I_c)), which equals
+    sum_c conj(S_c) I_c exactly. ``_forward`` maps all coils unless given
+    a group.
     """
 
     def __init__(self, mask: Tensor, sens: Tensor):
@@ -108,6 +122,12 @@ class EncodingOperator:
         # ndarray.conj() of a real array is that array: no copy on even grids
         self._kmask_conj = self._kmask.conj()
         self._phase_conj = self._phase.conj()
+        # the maps viewed to broadcast against [C, *image], and runs of
+        # consecutive coils whose complex k-space fits _GROUP_BYTES
+        m = sens.data
+        self._maps = m.reshape(m.shape[:1] + (1,) * (len(self.image_shape) - 2) + m.shape[1:])
+        per = max(1, _GROUP_BYTES // (16 * math.prod(self.image_shape)))
+        self._groups = [slice(c, c + per) for c in range(0, self.coils, per)]
 
     @property
     def coils(self) -> int:
@@ -115,37 +135,43 @@ class EncodingOperator:
 
     # raw ndarray paths (used by CG loops where wrapper churn would dominate)
 
-    def _maps(self, ndim: int) -> np.ndarray:
-        """Coil maps shaped to broadcast against [C, *image] of rank ``ndim``."""
-        m = self.sens.data
-        return m.reshape(m.shape[:1] + (1,) * (ndim - 3) + m.shape[1:])
-
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        k = sfft.fftn(self._maps(x.ndim + 1) * (self._phase * x), axes=_FFT_AXES,
+    def _forward(self, x: np.ndarray, coils: slice = slice(None)) -> np.ndarray:
+        k = sfft.fftn(self._maps[coils] * (self._phase * x), axes=_FFT_AXES,
                       norm="ortho", overwrite_x=True)
         k *= self._kmask
         return k
 
-    def _adjoint_tail(self, k: np.ndarray) -> np.ndarray:
-        """A^H after its mask product, on coil k-space ``k`` already
-        multiplied by conj(a (x) M). Consumes ``k``: every coil-sized step
-        runs in place on it."""
-        img = sfft.ifftn(k, axes=_FFT_AXES, norm="ortho", overwrite_x=True)
-        np.conjugate(img, out=img)
-        img *= self._maps(img.ndim)
-        x = img.sum(axis=0)
+    def _coil_sum(self, masked) -> np.ndarray:
+        """A^H after its mask product: ``masked(coils)`` returns a group's
+        k-space already multiplied by conj(a (x) M), which this consumes,
+        running every coil-sized step in place on it. The coil images are
+        added in coil order, as numpy's sum over the coil axis adds them,
+        so the grouping does not change the result."""
+        x = None
+        for coils in self._groups:
+            img = sfft.ifftn(masked(coils), axes=_FFT_AXES, norm="ortho", overwrite_x=True)
+            np.conjugate(img, out=img)
+            img *= self._maps[coils]
+            if x is None:
+                x = img.sum(axis=0)
+            else:
+                for c in range(len(img)):  # no loop variable left holding a view of img
+                    x += img[c]
+            del img  # before the next group's k-space is formed
         np.conjugate(x, out=x)
         x *= self._phase_conj
         return x
 
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._adjoint_tail(y * self._kmask_conj)
+        return self._coil_sum(lambda coils: y[coils] * self._kmask_conj)
 
     def _normal(self, x: np.ndarray, mu: float) -> np.ndarray:
-        k = self._forward(x)
-        k *= self._kmask_conj  # not one |a (x) M|^2 product: keeps _adjoint(_forward(x))'s arithmetic
-        out = self._adjoint_tail(k)
-        del k  # the coil-sized buffer goes before mu * x is formed
+        def masked(coils):
+            k = self._forward(x, coils)
+            k *= self._kmask_conj  # not one |a (x) M|^2 product: keeps _adjoint(_forward(x))'s arithmetic
+            return k
+
+        out = self._coil_sum(masked)
         out += mu * x
         return out
 

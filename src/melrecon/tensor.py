@@ -114,14 +114,22 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
 
     xpad is never built whole. The bands are copied from read-only strided
     views of a slab, the rows [a, a + m + k0 - 1) of xpad that a run [a, a + m)
-    of axis-0 indices reads, refilled for each run. A slab holds at most
-    ``_SLAB_BYTES`` (see there) and, when the bands run along axis 0, a whole
-    number of bands, so the partition and every GEMM are those of one slab
-    over all of xpad. Each view stays in its slab, since p + d <= m + k0 - 2
-    along axis 0 and n + k - 2 along the others, and halo rows past either
-    end of axis 0 read as zeros. Every band is copied into one reused
-    buffer, so ``cols`` is valid only until the next band is yielded: a
-    conv holds one slab and one band buffer beside its input and output.
+    of axis-0 indices reads. A slab holds at most ``_SLAB_BYTES`` (see there)
+    and, when the bands run along axis 0, a whole number of bands, so the
+    partition and every GEMM are those of one slab over all of xpad. Each
+    view stays in its slab, since p + d <= m + k0 - 2 along axis 0 and
+    n + k - 2 along the others, and halo rows past either end of axis 0 read
+    as zeros. Every band is copied into one reused buffer, so ``cols`` is
+    valid only until the next band is yielded.
+
+    The slab rolls: each run after the first moves the last k0 - 1 rows of
+    the previous run's slab to its top and reads from x only the rows below
+    them, [a + k0//2, a + m + k0//2). So every run reads x once, before its
+    first band is yielded, and only rows at or past a, which no earlier run
+    covers. A caller may therefore write each run's output rows [a, a + m)
+    over x as its bands come, as :func:`_correlate` does for
+    ``overwrite_x``. A conv holds one slab and one band buffer beside its
+    input and output, which may be one array.
     """
     c, spatial = x.shape[0], x.shape[1:]
     k = c * math.prod(kshape)
@@ -150,11 +158,17 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
     for a in range(0, n0, rows):
         m = min(rows, n0 - a)
         top = a - kshape[0] // 2  # the x row that slab row 0 holds
-        lo, hi = max(top, 0), min(top + m + halo, n0)
-        # rows before x's first stay zero from np.zeros, as top only grows;
+        if a:
+            # one channel at a time: the rows of all channels interleave in
+            # memory, so one copy would look overlapping to numpy and go
+            # through a temporary
+            for ch in slab:
+                ch[:halo] = ch[rows:rows + halo]
+        # the first run's rows before x's first stay zero from np.zeros;
         # rows past its last may hold x from an earlier run
-        if rows < n0:
-            slab[:, hi - top:m + halo] = 0
+        lo = max(top + (halo if a else 0), 0)
+        hi = max(min(top + m + halo, n0), lo)
+        slab[:, hi - top:m + halo] = 0
         slab[(slice(None), slice(lo - top, hi - top)) + inner] = x[:, lo:hi]
         local = (m,) + spatial[1:]
         n, base = local[ax], a * math.prod(spatial[1:])
@@ -170,29 +184,37 @@ def _im2col_bands(x: np.ndarray, kshape: tuple[int, ...], macs_per_col: int):
                 yield slice(base + (i * n + r) * row, base + (i * n + e) * row), cols
 
 
-def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _correlate(x: np.ndarray, w: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Channelled 'same' cross-correlation, out[o] = sum_i x[i] * w[o,i].
 
     One GEMM per im2col band: the columns are laid out [C_in, *k] by
     spatial position, so each band is [C_in*prod(k), band voxels] with rows
-    in the order of ``w.reshape(C_out, -1)``'s columns.
+    in the order of ``w.reshape(C_out, -1)``'s columns. With ``overwrite_x``
+    the output is written over x, a C-contiguous array of the output's
+    shape and dtype, band by band as :func:`_im2col_bands` allows; the
+    values are the same.
     """
     w2 = w.reshape(w.shape[0], -1)
-    out = np.empty((w.shape[0], x[0].size), dtype=np.result_type(x, w))
+    out = x if overwrite_x else np.empty(w.shape[:1] + x.shape[1:], dtype=np.result_type(x, w))
+    flat = out.reshape(w.shape[0], -1)  # a view: out owns its buffer, as a kept activation should
     for span, cols in _im2col_bands(x, w.shape[2:], w2.size):
-        np.matmul(w2, cols, out=out[:, span])
-    return out.reshape(w.shape[:1] + x.shape[1:])
+        np.matmul(w2, cols, out=flat[:, span])
+    return out
 
 
-def conv_nd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv_nd(x: np.ndarray, w: np.ndarray, b: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """'Same' zero-padded cross-correlation over 2 or 3 spatial dims.
 
     ``x`` is [C_in, *spatial], ``w`` is [C_out, C_in, *kernel] with odd
     kernel extents, ``b`` is [C_out]. Output spatial shape equals input
-    spatial shape.
+    spatial shape. ``overwrite_x`` writes the output over x, which then
+    needs C_in == C_out and to be C-contiguous of the output's dtype.
     """
     _check_conv_shapes(x, w, b)
-    out = _correlate(x, w)
+    if overwrite_x and not (w.shape[0] == w.shape[1] and x.dtype == np.result_type(x, w)
+                            and x.flags.c_contiguous):
+        raise ValueError(f"cannot write a {w.shape[1]}->{w.shape[0]} conv of {x.dtype} over its input")
+    out = _correlate(x, w, overwrite_x)
     out += b.reshape((-1,) + (1,) * (x.ndim - 1))
     return out
 

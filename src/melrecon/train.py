@@ -315,8 +315,8 @@ class TrainConfig:
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be standard|mel, got {self.engine!r}")
         for k in ("epochs", "batch_size", "lr", "unrolls", "cg_iters", "mu", "channels", "layers", "val_every"):
-            if getattr(self, k) <= 0:
-                raise ValueError(f"{k} must be positive")
+            if not 0 < getattr(self, k) < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{k} must be positive and finite, got {getattr(self, k)!r}")
 
 
 def _run_share(engine: str, net, cases, take) -> Exception | None:

@@ -16,6 +16,7 @@ layer's VJP, :func:`dc_vjp`, lives here with the layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,9 +123,9 @@ class UnrolledNetParams:
     n_cg: int
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.n_unrolls < 1 or self.n_cg < 1:
+        if not 0 < self.mu < math.inf:  # NaN fails every comparison
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not (self.n_unrolls >= 1 and self.n_cg >= 1):
             raise ValueError("n_unrolls and n_cg must be >= 1")
 
     def named_leaves(self) -> list[tuple[str, Tensor]]:

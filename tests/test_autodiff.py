@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from melrecon.autodiff import CONTRACTION, Tape
+from melrecon import tensor as tensor_mod
+from melrecon.autodiff import CONTRACTION, Tape, residual_branch
 from melrecon.mel import l1_loss
 from melrecon.tensor import Tensor
 from melrecon.unrolled import RegularizerParams, regularizer_forward
@@ -64,6 +67,24 @@ def test_record_matches_untaped_bitwise():
     tape = Tape()
     assert np.array_equal(tape.record(p, x).data, regularizer_forward(p, x).data)
 
+
+
+def test_untaped_branch_holds_one_activation():
+    # recon-large's regularizer, 16 channels of 128x128: each 16 -> 16 conv
+    # writes over its 2 MB input, where a fresh output held two at once.
+    # Beside x the call holds its two-channel view c2ch(x), one 16-channel
+    # activation and one conv's slab and band
+    rng = np.random.default_rng(23)
+    p = reg_of(*random_layers(rng, 16, 5))
+    x = crandn(rng, 128, 128)
+    tracemalloc.start()
+    try:
+        residual_branch(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    c2ch, act = 2 * x.size * 8, 16 * x.size * 8
+    assert peak <= c2ch + act + tensor_mod._SLAB_BYTES + tensor_mod._BAND_BYTES
 
 def test_retained_bytes_hand_count():
     # 4x4 image, 1 channel, 2 layers: w0 [1, 2, 3, 3] and w1 [2, 1, 3, 3]

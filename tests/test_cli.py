@@ -166,6 +166,21 @@ def test_config_that_is_not_an_object_of_paths_is_rejected(tmp_path, capsys, tex
     assert [q.name for q in tmp_path.iterdir()] == ["bad.json"]
 
 
+
+@pytest.mark.parametrize("text", ['{"mu": NaN}', '{"lr": Infinity}', '{"noise_sigma": -Infinity}',
+                                  '{"accel": 1e999}', '{"mu": 1' + '0' * 400 + '}'],
+                         ids=["nan_mu", "inf_lr", "minus_inf_sigma", "overflowing_accel", "huge_integer_mu"])
+def test_non_finite_number_for_a_float_key_is_rejected(tmp_path, capsys, text):
+    # JSON's NaN and Infinity, and numbers past float range, parse without
+    # error; a run on them would train on NaN or infinite steps
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert run_cli("--config", str(p), "gen-data") == 1
+    err = capsys.readouterr().err
+    (key,) = json.loads(text)
+    assert err.startswith("error: ") and f"config key {key!r}" in err
+    assert [q.name for q in tmp_path.iterdir()] == ["bad.json"]
+
 def test_integer_for_a_float_key_is_stored_as_a_float(tmp_path):
     cfg = tiny_config(tmp_path, mu=1, accel=2)
     mu = cli.load_config(str(cfg), {})["mu"]
@@ -376,6 +391,19 @@ def test_bench_memory_rows_are_direct_gradient_evaluations(trained, tmp_path):
             assert gap == f"{want:.6g}"
             assert 0 < float(gap) < 1e-3
 
+
+
+def test_bench_memory_heap_column_repeats_in_one_process(trained, tmp_path):
+    # each traced call starts after a collection, so garbage left by the
+    # calls before it does not move its heap peak
+    tmp, cfg, _ = trained
+
+    def heap_column(name):
+        out = tmp_path / name
+        assert run_cli("--config", str(cfg), "--out", str(out), "bench-memory", "--unroll-list", "2,3") == 0
+        return [r[4] for r in csv.reader((out / "bench_memory.csv").open())][1:]
+
+    assert heap_column("first") == heap_column("second")
 
 def test_bench_memory_one_unroll_count_gives_no_frontier(trained, tmp_path, capsys):
     # one point cannot fix the ledger's slope, so no frontier is reported

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,53 @@ def test_operator_call_holds_one_coil_sized_buffer(method):
         tracemalloc.stop()
     assert peak < 1.5 * 8 * 128 * 128 * 16
 
+
+
+@pytest.mark.parametrize("shape,coils,per_group", [((130, 130), 5, 2), ((64, 96), 12, 5), ((4, 16, 16), 3, 2)],
+                         ids=["130x130_5_coils", "64x96_12_coils", "cine_3_coils"])
+def test_coil_groups_match_one_group(monkeypatch, shape, coils, per_group):
+    # groups that do not divide the coil count: the coil images are added
+    # in coil order whatever the grouping, so the results are bit for bit
+    # those of one group
+    rng = np.random.default_rng(21)
+    mask = Tensor((rng.random(shape) < 0.4).astype(float))
+    sens = make_sensitivities(shape[-2:], coils, seed=22)
+    x = crandn(rng, *shape)
+
+    def operator(per):
+        monkeypatch.setattr(mri, "_GROUP_BYTES", per * 16 * math.prod(shape))
+        return EncodingOperator(mask, sens)
+
+    one, grouped = operator(coils), operator(per_group)
+    assert one._groups == [slice(0, coils)]
+    assert len(grouped._groups) == -(-coils // per_group) and coils % per_group
+    y = one._forward(x)
+    assert np.array_equal(grouped._adjoint(y), one._adjoint(y))
+    assert np.array_equal(grouped._normal(x, 0.05), one._normal(x, 0.05))
+    for g in grouped._groups:  # a group's forward is its coils' slice of the whole
+        assert np.array_equal(grouped._forward(x, g), y[g])
+
+
+@pytest.mark.parametrize("method", ["_normal", "_adjoint"])
+def test_operator_call_holds_one_coil_group(method):
+    # 128x128 with 8 coils runs as four groups of two: a call holds one
+    # group's 512 KB of k-space and a few images, not all 2 MB
+    rng = np.random.default_rng(14)
+    mask = Tensor((rng.random((128, 128)) < 0.25).astype(float))
+    op = EncodingOperator(mask, make_sensitivities((128, 128), 8, seed=15))
+    x = crandn(rng, 128, 128)
+    image = x.nbytes  # one coil's k-space is as large
+    assert len(op._groups) == 4
+    arg = (x, 0.05) if method == "_normal" else (op._forward(x),)
+    fn = getattr(op, method)
+    fn(*arg)  # warm the FFT plan cache
+    tracemalloc.start()
+    try:
+        fn(*arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * image + 3 * image  # the group, then the coil sum, x's phased copy and numpy's buffers
 
 # --- poisson-disk masks --------------------------------------------------------
 

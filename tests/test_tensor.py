@@ -294,6 +294,48 @@ def test_conv_slabs_match_one_slab(monkeypatch, spatial, kshape, band_macs, slab
     assert np.max(np.abs(slabs[2] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+
+@pytest.mark.parametrize(
+    "spatial,kshape,band_macs,slab_rows,n_slabs",
+    [
+        ((9, 7), (3, 3), None, None, 1),  # the default budgets: one slab
+        ((9, 7), (3, 3), 81 * 7, 2, 5),  # one row per band, slabs of 2, 2, 2, 2, 1 rows
+        ((11, 7), (3, 3), 81 * 3, 4, 3),  # runs of three voxels of each row
+        ((6, 5), (5, 5), 225, 1, 6),  # one-row slabs under a four-row halo
+        ((11, 7), (5, 5), 225 * 7 * 2, 2, 6),  # two rows per band, slabs of 2 rows
+        ((5, 4, 6), (3, 3, 3), 243 * 6, 2, 3),  # one row of each frame per band
+        ((7, 4, 5), (5, 5, 5), 1125, 1, 7),  # one voxel per band, one-frame slabs
+    ],
+    ids=["2d_3x3_one_slab", "2d_3x3_rows", "2d_3x3_row_runs", "2d_5x5_one_row", "2d_5x5_rows",
+         "3d_3x3x3_rows", "3d_5x5x5_one_frame"],
+)
+def test_conv_over_its_input_matches_a_fresh_output(monkeypatch, spatial, kshape, band_macs, slab_rows, n_slabs):
+    # 3 -> 3 channels: each run reads x before its output rows are written
+    # over it, and only rows no earlier run's output has reached
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((3,) + spatial)
+    w = rng.standard_normal((3, 3) + kshape)
+    b = rng.standard_normal(3)
+    if band_macs is not None:
+        plane_bytes = 3 * math.prod(n + k - 1 for n, k in zip(spatial[1:], kshape[1:])) * x.itemsize
+        monkeypatch.setattr(tensor_mod, "_GEMM_MACS", band_macs)
+        monkeypatch.setattr(tensor_mod, "_SLAB_BYTES", (slab_rows + kshape[0] - 1) * plane_bytes)
+    reads = x.view(_AxisZeroReads)
+    reads.runs = []
+    for _ in tensor_mod._im2col_bands(reads, kshape, w.size):
+        pass
+    assert len(reads.runs) == n_slabs
+    fresh = conv_nd(x, w, b)
+    over = x.copy()
+    got = conv_nd(over, w, b, overwrite_x=True)
+    assert np.shares_memory(got, over)
+    assert np.array_equal(got, fresh)
+
+
+def test_conv_over_its_input_needs_equal_channels():
+    with pytest.raises(ValueError, match="over its input"):
+        conv_nd(np.zeros((2, 4, 4)), np.zeros((3, 2, 3, 3)), np.zeros(3), overwrite_x=True)
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:

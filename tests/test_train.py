@@ -703,6 +703,14 @@ def test_train_config_validation():
         train_config(epochs=0)
 
 
+@pytest.mark.parametrize("key,value", [("mu", float("nan")), ("lr", float("nan")), ("lr", float("inf")),
+                                       ("mu", float("inf")), ("epochs", float("nan"))])
+def test_train_config_rejects_non_finite_settings(key, value):
+    # NaN fails ``v <= 0`` as it fails ``v > 0``, so only the latter catches it
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        train_config(**{key: value})
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-10])
 def test_nonpositive_invert_tol_is_rejected(tol):
     # a tolerance no fixed-point iteration can reach is a caller's error,

@@ -430,6 +430,13 @@ def test_net_param_validation():
         UnrolledNetParams(p, mu=0.3, n_unrolls=0, n_cg=10)
 
 
+@pytest.mark.parametrize("kw", [dict(mu=float("nan")), dict(mu=float("inf")), dict(n_unrolls=float("nan")),
+                                dict(n_cg=float("nan"))], ids=["nan_mu", "inf_mu", "nan_unrolls", "nan_cg"])
+def test_net_params_reject_non_finite_settings(kw):
+    with pytest.raises(ValueError):
+        UnrolledNetParams(projected_params(), **{**dict(mu=0.3, n_unrolls=5, n_cg=10), **kw})
+
+
 def layout(couts, cins, kshapes=None, bias_lens=None, complex_w=None):
     """Zero weights [C_out, C_in, *k] and biases of the given layer shapes."""
     kshapes = kshapes or [(3, 3)] * len(couts)
