@@ -94,11 +94,15 @@ class Tape:
         Adds each layer's weight and bias gradients into ``grads`` under
         ``named_leaves``' names, so a caller that pops unrolls N-1 down to 0
         sums them in that order. Each activation is dropped once read.
-        Returns the gradient at the unroll's input x. Raises ``ValueError``
-        when nothing is recorded or ``gz`` is not shaped like x.
+        Returns the gradient at the unroll's input x. Raises ``ValueError``,
+        popping nothing, when nothing is recorded, ``params`` has another
+        layer count than the unroll or ``gz`` is not shaped like x.
         """
         if not self.unrolls:
             raise ValueError("backward on a tape with no recorded unroll")
+        recorded = len(self.unrolls[-1])  # one kept conv input per layer
+        if recorded != params.layers:
+            raise ValueError(f"params have {params.layers} layers but the unroll recorded {recorded}")
         x_shape = self.unrolls[-1][0].shape[1:]  # c2ch(x) is [2, *x.shape]
         if gz.shape != x_shape:
             raise ValueError(f"gradient shape {gz.shape} != unroll input shape {x_shape}")

@@ -1,38 +1,35 @@
-"""The two gradient engines over the unrolled forward pass.
+"""The two gradient engines: one backward sweep with two tape sources.
 
-Both backpropagate one unroll at a time through the same two VJPs: the DC
-layer's closed form :func:`dc_vjp` and the regularizer's
-:meth:`Tape.backward`. They differ in where an unroll's activations come
-from. ``peak_tape_bytes`` is the most the engine's tapes held at once.
+The sweep runs the unrolled forward pass, seeds the gradient at the output
+with :func:`l1_loss`'s closed form (the loss is never recorded) and walks
+the unrolls from the last. At each unroll the DC layer's closed-form VJP
+:func:`dc_vjp` carries the gradient back to the unroll's z, and
+:meth:`Tape.backward` carries it on to the unroll's input x_n. The DC layer
+is never recorded. The engines differ only in where that unroll's tape
+comes from. ``peak_tape_bytes`` is the most their tapes held at once.
 
-Both engines seed the backward sweep with :func:`l1_loss`'s closed-form
-gradient at the network output; the loss itself is never recorded.
+``backprop_standard`` records every unroll on one tape in the forward pass
+and pops them in reverse, so its ledger grows linearly with the unroll
+count.
 
-``backprop_standard`` records every unroll on one tape during the forward
-pass and pops them in reverse, so its ledger grows linearly with the
-unroll count.
+``backprop_mel`` records nothing in the forward pass. At each unroll it
+inverts the DC layer algebraically to recover z, fixed-point-inverts the
+regularizer to recover x_n, and rebuilds that unroll on a fresh tape, so
+its peak is one unroll's saved bytes at any depth, at the price of the
+recompute. The inversion runs the same :func:`residual_branch` as the
+forward pass and the rebuild, so it inverts exactly the function that was
+run. The only check is the free one at the end: the recovered x_0 against
+its known value A^H y, returned as ``x0_drift``.
 
-``backprop_mel`` records nothing in the forward pass. It seeds the loss
-gradient at the output, then walks the unrolls in reverse: algebraically
-invert the DC layer to recover z, fixed-point-invert the residual
-regularizer to recover the unroll's input, rebuild just that unroll's
-regularizer on a fresh tape, and backpropagate the gradient at z through
-it. The peak is therefore one unroll's saved bytes regardless of depth, at
-the price of the recompute work. The fixed-point inversion runs the same
-:func:`residual_branch` as the forward pass and the rebuild, so it inverts
-exactly the function that was run. The sweep keeps no iterate; its only
-check is the free one at the end, where the recovered x_0 is compared with
-its known value A^H y and the gap is returned as ``x0_drift``.
-
-The DC layer is never rebuilt or recorded: mel applies :func:`dc_vjp` to
-the incoming image gradient directly, as the standard engine does, so their
-gradients agree up to fixed-point/CG tolerances rather than differing by
-CG-trace effects.
+Between unrolls the sweep keeps the gradient at z, the gradient q at x_n
+and the running weight gradients, and mel also A^H y and x_n. q is dropped
+once the DC VJP has read it, z once inverted and the old x_n once z is
+recovered from it, so a mel rebuild and its backward, where the
+evaluation's heap peaks, hold x_n, the gradient at z and the tape.
 
 Each engine returns a :class:`GradientResult` holding only what it
-measured: the gradients, the loss, the peak tape bytes, the wall time and,
-for mel, ``x0_drift``. The ``bench-memory`` command writes its table from
-these and from its own arguments.
+measured. The ``bench-memory`` command writes its table from these and
+from its own arguments.
 """
 
 from __future__ import annotations
@@ -84,19 +81,47 @@ def l1_loss(x: Tensor, target: Tensor) -> tuple[float, Tensor]:
     return value, Tensor((np.sign(d.real) + 1j * np.sign(d.imag)) / d.size)
 
 
+def _sweep(net: UnrolledNetParams, op: EncodingOperator, y: Tensor, target: Tensor,
+           invert: bool, invert_tol: float = DEFAULT_INVERT_TOL) -> GradientResult:
+    """Both engines' backward sweep. ``invert`` chooses the tape source:
+    False pops the forward pass's tape, True inverts and rebuilds each unroll."""
+    t0 = time.perf_counter()
+    tape = None if invert else Tape()
+    x_n = modl_forward(net, op, y, tape)
+    aty = op.adjoint(y) if invert else None
+    loss_value, q = l1_loss(x_n, target)
+
+    grads: dict[str, np.ndarray] = {}
+    peak = 0
+    for n in range(net.n_unrolls - 1, -1, -1):
+        gz = dc_vjp(op, q, net.mu, net.n_cg)
+        del q
+        if invert:
+            z = dc_invert(op, aty, x_n, net.mu)
+            del x_n
+            try:
+                x_n = regularizer_invert(net.reg, z, tol=invert_tol)
+            except FixedPointDivergence as e:
+                raise FixedPointDivergence(f"unroll {n}: {e}", residual=e.residual, unroll=n) from None
+            del z
+            tape = Tape()
+            regularizer_forward(net.reg, x_n, tape)
+        q = tape.backward(net.reg, gz, grads)
+        peak = max(peak, tape.saved_bytes)
+
+    x0_drift = None
+    if invert:
+        x0 = aty.data
+        x0_drift = float(np.linalg.norm(x_n.data - x0) / max(np.linalg.norm(x0), 1e-300))
+    return GradientResult({k: Tensor(v) for k, v in grads.items()}, loss_value, peak,
+                          time.perf_counter() - t0, x0_drift)
+
+
 def backprop_standard(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
                       target: Tensor) -> GradientResult:
     """Full-graph backprop: every unroll recorded on one tape, then popped
     from the last, each behind its DC layer's VJP."""
-    t0 = time.perf_counter()
-    tape = Tape()
-    x = modl_forward(net, op, y, tape)
-    loss_value, q = l1_loss(x, target)
-    grads: dict[str, np.ndarray] = {}
-    for _ in range(net.n_unrolls):
-        q = tape.backward(net.reg, dc_vjp(op, q, net.mu, net.n_cg), grads)
-    return GradientResult({k: Tensor(v) for k, v in grads.items()}, loss_value, tape.saved_bytes,
-                          time.perf_counter() - t0)
+    return _sweep(net, op, y, target, invert=False)
 
 
 def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
@@ -105,46 +130,6 @@ def backprop_mel(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
 
     Requires contractive (projected) weights; a fixed-point failure aborts
     with the offending unroll index rather than falling back to stored
-    activations. A^H y is formed once, for every DC inversion and for the
-    end of the sweep: there the recovered x_0 is compared with its true
-    value, A^H y, and the relative gap is recorded as ``x0_drift``. The
-    drift is recorded, not enforced.
-
-    Between unrolls the sweep keeps A^H y, the recovered input x_n, the
-    gradient q at it and the running weight gradients; the gradient at z
-    lives on until the next unroll's DC VJP replaces it. Within an unroll,
-    z is dropped once inverted, the old x_n once z is recovered from it and
-    q once the DC VJP has read it, so the rebuild and its backward, where
-    the evaluation's heap peaks, hold x_n, the gradient at z and the tape
-    beside them.
+    activations. ``x0_drift`` is recorded, not enforced.
     """
-    t0 = time.perf_counter()
-    peak = 0
-
-    x_n = modl_forward(net, op, y)  # no gradients recorded
-    aty = op.adjoint(y)
-    loss_value, q = l1_loss(x_n, target)
-
-    grads: dict[str, np.ndarray] = {}
-    for n in range(net.n_unrolls - 1, -1, -1):
-        z = dc_invert(op, aty, x_n, net.mu)
-        del x_n
-        try:
-            x_n = regularizer_invert(net.reg, z, tol=invert_tol)
-        except FixedPointDivergence as e:
-            raise FixedPointDivergence(
-                f"unroll {n}: {e}", residual=e.residual, unroll=n
-            ) from None
-        del z
-
-        gz = dc_vjp(op, q, net.mu, net.n_cg)
-        del q
-        tape = Tape()
-        regularizer_forward(net.reg, x_n, tape)
-        q = tape.backward(net.reg, gz, grads)
-        peak = max(peak, tape.saved_bytes)
-
-    x0 = aty.data
-    x0_drift = float(np.linalg.norm(x_n.data - x0) / max(np.linalg.norm(x0), 1e-300))
-    return GradientResult({k: Tensor(v) for k, v in grads.items()}, loss_value, peak,
-                          time.perf_counter() - t0, x0_drift)
+    return _sweep(net, op, y, target, invert=True, invert_tol=invert_tol)

@@ -256,8 +256,8 @@ def make_poisson_disk_mask(shape, accel: float, calib=(8, 8), seed: int = 0) -> 
     """
     if len(shape) != 2:
         raise ValueError("poisson-disk mask is 2D")
-    if accel < 1:
-        raise ValueError(f"acceleration must be >= 1, got {accel}")
+    if not 1 <= accel < math.inf:
+        raise ValueError(f"acceleration must be finite and >= 1, got {accel}")
     total = int(np.prod(shape))
     if accel <= 1.0 + 1e-12:
         return Tensor(np.ones(shape))
@@ -301,8 +301,8 @@ def make_kt_mask(spatial_shape, frames: int, accel: float, seed: int = 0) -> Ten
     if frames < 1:
         raise ValueError("frames must be >= 1")
     h, w = spatial_shape
-    if accel < 1:
-        raise ValueError(f"acceleration must be >= 1, got {accel}")
+    if not 1 <= accel < math.inf:
+        raise ValueError(f"acceleration must be finite and >= 1, got {accel}")
     if accel <= 1.0 + 1e-12:
         return Tensor(np.ones((frames, h, w)))
     n_keep = max(1, round(h / accel))
@@ -472,6 +472,8 @@ def build_dataset(cfg: DatasetConfig) -> Dataset:
     counts = [("train", cfg.n_train), ("val", cfg.n_val), ("test", cfg.n_test)]
     if any(n < 1 for _, n in counts):
         raise ValueError("each split needs at least one case")
+    if not 0 <= cfg.noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {cfg.noise_sigma}")
     if cfg.kind == "static2d" and cfg.frames != 1:
         raise ValueError(f"static2d images have one frame; got frames={cfg.frames}")
     root = np.random.default_rng(cfg.seed)

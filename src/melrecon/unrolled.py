@@ -151,11 +151,11 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = DEFAUL
     measured against ``tol`` times ||z||, or times ||c*G(0)|| when z = 0;
     if both are 0, G(0) = 0 and x = 0 is returned as the exact preimage.
     Raises :class:`FixedPointDivergence` when the residual does not reach
-    that within ``max_iter`` iterations; ``ValueError`` if tol <= 0 or
-    max_iter < 1.
+    that within ``max_iter`` iterations; ``ValueError`` unless tol is
+    positive and finite and max_iter >= 1.
     """
-    if not tol > 0:
-        raise ValueError(f"fixed-point tolerance must be > 0, got {tol}")
+    if not 0 < tol < math.inf:  # NaN fails every comparison
+        raise ValueError(f"fixed-point tolerance must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     zd = z.data
@@ -214,8 +214,8 @@ def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: f
 
 
 def _check_aty(op: EncodingOperator, aty: Tensor, mu: float) -> None:
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if aty.shape != op.image_shape:
         raise ValueError(f"A^H y shape {aty.shape} != operator image shape {op.image_shape}")
 

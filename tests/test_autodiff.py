@@ -221,14 +221,21 @@ def test_vjp_linear_in_seed():
 
 
 def test_backward_error_cases():
-    # an empty tape, and a gradient not shaped like the unroll's input, raise
-    # ValueError; the rejected call leaves the unroll on the tape
+    # an empty tape, params of another layer count than the unroll's, and a
+    # gradient not shaped like the unroll's input raise ValueError; a
+    # rejected call leaves the unroll on the tape
     rng = np.random.default_rng(9)
-    p = reg_of(*random_layers(rng, channels=2, layers=2))
+    p = reg_of(*random_layers(rng, channels=2, layers=3))
     tape = Tape()
     with pytest.raises(ValueError, match="no recorded unroll"):
         tape.backward(p, Tensor(np.zeros((3, 3), dtype=complex)), {})
     tape.record(p, Tensor(crandn(rng, 3, 3)))
+    for layers in (2, 5):
+        grads = {}
+        with pytest.raises(ValueError, match=f"params have {layers} layers but the unroll recorded 3"):
+            tape.backward(reg_of(*random_layers(rng, channels=2, layers=layers)),
+                          Tensor(np.zeros((3, 3), dtype=complex)), grads)
+        assert grads == {} and len(tape.unrolls[0]) == 3
     with pytest.raises(ValueError, match=r"\(2, 3\) != unroll input shape \(3, 3\)"):
         tape.backward(p, Tensor(np.zeros((2, 3), dtype=complex)), {})
     assert tape.backward(p, Tensor(np.zeros((3, 3), dtype=complex)), {}).shape == (3, 3)

@@ -204,7 +204,9 @@ def test_mel_aborts_on_broken_contraction():
     net = UnrolledNetParams(bad, net.mu, 2, net.n_cg)
     with pytest.raises(FixedPointDivergence) as exc:
         backprop_mel(net, op, y, target, invert_tol=1e-10)
-    assert exc.value.unroll is not None
+    # the sweep runs from the last unroll, so at N=2 unroll 1 fails first
+    assert exc.value.unroll == 1
+    assert str(exc.value).startswith("unroll 1: fixed-point inversion did not reach")
 
 
 # --- memory accounting ------------------------------------------------------------

@@ -280,6 +280,16 @@ def test_poisson_infeasible_calib():
         make_poisson_disk_mask((16, 16), 8.0, calib=(16, 16), seed=0)
 
 
+@pytest.mark.parametrize("accel", [0.5, float("nan"), float("inf")])
+def test_masks_reject_accel_below_one_or_not_finite(accel):
+    # NaN fails every comparison, so only a range check rejects it; an
+    # infinite accel would otherwise build a mask far from its R
+    with pytest.raises(ValueError, match="acceleration must be finite and >= 1"):
+        make_poisson_disk_mask((32, 32), accel, calib=(4, 4), seed=0)
+    with pytest.raises(ValueError, match="acceleration must be finite and >= 1"):
+        make_kt_mask((16, 16), 2, accel, seed=0)
+
+
 @pytest.mark.parametrize(
     "shape,calib,r0",
     [
@@ -414,6 +424,13 @@ def test_dataset_noise_free_y_is_exact_forward():
         op = c.operator()
         assert np.array_equal(c.y.data, op._forward(c.x.data))
         assert np.all(c.y.data[:, c.mask.data == 0] == 0)
+
+
+@pytest.mark.parametrize("sigma", [-1e-3, float("nan"), float("inf")])
+def test_dataset_rejects_negative_or_non_finite_noise(sigma):
+    # ``noise_sigma > 0`` is False for these, so they must not pass as noise-free
+    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+        build_dataset(small_cfg(noise_sigma=sigma))
 
 
 def test_dataset_noise_stays_on_mask():

@@ -52,3 +52,34 @@ def test_traced_request_fires_every_expected_span(workload):
         tracer.uninstall()
     assert ok
     tracing.check_fired(tracer, wl.expect)  # raises SystemExit(3) naming the missing spans
+
+
+@pytest.mark.parametrize("workload,calls", [
+    ("train-mel-deep", {"autodiff.record": 20, "autodiff.backward": 20, "unrolled.regularizer_invert": 20,
+                        "unrolled.dc_invert": 20}),
+    ("train-standard-shallow", {"autodiff.record": 8, "autodiff.backward": 8}),
+])
+def test_traced_training_request_attributes_spans_to_its_engine(monkeypatch, workload, calls):
+    # with one usable CPU both cases of the batch run in the caller, under the
+    # tracer: mel records, pops and inverts each of its 10 unrolls once per
+    # case and every mel phase gets time; standard records and pops 4 per
+    # case and never enters mel's span
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+    tracing = load_perfbench("tracing")
+    wl = load_perfbench("workloads").WORKLOADS[workload]()
+    wl.setup(7)
+    tracer = tracing.Tracer()
+    tracer.request = 0
+    tracer.install()
+    try:
+        _, cases, ok, _ = wl.request()
+    finally:
+        tracer.uninstall()
+    assert ok and cases == 2
+    m = tracer.summary(1, wl.layers)
+    assert {name: m[f"{name}.calls"] for name in calls} == calls
+    if wl.engine == "mel":
+        for phase in ("invert_dc", "invert_reg", "rebuild", "backward"):
+            assert m[f"mel.phase.{phase}_s"] > 0, phase
+    else:
+        assert m["mel.backprop_mel.s"] == 0

@@ -236,6 +236,16 @@ def test_cg_sense_rejects_k_space_of_the_wrong_shape():
         cg_sense(op, y)
 
 
+@pytest.mark.parametrize("lam", [-1e-3, float("nan"), float("inf")])
+def test_cg_sense_rejects_negative_or_non_finite_lam(lam):
+    # NaN fails every comparison, so only a range check rejects it
+    from melrecon.mri import EncodingOperator, make_sensitivities
+
+    op = EncodingOperator(Tensor(np.ones((8, 8))), make_sensitivities((8, 8), 2, seed=1))
+    with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+        cg_sense(op, Tensor(np.zeros((2, 8, 8), dtype=complex)), lam=lam)
+
+
 def test_cg_sense_beats_zero_filled_when_undersampled():
     ds = small_dataset(seed=10, accel=3.0, shape=(24, 24))
     for c in ds.split("val"):
@@ -711,10 +721,11 @@ def test_train_config_rejects_non_finite_settings(key, value):
         train_config(**{key: value})
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("inf"), float("nan")])
 def test_nonpositive_invert_tol_is_rejected(tol):
     # a tolerance no fixed-point iteration can reach is a caller's error,
-    # not a FixedPointDivergence blamed on the contraction
+    # not a FixedPointDivergence blamed on the contraction; an infinite one
+    # would accept the first iterate
     net = tiny_net(seed=6)
     z = Tensor(crandn(np.random.default_rng(6), 8, 8))
     with pytest.raises(ValueError, match="tolerance"):

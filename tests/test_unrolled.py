@@ -291,10 +291,14 @@ def test_dc_invert_consistent_fixed_point():
 
 
 def test_dc_invert_rejects_nonpositive_mu():
+    # NaN fails every comparison, so only a range check rejects it
     op = full_op()
     t = Tensor(np.zeros((8, 8), dtype=complex))
-    with pytest.raises(ValueError):
-        dc_invert(op, Tensor(np.zeros((8, 8), dtype=complex)), t, mu=0.0)
+    for mu in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            dc_invert(op, t, t, mu=mu)
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            dc_forward(op, t, t, mu=mu, n_cg=1)
 
 
 def test_dc_vjp_full_mask_scalar():
