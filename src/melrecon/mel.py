@@ -90,6 +90,8 @@ def _sweep(net: UnrolledNetParams, op: EncodingOperator, y: Tensor, target: Tens
     x_n = modl_forward(net, op, y, tape)
     aty = op.adjoint(y) if invert else None
     loss_value, q = l1_loss(x_n, target)
+    if not invert:
+        del x_n  # only mel's DC inversion reads the output again
 
     grads: dict[str, np.ndarray] = {}
     peak = 0

@@ -160,14 +160,14 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = DEFAUL
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     zd = z.data
     gx = residual_branch(params, zd)
-    scale = float(np.linalg.norm(zd)) or float(np.linalg.norm(gx))
+    scale = _norm(zd) or _norm(gx)
     if scale == 0.0:
         return Tensor(np.zeros_like(zd))
     for _ in range(max_iter):
         x = zd - gx
         gx_new = residual_branch(params, x)
         # residual of x: ||x + cG(x) - z|| = ||cG(x) - cG(x_prev)||, as x = z - cG(x_prev)
-        res = float(np.linalg.norm(gx_new - gx))
+        res = _norm(gx_new - gx)
         gx = gx_new
         if res <= tol * scale:
             return Tensor(x)
@@ -186,27 +186,74 @@ def regularizer_invert(params: RegularizerParams, z: Tensor, tol: float = DEFAUL
 # nothing left to gain.
 _CG_FLOOR = 1e-15
 
+# Values per BLAS reduction at most. OpenBLAS hands ``np.vdot`` on 16,384 or
+# more complex values, and the dot products inside ``np.linalg.norm`` on
+# 65,536 or more, to its worker threads, which then busy-wait on the other
+# core through the FFTs and elementwise work that follow, and whose split
+# of the sum makes its last bits depend on the thread count. So image-sized
+# reductions are summed in chunks of this many, in a fixed order; every
+# training image is one chunk, the very call it was before. The conv
+# GEMMs make the same choice (``tensor._GEMM_MACS``).
+_REDUCE_VALUES = 1 << 13
+
+
+def _chunk_sum(reduce, a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of ``reduce(a_chunk, b_chunk)`` over consecutive chunks of at
+    most ``_REDUCE_VALUES`` values of the flattened arrays a and b, of one
+    size, taken in chunk order."""
+    a, b = a.reshape(-1), b.reshape(-1)
+    if a.size <= _REDUCE_VALUES:  # one chunk: the call itself
+        return float(reduce(a, b))
+    total = reduce(a[:_REDUCE_VALUES], b[:_REDUCE_VALUES])
+    for lo in range(_REDUCE_VALUES, a.size, _REDUCE_VALUES):
+        total += reduce(a[lo:lo + _REDUCE_VALUES], b[lo:lo + _REDUCE_VALUES])
+    return float(total)
+
+
+def _re_vdot(u: np.ndarray, v: np.ndarray):
+    return np.vdot(u, v).real
+
+
+def _sum_squares(u: np.ndarray, _: np.ndarray):
+    return u.real.dot(u.real) + u.imag.dot(u.imag)  # as np.linalg.norm forms it
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b>, by chunks of ``np.vdot``."""
+    return _chunk_sum(_re_vdot, a, b)
+
+
+def _norm(a: np.ndarray) -> float:
+    """||a|| of a complex array, by chunks of the sum of squares that
+    ``np.linalg.norm`` forms."""
+    return math.sqrt(_chunk_sum(_sum_squares, a, a))
+
 
 def cg_solve_normal(op: EncodingOperator, rhs: np.ndarray, x0: np.ndarray, mu: float,
                     n_iter: int) -> np.ndarray:
     """CG on (A^H A + mu I) x = rhs from x0: ``n_iter`` iterations, or fewer
-    once ||r|| <= ``_CG_FLOOR`` * ||rhs||. Reproducible for a given BLAS
-    thread count; a 128x128 solve can differ in the last bit between thread
-    counts. An all-zero x0 starts from r = rhs without applying the normal
-    operator; x, r and p are updated in place."""
+    once ||r|| <= ``_CG_FLOOR`` * ||rhs||. Its dot products and norm run in
+    chunks on the calling thread (:func:`_chunk_sum`), so a solve gives the
+    same bits at every BLAS thread count. An all-zero x0 starts from r = rhs
+    without applying the normal operator; x, r and p are updated in place.
+    rhs, when the caller holds it no longer, is dropped once r is formed,
+    and each iteration's A^H A p before the next is formed, so a
+    normal-operator call holds x, r and p beside its own buffers."""
     x = np.array(x0, dtype=np.complex128)
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = _norm(rhs)
     r = rhs - op._normal(x, mu) if x.any() else np.array(rhs, dtype=np.complex128)
+    del rhs  # read only to form r
     p = r.copy()
-    rs = float(np.vdot(r, r).real)
+    rs = _dot(r, r)
     for _ in range(n_iter):
         if np.sqrt(rs) <= _CG_FLOOR * rhs_norm:
             break
         mp = op._normal(p, mu)
-        alpha = rs / float(np.vdot(p, mp).real)
+        alpha = rs / _dot(p, mp)
         x += alpha * p
         r -= alpha * mp
-        rs_new = float(np.vdot(r, r).real)
+        del mp
+        rs_new = _dot(r, r)
         p *= rs_new / rs
         p += r
         rs = rs_new
@@ -255,12 +302,16 @@ def modl_forward(net: UnrolledNetParams, op: EncodingOperator, y: Tensor,
     """N alternations of regularizer and DC from the zero-filled init
     x_0 = A^H y. A^H y is formed once and is also the right-hand-side term
     of every DC layer. ``tape`` records each unroll's regularizer, with
-    identical values."""
+    identical values. Each unroll's input x is dropped once its z is
+    formed and z once the DC layer returns, so a DC solve holds no x and a
+    regularizer no earlier z."""
     aty = op.adjoint(y)
     x = aty
     for _ in range(net.n_unrolls):
         z = regularizer_forward(net.reg, x, tape)
+        del x
         x = dc_forward(op, aty, z, net.mu, net.n_cg)
+        del z
     return x
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from melrecon import autodiff
 from melrecon import tensor as tensor_mod
 from melrecon.autodiff import CONTRACTION, Tape, residual_branch
 from melrecon.mel import l1_loss
@@ -85,6 +86,90 @@ def test_untaped_branch_holds_one_activation():
         tracemalloc.stop()
     c2ch, act = 2 * x.size * 8, 16 * x.size * 8
     assert peak <= c2ch + act + tensor_mod._SLAB_BYTES + tensor_mod._BAND_BYTES
+
+
+def whole_branch(p, x):
+    """c*G(x) on the whole image: the untiled path, one call of the layers."""
+    h = autodiff._layers(p, np.stack([x.real, x.imag]), None)
+    return (h[0] + 1j * h[1]) * CONTRACTION
+
+
+# image shape, spatial rank, tile counts: one-row tiles (the last count),
+# counts that do not divide the rows, and on the two short volumes tiles
+# whose halo passes both image edges (12 rows in 3, 4 in 2)
+EXACT_TILINGS = [((128, 128), 2, (2, 3, 12, 128)), ((24, 24), 2, range(1, 25)),
+                 ((12, 40, 40), 3, (2, 3, 5, 12)), ((4, 16, 16), 3, (2, 3, 4))]
+
+
+@pytest.mark.parametrize("shape,rank,counts", EXACT_TILINGS, ids=["128x128", "24x24", "12x40x40", "cine_4x16x16"])
+def test_tiled_branch_equals_whole_image(shape, rank, counts):
+    # every band of these convs sees the same GEMM columns in a tile as in
+    # the whole image, so each tile's own rows are bit for bit the whole's
+    p = RegularizerParams.init(channels=16, layers=5, spatial_rank=rank, seed=31, scale=1.0)
+    x = crandn(np.random.default_rng(32), *shape)
+    want = whole_branch(p, x)
+    for tiles in counts:
+        assert np.array_equal(autodiff._tiled_branch(p, x, tiles), want), tiles
+
+
+def test_tiled_branch_on_rows_that_group_their_bands_otherwise():
+    # 97 columns: a 2->16 band spans several rows, so a tile that starts
+    # elsewhere groups other columns into each GEMM; measured 4.3e-16 of
+    # the largest value
+    p = RegularizerParams.init(channels=16, layers=5, seed=33, scale=1.0)
+    x = crandn(np.random.default_rng(34), 130, 97)
+    want = whole_branch(p, x)
+    for tiles in (2, 3, 130):
+        got = autodiff._tiled_branch(p, x, tiles)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), tiles
+
+
+def spy_tile_counts(monkeypatch):
+    """The list that each tiled branch call appends its tile count to."""
+    counts = []
+    tiled = autodiff._tiled_branch
+    monkeypatch.setattr(autodiff, "_tiled_branch", lambda p, x, t: counts.append(t) or tiled(p, x, t))
+    return counts
+
+
+@pytest.mark.parametrize("budget,tiles", [(1 << 20, 2), (800_000, 3), (1, 12)])
+def test_untaped_branch_tiles_by_the_budget(monkeypatch, budget, tiles):
+    # 16 channels of 128x128 are a 2 MB activation: the count is the fewest
+    # tiles whose own rows fit the budget, but no tile gets fewer rows than
+    # twice its 5-row halo; the values are the whole image's
+    p = RegularizerParams.init(channels=16, layers=5, seed=35)
+    x = crandn(np.random.default_rng(36), 128, 128)
+    want = whole_branch(p, x)
+    counts = spy_tile_counts(monkeypatch)
+    monkeypatch.setattr(autodiff, "_TILE_BYTES", budget)
+    assert np.array_equal(residual_branch(p, x), want)
+    assert counts == [tiles]
+
+
+@pytest.mark.parametrize("shape,rank", [((24, 24), 2), ((12, 40, 40), 3), ((4, 16, 16), 3)])
+def test_branch_tiles_no_image_whose_activation_fits_or_whose_rows_are_few(monkeypatch, shape, rank):
+    # training and cine images fit the budget; under a budget of one byte
+    # the 24 rows make at most two tiles of 12, and 12 or 4 rows none: a
+    # tile of fewer than 10 rows would recompute more than it keeps
+    p = RegularizerParams.init(channels=16, layers=5, spatial_rank=rank, seed=37)
+    x = crandn(np.random.default_rng(38), *shape)
+    counts = spy_tile_counts(monkeypatch)
+    residual_branch(p, x)
+    assert counts == []
+    monkeypatch.setattr(autodiff, "_TILE_BYTES", 1)
+    residual_branch(p, x)
+    assert counts == ([2] if shape[0] == 24 else [])
+
+
+def test_taped_branch_never_tiles(monkeypatch):
+    monkeypatch.setattr(autodiff, "_TILE_BYTES", 1)
+    monkeypatch.setattr(autodiff, "_tiled_branch", None)  # calling it would raise
+    p = RegularizerParams.init(channels=4, layers=3, seed=39)
+    x = crandn(np.random.default_rng(40), 64, 64)
+    acts = []
+    residual_branch(p, x, acts)
+    assert [a.shape[1:] for a in acts] == [(64, 64)] * 3
+
 
 def test_retained_bytes_hand_count():
     # 4x4 image, 1 channel, 2 layers: w0 [1, 2, 3, 3] and w1 [2, 1, 3, 3]

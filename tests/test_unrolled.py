@@ -1,9 +1,14 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from melrecon import tensor as tensor_mod
 from melrecon import unrolled
 from melrecon.autodiff import CONTRACTION, Tape
 from melrecon.mel import backprop_mel
@@ -259,6 +264,71 @@ def test_cg_stops_at_residual_floor():
         assert np.linalg.norm(rhs - normal(x, mu)) <= 1e-13 * np.linalg.norm(rhs)
 
 
+
+def test_cg_holds_no_earlier_product_during_the_normal_operator(monkeypatch):
+    # each A^H A p is dropped once x and r are updated, so every normal
+    # call after the first finds x, r and p alive, not also the last
+    # iteration's product
+    rng = np.random.default_rng(45)
+    op = random_op(seed=46, shape=(64, 64), coils=2)
+    rhs = crandn(rng, 64, 64)
+    x0 = np.zeros_like(rhs)
+    image = rhs.nbytes
+    held = []
+    normal = EncodingOperator._normal
+
+    def spy(self, v, mu):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return normal(self, v, mu)
+
+    monkeypatch.setattr(EncodingOperator, "_normal", spy)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cg_solve_normal(op, rhs, x0, 0.05, 6)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 6
+    assert max(held) <= 3 * image + image // 4, [h / image for h in held]
+
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (90, 100), (128, 128)])
+def test_chunked_reductions_match_numpy(shape):
+    # one chunk is numpy's own call, bit for bit; several (9,000 values as
+    # 8,192 and 808, 16,384 as two full chunks) agree to rounding
+    rng = np.random.default_rng(50)
+    a, b = crandn(rng, *shape), crandn(rng, *shape)
+    dot, norm = float(np.vdot(a, b).real), float(np.linalg.norm(a))
+    if a.size <= unrolled._REDUCE_VALUES:
+        assert (unrolled._dot(a, b), unrolled._norm(a)) == (dot, norm)
+    else:
+        assert abs(unrolled._dot(a, b) - dot) <= 1e-13 * norm * np.linalg.norm(b)
+        assert unrolled._norm(a) == pytest.approx(norm, rel=1e-14)
+
+_THREAD_SOLVE = """
+import hashlib, numpy as np
+from melrecon.mri import EncodingOperator, make_poisson_disk_mask, make_sensitivities
+from melrecon.unrolled import cg_solve_normal
+rng = np.random.default_rng(47)
+op = EncodingOperator(make_poisson_disk_mask((128, 128), 4.0, calib=(8, 8), seed=48),
+                      make_sensitivities((128, 128), 8, seed=49))
+rhs = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+print(hashlib.sha256(cg_solve_normal(op, rhs, rhs, 0.05, 10).tobytes()).hexdigest())
+"""
+
+
+def test_cg_solve_gives_the_same_bits_at_every_blas_thread_count():
+    # the solve's reductions run in chunks below OpenBLAS's threading
+    # threshold, so one thread and the default count agree bit for bit
+    src = str(Path(unrolled.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    digests = [subprocess.run([sys.executable, "-c", _THREAD_SOLVE], capture_output=True, text=True, check=True,
+                              env=e).stdout.strip() for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})]
+    assert digests[0] and digests[0] == digests[1]
+
 def test_dc_invert_roundtrip_tight_cg():
     rng = np.random.default_rng(12)
     op = random_op(seed=15)
@@ -417,6 +487,33 @@ def test_modl_deterministic():
     b = modl_forward(net, op, y)
     assert np.array_equal(a.data, b.data)
 
+
+
+def test_modl_forward_heap_at_128x128_holds_one_tile():
+    # recon-large's setting at N=2: 16 channels of 128x128, 8 coils. The
+    # regularizer sets the peak: A^H y, x and the branch output, then one
+    # 69-row tile (64 rows and a 5-row halo) of the 16-channel activation
+    # and of c2ch(x), and a conv's slab and band. Measured 2,462,928 B;
+    # the whole-image branch, with x kept through the DC solve, z through
+    # the next regularizer and the CG's rhs and last product through each
+    # normal, peaked at 3,549,568 B
+    rng = np.random.default_rng(41)
+    shape = (128, 128)
+    op = EncodingOperator(make_poisson_disk_mask(shape, 4.0, calib=(8, 8), seed=42),
+                          make_sensitivities(shape, 8, seed=43))
+    y = Tensor(op._forward(crandn(rng, *shape)))
+    net = UnrolledNetParams(projected_params(seed=44, channels=16, layers=5, scale=0.3), 0.05, 2, 10)
+    modl_forward(net, op, y)  # warm the FFT plan cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        modl_forward(net, op, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    image, row = 16 * 128 * 128, 8 * 128
+    tile = (64 + 5) * row * (16 + 2)
+    assert peak <= 3 * image + tile + tensor_mod._SLAB_BYTES + tensor_mod._BAND_BYTES + image // 4
 
 def test_weight_sharing_structural():
     # one regularizer for every unroll: the leaves do not grow with depth
